@@ -7,6 +7,7 @@ passed, and the final column is treated as labels only on request.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .linalg import is_psd, symmetrize
 
 def load_points_csv(path, label_col: str | None = None, header: bool = False):
     """Read a numeric CSV (one row per point) into a (d, n) matrix.
+
+    Every value must parse as a finite float; NaN, infinities, non-numeric
+    values and ragged rows raise ``InvalidArgumentError`` naming the file.
 
     ``label_col='last'`` peels the final column off as labels (strings kept
     as-is); returns ``(X, labels_or_None)``.
@@ -37,9 +41,13 @@ def load_points_csv(path, label_col: str | None = None, header: bool = False):
             else:
                 feat = row
             try:
-                rows.append([float(v) for v in feat])
+                values = [float(v) for v in feat]
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}: non-numeric value on row {lineno}") from exc
+            # float() accepts "nan" and "inf"; no solver can use them
+            if not all(map(math.isfinite, values)):
+                raise InvalidArgumentError(f"{path}: non-finite value on row {lineno}")
+            rows.append(values)
     if not rows:
         raise InvalidArgumentError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

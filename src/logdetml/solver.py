@@ -131,6 +131,17 @@ def _projection_scalars(p: float, xi: float, lam: float, delta: float, gamma: fl
     return alpha, beta, xi_new, lam - alpha, clipped
 
 
+def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> None:
+    """A += beta * outer(v, v) in place, using ``work`` for the product.
+
+    These are the IEEE operations of ``A += beta * np.outer(v, v)`` in the same
+    order, so the result is bit-identical; only the two temporaries are gone.
+    """
+    np.multiply(v[:, None], v, out=work)
+    np.multiply(work, beta, out=work)
+    np.add(A, work, out=A)
+
+
 def project_constraint_kernel(
     K: np.ndarray,
     i: int,
@@ -140,12 +151,17 @@ def project_constraint_kernel(
     xi: float,
     gamma: float,
     p_min: float | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[float, float, ProjectionInfo]:
     """Apply one Bregman projection in kernel space.
 
     ``K`` is updated in place; the new (lam, xi) for the constraint are
     returned together with diagnostics.  Pairs whose current distance is at
     or below ``p_min`` are skipped untouched.
+
+    ``work`` is scratch space for the rank-one update: a float64 array of
+    K's shape, overwritten by the call, which must not alias ``K``.  ``None``
+    allocates one per call; a fit passes one buffer to all its projections.
     """
     n = K.shape[0]
     if p_min is None:
@@ -157,7 +173,7 @@ def project_constraint_kernel(
     delta = 1.0 if kind == SIMILAR else -1.0
     alpha, beta, xi_new, lam_new, clipped = _projection_scalars(p, xi, lam, delta, gamma)
     if beta != 0.0:
-        K += beta * np.outer(v, v)
+        _add_outer(K, beta, v, np.empty_like(K) if work is None else work)
     return lam_new, xi_new, ProjectionInfo(alpha, clipped, False)
 
 
@@ -169,9 +185,15 @@ def project_constraint_linear(
     xi: float,
     gamma: float,
     p_min: float | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[float, float, ProjectionInfo]:
     """Input-space analog of ``project_constraint_kernel``; ``g`` is the pair
-    difference vector x_i - x_j and W is updated in place."""
+    difference vector x_i - x_j and W is updated in place.
+
+    ``work`` is scratch space for the rank-one update: a float64 array of
+    W's shape, overwritten by the call, which must not alias ``W``.  ``None``
+    allocates one per call.
+    """
     d = W.shape[0]
     if p_min is None:
         p_min = P_MIN_RTOL * float(np.trace(W)) / d
@@ -182,7 +204,7 @@ def project_constraint_linear(
     delta = 1.0 if kind == SIMILAR else -1.0
     alpha, beta, xi_new, lam_new, clipped = _projection_scalars(p, xi, lam, delta, gamma)
     if beta != 0.0:
-        W += beta * np.outer(v, v)
+        _add_outer(W, beta, v, np.empty_like(W) if work is None else work)
     return lam_new, xi_new, ProjectionInfo(alpha, clipped, False)
 
 
@@ -245,10 +267,12 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
     K = K0.copy()
     kinds = [c.kind for c in cs.constraints]
     pairs = [(c.i, c.j) for c in cs.constraints]
+    work = np.empty_like(K)
 
     def project_one(c, lam_c, xi_c):
         i, j = pairs[c]
-        return project_constraint_kernel(K, i, j, kinds[c], lam_c, xi_c, cfg.gamma)
+        return project_constraint_kernel(K, i, j, kinds[c], lam_c, xi_c, cfg.gamma,
+                                         work=work)
 
     dual, done, sweeps, skipped = _run_sweeps(project_one, m, cs.initial_slacks(), cfg)
     if not np.all(np.isfinite(K)):
@@ -273,9 +297,11 @@ def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
     W = np.eye(d)
     kinds = [c.kind for c in cs.constraints]
     diffs = np.stack([X[:, c.i] - X[:, c.j] for c in cs.constraints], axis=1)
+    work = np.empty_like(W)
 
     def project_one(c, lam_c, xi_c):
-        return project_constraint_linear(W, diffs[:, c], kinds[c], lam_c, xi_c, cfg.gamma)
+        return project_constraint_linear(W, diffs[:, c], kinds[c], lam_c, xi_c, cfg.gamma,
+                                         work=work)
 
     dual, done, sweeps, skipped = _run_sweeps(project_one, m, cs.initial_slacks(), cfg)
     if not np.all(np.isfinite(W)):

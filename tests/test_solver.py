@@ -16,6 +16,7 @@ from logdetml.errors import InvalidArgumentError
 from logdetml.linalg import pair_distance_kernel, psd_tolerance
 from logdetml.solver import (
     SolverConfig,
+    _projection_scalars,
     converged,
     fit_kernel,
     fit_linear,
@@ -110,6 +111,61 @@ class TestSingleProjection:
         assert lam_k == pytest.approx(lam_l, abs=1e-12)
         assert xi_k == pytest.approx(xi_l, abs=1e-12)
         assert np.allclose(X.T @ W @ X, K, atol=1e-10)
+
+
+def _violating_scalars(rng, p, kind, gamma):
+    """(lam, xi, beta) for a constraint that the current distance p violates."""
+    xi = 0.5 * p if kind == SIMILAR else 2.0 * p
+    lam = float(rng.exponential(0.5))
+    delta = 1.0 if kind == SIMILAR else -1.0
+    _, beta, *_ = _projection_scalars(p, xi, lam, delta, gamma)
+    assert beta != 0.0
+    return lam, xi, beta
+
+
+class TestUpdateContract:
+    """The rank-one update is exactly A + beta * outer(v, v), whatever the
+    scratch buffer holds on entry."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_kernel_update_is_bitwise_reference(self, seed, buffered):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        K = random_pd(rng, n)
+        i, j = (int(t) for t in rng.choice(n, size=2, replace=False))
+        kind = SIMILAR if seed % 2 else DISSIMILAR
+        gamma = float(rng.choice([1.0, math.inf]))
+        v = K[:, i] - K[:, j]
+        lam, xi, beta = _violating_scalars(rng, float(v[i] - v[j]), kind, gamma)
+        expected = K + beta * np.outer(v, v)
+        work = np.full_like(K, np.nan) if buffered else None
+        project_constraint_kernel(K, i, j, kind, lam, xi, gamma, work=work)
+        assert np.array_equal(K, expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_linear_update_is_bitwise_reference(self, seed, buffered):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 10))
+        W = random_pd(rng, d)
+        g = rng.standard_normal(d)
+        kind = SIMILAR if seed % 2 else DISSIMILAR
+        gamma = float(rng.choice([1.0, math.inf]))
+        v = W @ g
+        lam, xi, beta = _violating_scalars(rng, float(g @ v), kind, gamma)
+        expected = W + beta * np.outer(v, v)
+        work = np.full_like(W, np.nan) if buffered else None
+        project_constraint_linear(W, g, kind, lam, xi, gamma, work=work)
+        assert np.array_equal(W, expected)
+
+    def test_fit_kernel_keeps_exact_symmetry(self, rng):
+        X = rng.standard_normal((40, 30))
+        K0 = X.T @ X
+        cs = mixed_constraint_set(X, n_sim=10, n_dis=10)
+        model = fit_kernel(K0, cs, SolverConfig(max_sweeps=20))
+        assert not np.array_equal(model.K, model.K0)
+        assert np.array_equal(model.K, model.K.T)
 
 
 class TestConverged:
