@@ -1,8 +1,9 @@
 """Command-line surface: train models, query distances, run evaluations.
 
 Exit codes: 0 success, 2 malformed data, 3 infeasible or numerical failure,
-4 bad flags.  Every run logs its full effective configuration so an output
-is reproducible from the log alone; all randomness flows from --seed.
+4 bad flags.  Every run logs its full effective configuration to stderr so
+an output is reproducible from the log alone, and stdout carries only data;
+all randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def _resolve_spec(args, X):
 
 
 def _log(args, key, value):
-    print(f"[{args.command}] {key}: {value}")
+    # stdout carries only data (distance and eval CSVs); the run log goes to stderr
+    print(f"[{args.command}] {key}: {value}", file=sys.stderr)
 
 
 def cmd_train(args) -> int:

@@ -4,6 +4,27 @@ One canonical serialization: fixed key order, floats as %.17g decimal
 literals (lossless for float64), matrices row-major.  Files written from
 the same model are byte-identical, which makes reproducibility checks a
 straight byte comparison.
+
+Stored and derived matrices (format version 2):
+
+* stored: ``W`` (linear), ``X`` (training points), ``M`` (kernel mixing
+  matrix), ``F`` and ``B`` (low-rank core and basis);
+* derived: the input Gram matrix ``K0`` is a pure function of the stored
+  points and the kernel, so it is written only when it cannot be rebuilt --
+  no stored points, or a ``precomputed`` kernel.  Otherwise ``load_model``
+  sets ``K0 = gram(X, kernel)``.  (The dense kernel-kind ``M`` is still
+  n x n; a coefficient-basis ``iplr`` file is O(n (d + k)).)
+
+Version 1 files, which always carry ``K0``, still load; their ``K0`` block
+is used as written.  Saving a loaded model always writes version 2.
+
+Training builds ``K0`` from the column-major (Fortran-order) ``X`` that
+``datasets.load_points_csv`` returns, while this file reads ``X`` back
+row-major.  BLAS sums ``X.T @ X`` in a layout-dependent order, so a Gram of
+the row-major copy can differ from the training ``K0`` by one ulp.  ``K0``
+is therefore rebuilt from a Fortran-order copy, which reproduces the
+training matrix bit for bit; ``ModelFile.X`` keeps the layout it was read
+in, because out-of-sample queries depend on its bits too.
 """
 
 from __future__ import annotations
@@ -16,16 +37,22 @@ import numpy as np
 from .constraints import Constraint, ConstraintSet, Thresholds
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel
-from .linalg import KernelSpec, inv_sqrt, symmetrize
+from .linalg import KernelSpec, gram, inv_sqrt, symmetrize
 from .lowrank import COEFFICIENT, EXPLICIT
 
-VERSION = 1
+VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 KINDS = ("linear", "kernel", "iplr")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _derivable_K0(X: np.ndarray | None, spec: KernelSpec | None) -> bool:
+    """True when K0 is a function of the stored points and kernel."""
+    return X is not None and spec is not None and spec.kind != "precomputed"
 
 
 @dataclass
@@ -41,7 +68,6 @@ class ModelFile:
     sweeps_used: int
     jitter_used: float = 0.0
     identity_coeff: float = 1.0
-    version: int = VERSION
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
@@ -106,7 +132,7 @@ def _write_matrix(lines: list[str], name: str, A: np.ndarray) -> None:
 
 
 def save_model(path, mf: ModelFile) -> None:
-    lines = [f"version {mf.version}", f"kind {mf.kind}"]
+    lines = [f"version {VERSION}", f"kind {mf.kind}"]
     if mf.kernel_spec is None:
         lines.append("kernel none")
     elif mf.kernel_spec.kind == "gaussian":
@@ -133,9 +159,10 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
+    skip_K0 = _derivable_K0(mf.X, mf.kernel_spec)
     for name in ("W", "X", "K0", "M", "F"):
         A = getattr(mf, name)
-        if A is not None:
+        if A is not None and not (name == "K0" and skip_K0):
             _write_matrix(lines, name, A)
     if mf.basis_matrix is not None:
         _write_matrix(lines, "B", mf.basis_matrix)
@@ -145,9 +172,21 @@ def save_model(path, mf: ModelFile) -> None:
 
 
 def load_model(path) -> ModelFile:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a version 1 or 2 model file.
+
+    Malformed content raises ``InvalidArgumentError`` naming the file and
+    the 1-based line.  A missing ``K0`` is rebuilt from the stored points
+    and kernel (see the module docstring).
+    """
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not a text model file") from exc
     pos = 0
+
+    def fail(message: str):
+        raise InvalidArgumentError(f"{path}: line {pos}: {message}")
 
     def take() -> str:
         nonlocal pos
@@ -160,35 +199,58 @@ def load_model(path) -> ModelFile:
     def expect(key: str) -> list[str]:
         parts = take().split()
         if not parts or parts[0] != key:
-            raise InvalidArgumentError(f"{path}: expected '{key}' entry, got {parts[:1]}")
+            fail(f"expected '{key}' entry, got {parts[:1]}")
+        if len(parts) < 2:
+            fail(f"'{key}' entry is missing a value")
         return parts[1:]
 
-    version = int(expect("version")[0])
-    if version != VERSION:
-        raise InvalidArgumentError(f"{path}: unsupported model version {version}")
+    def number(token: str, cast=float):
+        try:
+            return cast(token)
+        except ValueError:
+            fail(f"expected {'an integer' if cast is int else 'a number'}, got {token!r}")
+
+    def build(factory, *args):
+        try:
+            return factory(*args)
+        except InvalidArgumentError as exc:
+            fail(str(exc))
+
+    version = number(expect("version")[0], int)
+    if version not in READABLE_VERSIONS:
+        fail(f"unsupported model version {version}")
     kind = expect("kind")[0]
+    if kind not in KINDS:
+        fail(f"unknown model kind: {kind!r}")
     kparts = expect("kernel")
     if kparts[0] == "none":
         spec = None
-    elif kparts[0] == "gaussian":
-        spec = KernelSpec.gaussian(float(kparts[1]))
+    elif kparts[0] == "gaussian" and len(kparts) == 2:
+        spec = build(KernelSpec.gaussian, number(kparts[1]))
     else:
-        spec = KernelSpec(kparts[0])
-    gamma = float(expect("gamma")[0])
-    seed = int(expect("seed")[0])
-    conv = bool(int(expect("converged")[0]))
-    sweeps = int(expect("sweeps")[0])
-    jitter = float(expect("jitter")[0])
-    ic = float(expect("identity_coeff")[0])
+        spec = build(KernelSpec, kparts[0])
+    gamma = number(expect("gamma")[0])
+    seed = number(expect("seed")[0], int)
+    conv = bool(number(expect("converged")[0], int))
+    sweeps = number(expect("sweeps")[0], int)
+    jitter = number(expect("jitter")[0])
+    ic = number(expect("identity_coeff")[0])
     tparts = expect("thresholds")
-    thresholds = None if tparts[0] == "none" else Thresholds(float(tparts[0]), float(tparts[1]))
-    m = int(expect("constraints")[0])
+    if tparts[0] == "none":
+        thresholds = None
+    elif len(tparts) == 2:
+        thresholds = build(Thresholds, number(tparts[0]), number(tparts[1]))
+    else:
+        fail("'thresholds' entry needs u and l")
+    m = number(expect("constraints")[0], int)
     cons, lam, xi = [], [], []
     for _ in range(m):
         parts = take().split()
-        cons.append(Constraint(int(parts[1]), int(parts[2]), parts[0]))
-        lam.append(float(parts[3]))
-        xi.append(float(parts[4]))
+        if len(parts) != 5:
+            fail("a constraint line needs: kind i j lambda xi")
+        cons.append(build(Constraint, number(parts[1], int), number(parts[2], int), parts[0]))
+        lam.append(number(parts[3]))
+        xi.append(number(parts[4]))
 
     basis_mode = None
     matrices: dict[str, np.ndarray] = {}
@@ -197,19 +259,31 @@ def load_model(path) -> ModelFile:
         if line == "end":
             break
         parts = line.split()
-        if parts[0] == "basis":
+        if parts[:1] == ["basis"] and len(parts) == 3:
             basis_mode = parts[1]
             continue
-        if parts[0] != "matrix":
-            raise InvalidArgumentError(f"{path}: unexpected line {line!r}")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        if parts[:1] != ["matrix"] or len(parts) != 4:
+            fail(f"unexpected line {line!r}")
+        name, rows, cols = parts[1], number(parts[2], int), number(parts[3], int)
+        if rows < 0 or cols < 0:
+            fail(f"matrix {name} has a negative size")
         data = np.empty((rows, cols))
         for r in range(rows):
             vals = take().split()
             if len(vals) != cols:
-                raise InvalidArgumentError(f"{path}: matrix {name} row {r} has wrong width")
-            data[r] = [float(v) for v in vals]
+                fail(f"matrix {name} row {r} has wrong width")
+            try:
+                data[r] = [float(v) for v in vals]
+            except ValueError:
+                fail(f"matrix {name} row {r} has a non-numeric entry")
         matrices[name] = data
+
+    X = matrices.get("X")
+    K0 = matrices.get("K0")
+    if K0 is None and _derivable_K0(X, spec):
+        K0 = build(gram, np.asfortranarray(X), spec)
+    if K0 is None and (kind == "kernel" or basis_mode == COEFFICIENT):
+        fail(f"{kind} model has no K0 block and no points and kernel to rebuild it from")
 
     return ModelFile(
         kind=kind,
@@ -222,8 +296,8 @@ def load_model(path) -> ModelFile:
         jitter_used=jitter,
         identity_coeff=ic,
         W=matrices.get("W"),
-        X=matrices.get("X"),
-        K0=matrices.get("K0"),
+        X=X,
+        K0=K0,
         M=matrices.get("M"),
         constraints=cons,
         lam=np.array(lam) if cons else None,
