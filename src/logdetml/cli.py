@@ -264,7 +264,12 @@ def cmd_distance(args) -> int:
     rows = []
     if args.pairs:
         pairs, _ = load_points_csv(args.pairs)
-        for a, b in pairs.T:
+        if pairs.shape[0] != 2:
+            raise InvalidArgumentError(f"{args.pairs}: expected two indices per row, got {pairs.shape[0]}")
+        for k, (a, b) in enumerate(pairs.T, start=1):
+            # an integral float such as 1.0 names a point; 0.5 names none
+            if not (a.is_integer() and b.is_integer()):
+                raise InvalidArgumentError(f"{args.pairs}: non-integer index in pair {k}")
             i, j = int(a), int(b)
             rows.append((i, j, pair_fn(i, j)))
     else:

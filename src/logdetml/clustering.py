@@ -5,12 +5,23 @@ random point, each further center the point with the largest distance to
 the centers chosen so far.  Empty clusters are reseeded at the point
 farthest from its assigned center.  Lloyd iterations stop on an unchanged
 assignment or after ``max_iters`` passes.
+
+The kernel k-means step is done in matrix form (Dhillon, Guan & Kulis,
+KDD 2004): with Z the n x k indicator matrix scaled to Z[i, c] = 1/|c| for
+the members i of cluster c, ``KZ = K @ Z`` holds every point's mean kernel
+value against every cluster, ``diag(Z^T K Z)`` the clusters' mean
+within-cluster kernel values, and the squared feature-space distances to
+all k means are ``diag(K)[:, None] - 2 KZ + diag(Z^T K Z)``: one BLAS
+product per Lloyd pass instead of one pass over K per cluster.
+
+``scipy.optimize`` (for the Hungarian matching in ``matching_error``) is
+imported inside that function: it is this package's only scipy.optimize
+use, and importing it at module level costs every CLI process about 0.7 s.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidArgumentError
 from .linalg import pairwise_sq_dists
@@ -79,14 +90,17 @@ def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
     for c in range(k):
         if not np.any(labels == c):
             labels[seeds[c]] = c
+    rows = np.arange(n)
     for _ in range(max_iters):
-        D = np.empty((n, k))
-        for c in range(k):
-            members = labels == c
-            mcount = int(np.sum(members))
-            mean_col = K[:, members].mean(axis=1)
-            mean_all = float(K[np.ix_(members, members)].sum()) / (mcount * mcount)
-            D[:, c] = diag - 2.0 * mean_col + mean_all
+        counts = np.bincount(labels, minlength=k)
+        Z = np.zeros((n, k))
+        Z[rows, labels] = 1.0 / counts[labels]
+        KZ = K @ Z
+        mean_all = np.einsum("ic,ic->c", Z, KZ)
+        D = diag[:, None] - 2.0 * KZ + mean_all
+        # an empty cluster (possible with duplicate points) has no mean; the
+        # reseed below refills it
+        D[:, counts == 0] = np.inf
         new_labels = np.argmin(D, axis=1)
         for c in range(k):
             if not np.any(new_labels == c):
@@ -101,6 +115,9 @@ def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
 def matching_error(pred, truth) -> float:
     """Clustering error 1 - accuracy under the best cluster-to-class matching
     (Hungarian assignment on the confusion matrix); permutation invariant."""
+    # deferred: a module-level scipy.optimize import slows every CLI start
+    from scipy.optimize import linear_sum_assignment
+
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.size == 0:

@@ -19,7 +19,8 @@ def load_points_csv(path, label_col: str | None = None, header: bool = False):
     """Read a numeric CSV (one row per point) into a (d, n) matrix.
 
     Every value must parse as a finite float; NaN, infinities, non-numeric
-    values and ragged rows raise ``InvalidArgumentError`` naming the file.
+    values, ragged rows and bytes that are not UTF-8 text raise
+    ``InvalidArgumentError`` naming the file.
 
     ``label_col='last'`` peels the final column off as labels (strings kept
     as-is); returns ``(X, labels_or_None)``.
@@ -28,26 +29,28 @@ def load_points_csv(path, label_col: str | None = None, header: bool = False):
         raise InvalidArgumentError(f"label_col must be None or 'last', got {label_col!r}")
     rows = []
     labels = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not row:
-                continue
-            if label_col == "last":
-                *feat, lab = row
-                labels.append(lab.strip())
-            else:
-                feat = row
-            try:
-                values = [float(v) for v in feat]
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}: non-numeric value on row {lineno}") from exc
-            # float() accepts "nan" and "inf"; no solver can use them
-            if not all(map(math.isfinite, values)):
-                raise InvalidArgumentError(f"{path}: non-finite value on row {lineno}")
-            rows.append(values)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if header and lineno == 1:
+                    continue
+                if not row:
+                    continue
+                if label_col == "last":
+                    *feat, lab = row
+                    labels.append(lab.strip())
+                else:
+                    feat = row
+                try:
+                    values = [float(v) for v in feat]
+                except ValueError as exc:
+                    raise InvalidArgumentError(f"{path}: non-numeric value on row {lineno}") from exc
+                # float() accepts "nan" and "inf"; no solver can use them
+                if not all(map(math.isfinite, values)):
+                    raise InvalidArgumentError(f"{path}: non-finite value on row {lineno}")
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not a UTF-8 text file") from exc
     if not rows:
         raise InvalidArgumentError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -59,8 +62,11 @@ def load_points_csv(path, label_col: str | None = None, header: bool = False):
 
 def load_labels_file(path):
     """One label per line; blank lines ignored."""
-    with open(path) as fh:
-        labels = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            labels = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not a UTF-8 text file") from exc
     if not labels:
         raise InvalidArgumentError(f"{path}: no labels")
     return np.array(labels)

@@ -135,9 +135,15 @@ def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> N
     """A += beta * outer(v, v) in place, using ``work`` for the product.
 
     These are the IEEE operations of ``A += beta * np.outer(v, v)`` in the same
-    order, so the result is bit-identical; only the two temporaries are gone.
+    order; only the two temporaries are gone.  ``einsum`` writes the outer
+    product nearly twice as fast as a broadcast ``np.multiply`` at n in the
+    hundreds, with each entry still the one product v_i * v_j, except that it
+    adds the products to +0.0, so a -0.0 product is stored as +0.0.  Since
+    x + (+-0.0) differs only for x = -0.0, and a sum is -0.0 only when both
+    terms are, the result is bit-identical wherever A holds no -0.0; a fit
+    never creates one.
     """
-    np.multiply(v[:, None], v, out=work)
+    np.einsum("i,j->ij", v, v, out=work)
     np.multiply(work, beta, out=work)
     np.add(A, work, out=A)
 

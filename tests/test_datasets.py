@@ -60,3 +60,19 @@ def test_train_on_nan_exits_with_data_error(tmp_path, capsys, kernel):
     assert code == EXIT_DATA
     assert "non-finite value on row 6" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("bad", ["data", "labels"])
+def test_train_on_non_utf8_file_exits_with_data_error(tmp_path, capsys, bad):
+    good = write(tmp_path, "".join(f"{i},{(i * 7) % 5}\n" for i in range(12)))
+    write(tmp_path, "".join("a\n" if i % 2 else "b\n" for i in range(12)), name="labels.txt")
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe1,2\n")
+    data, labels = (binary, tmp_path / "labels.txt") if bad == "data" else (good, binary)
+    code = main(["train", "--data", str(data), "--labels", str(labels), "--per-class", "3",
+                 "--max-sweeps", "2", "--out", str(tmp_path / "m.txt")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert f"{binary}: not a UTF-8 text file" in captured.err
+    assert not (tmp_path / "m.txt").exists()

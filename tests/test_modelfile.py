@@ -234,3 +234,43 @@ def test_train_logs_to_stderr_and_distance_prints_only_csv(small_ionosphere, que
     assert lines[0] == "i,j,sq_distance"
     n = len(query_points.read_text().splitlines())
     assert len(lines) == 1 + n * (n + 1) // 2
+
+
+# -- `distance --pairs` takes integer indices ------------------------------------
+
+@pytest.mark.parametrize("text, fragment", [
+    ("0,1\n\n0.5,1\n", "non-integer index in pair 2"),
+    ("0,1,2\n", "expected two indices per row, got 3"),
+], ids=["fractional", "three-columns"])
+def test_distance_rejects_malformed_pairs(gaussian_model, tmp_path, capsys, text, fragment):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(text)
+    capsys.readouterr()
+    code = main(["distance", str(gaussian_model), "--pairs", str(pairs)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{pairs}: {fragment}" in captured.err
+
+
+def test_distance_accepts_integral_float_pairs(gaussian_model, tmp_path, capsys):
+    outputs = []
+    for text in ("0,1\n2,19\n", "0.0,1\n2,1.9e1\n"):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(text)
+        capsys.readouterr()
+        assert main(["distance", str(gaussian_model), "--pairs", str(pairs)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].startswith("0,1,")
+
+
+def test_non_utf8_points_exit_2(gaussian_model, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_bytes(b"\xff\xfe1,2\n")
+    capsys.readouterr()
+    code = main(["distance", str(gaussian_model), "--points", str(points)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{points}: not a UTF-8 text file" in captured.err
