@@ -4,6 +4,12 @@ Exit codes: 0 success, 2 malformed data, 3 infeasible or numerical failure,
 4 bad flags.  Every run logs its full effective configuration to stderr so
 an output is reproducible from the log alone, and stdout carries only data;
 all randomness flows from --seed.
+
+``distance`` writes a CSV with the header ``i,j,sq_distance`` and one row
+per pair, each value formatted ``.12g``.  With ``--points`` the rows are
+every pair i <= j of the query points in row-major order (i ascending, then
+j), the diagonal written as 0; with ``--pairs`` they are the given training
+index pairs in file order.
 """
 
 from __future__ import annotations
@@ -173,11 +179,12 @@ def cmd_train(args) -> int:
         _log(args, "sweeps_used", km.sweeps_used)
         _log(args, "converged", km.converged)
         _log(args, "max_violation", f"{max_violation(km.K, cs, km.dual):.6g}")
-        M, jitter_used = compute_M(km.K0, km.K)
+        M, dropped_rank = compute_M(km.K0, km.K)
+        _log(args, "dropped_rank", dropped_rank)
         mf = ModelFile(
             kind="kernel", kernel_spec=spec, thresholds=cs.thresholds,
             gamma=gamma, seed=args.seed, converged=km.converged,
-            sweeps_used=km.sweeps_used, jitter_used=jitter_used,
+            sweeps_used=km.sweeps_used,
             X=X, K0=km.K0, M=M, constraints=cs.constraints,
             lam=km.dual.lam, xi=km.dual.xi,
         )
@@ -193,16 +200,17 @@ def _train_alt(args, X, K0, spec, cs, gamma) -> ModelFile:
     gen = constraints_to_general(cs, K0.shape[0])
     if args.loss == "vonneumann":
         lam, K = fit_vn_kernel(K0, gen)
-        M, jitter_used = compute_M(K0, K)
+        M, dropped_rank = compute_M(K0, K)
         identity_coeff = 1.0
         _log(args, "dual_norm", f"{float(np.max(lam)) if lam.size else 0.0:.6g}")
+        _log(args, "dropped_rank", dropped_rank)
     else:
-        S = fit_frob_kernel(K0, gen, eta=args.eta)
-        M, jitter_used, identity_coeff = S, 0.0, args.eta
+        M = fit_frob_kernel(K0, gen, eta=args.eta)
+        identity_coeff = args.eta
     return ModelFile(
         kind="kernel", kernel_spec=spec, thresholds=cs.thresholds,
         gamma=gamma if gamma != "cv" else 1.0, seed=args.seed,
-        converged=True, sweeps_used=0, jitter_used=jitter_used,
+        converged=True, sweeps_used=0,
         identity_coeff=identity_coeff,
         X=X, K0=K0, M=M, constraints=cs.constraints,
     )
@@ -261,11 +269,11 @@ def _model_sq_distance_fn(mf: ModelFile):
 def cmd_distance(args) -> int:
     mf = load_model(args.model)
     pair_fn, points_fn = _model_sq_distance_fn(mf)
-    rows = []
     if args.pairs:
         pairs, _ = load_points_csv(args.pairs)
         if pairs.shape[0] != 2:
             raise InvalidArgumentError(f"{args.pairs}: expected two indices per row, got {pairs.shape[0]}")
+        rows = []
         for k, (a, b) in enumerate(pairs.T, start=1):
             # an integral float such as 1.0 names a point; 0.5 names none
             if not (a.is_integer() and b.is_integer()):
@@ -274,16 +282,14 @@ def cmd_distance(args) -> int:
             rows.append((i, j, pair_fn(i, j)))
     else:
         Z, _ = load_points_csv(args.points)
-        D = points_fn(Z)
-        for i in range(Z.shape[1]):
-            for j in range(i, Z.shape[1]):
-                rows.append((i, j, float(D[i, j]) if i != j else 0.0))
+        I, J = np.triu_indices(Z.shape[1])
+        vals = points_fn(Z)[I, J]
+        vals[I == J] = 0.0
+        rows = zip(I.tolist(), J.tolist(), vals.tolist())
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["i", "j", "sq_distance"])
-        for i, j, d in rows:
-            writer.writerow([i, j, f"{d:.12g}"])
+        out.write("i,j,sq_distance\n")
+        out.writelines("%d,%d,%.12g\n" % row for row in rows)
     finally:
         if out is not sys.stdout:
             out.close()

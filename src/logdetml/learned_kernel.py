@@ -1,7 +1,7 @@
 """Out-of-sample extension of a learned kernel.
 
 A solved kernel problem gives K on the training points only.  Writing the
-underlying metric as W = I + X M X^T with M = K0^-1 (K - K0) K0^-1, the
+underlying metric as W = I + X M X^T with M = K0^+ (K - K0) K0^+, the
 learned inner product of arbitrary points z1, z2 needs nothing but input
 kernel evaluations:
 
@@ -11,6 +11,11 @@ kernel evaluations:
 so distances extend to unseen data.  M is materialized once when the model
 is finalized; low-rank models keep M in factored form B C B^T instead and
 never build the n x n matrix.
+
+K0^+ is a pseudo-inverse (see ``compute_M``): Gaussian Grams are often
+singular in floating point, and an inverse would amplify their round-off.
+A batch query evaluates each point set once -- kernel vectors, M applied to
+them, self products -- and shares them when both sides are the same set.
 """
 
 from __future__ import annotations
@@ -20,23 +25,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import KernelSpec, cross_gram, inv_psd, symmetrize
+from .linalg import KernelSpec, cross_gram, symmetrize
 
 
-def compute_M(K0: np.ndarray, K: np.ndarray, jitter: float | None = None):
-    """Mixing matrix M = K0^-1 (K - K0) K0^-1; returns ``(M, jitter_used)``.
+def compute_M(K0: np.ndarray, K: np.ndarray):
+    """Mixing matrix M = K0^+ (K - K0) K0^+; returns ``(M, dropped_rank)``.
 
-    K0 inversion follows the package jitter policy (shift added only when the
-    plain factorization fails); the shift actually used is reported so models
-    can record it.
+    K0^+ is the spectral pseudo-inverse on K0's numerical range: with
+    K0 = V diag(w) V^T, the directions with w <= n * eps * max(w) are
+    dropped and the rest inverted, so M = P (V_r^T (K - K0) V_r) P^T with
+    P = V_r / w_r.  ``dropped_rank`` is the number of directions dropped
+    (0 when K0 is numerically positive definite).
     """
     K0 = np.asarray(K0, dtype=float)
     K = np.asarray(K, dtype=float)
     if K0.shape != K.shape:
         raise InvalidArgumentError(f"shape mismatch: {K0.shape} vs {K.shape}")
-    K0inv, jitter_used = inv_psd(K0, jitter)
-    M = symmetrize(K0inv @ (K - K0) @ K0inv)
-    return M, jitter_used
+    n = K0.shape[0]
+    w, V = np.linalg.eigh(K0)
+    # eigenvalues ascend, so the dropped directions lead V
+    dropped = int(np.count_nonzero(w <= n * np.finfo(float).eps * w[-1]))
+    Vr = V[:, dropped:]
+    C = Vr.T @ (K - K0) @ Vr
+    P = np.divide(Vr, w[dropped:], out=Vr)
+    M = P @ C @ P.T
+    # release V and C before symmetrize allocates: this is the peak of a
+    # kernel train run, and it stays within what inverting K0 used to take
+    del V, Vr, P, C
+    return symmetrize(M), dropped
 
 
 @dataclass
@@ -47,6 +63,8 @@ class LearnedKernelModel:
     with M = m_factor @ m_core @ m_factor.T is set, never both.
     ``identity_coeff`` scales the input-kernel term of the inner product
     (1 for LogDet models; the Frobenius solver regularizes toward eta * I).
+    ``K``, the learned Gram on the training points, may be left unset; see
+    ``learned_K``.  ``dropped_rank`` is what ``compute_M`` reported.
     """
 
     kernel_spec: KernelSpec
@@ -57,7 +75,7 @@ class LearnedKernelModel:
     m_factor: np.ndarray | None = None
     m_core: np.ndarray | None = None
     identity_coeff: float = 1.0
-    jitter_used: float = 0.0
+    dropped_rank: int = 0
     converged: bool = True
 
     def __post_init__(self):
@@ -73,6 +91,17 @@ class LearnedKernelModel:
         if self.M is not None:
             return self.M.shape[0]
         return self.m_factor.shape[0]
+
+    def learned_K(self) -> np.ndarray | None:
+        """The learned Gram on the training points.
+
+        A dense model built without one (a loaded model file) derives
+        ``identity_coeff * K0 + K0 M K0`` on the first call and keeps it;
+        a factored model has none and returns None.
+        """
+        if self.K is None and self.M is not None and self.K0 is not None:
+            self.K = symmetrize(self.identity_coeff * self.K0 + self.K0 @ self.M @ self.K0)
+        return self.K
 
     def apply_M(self, V: np.ndarray) -> np.ndarray:
         """M @ V without materializing M in the factored case."""
@@ -92,7 +121,7 @@ class LearnedKernelModel:
 def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec,
                     identity_coeff: float = 1.0) -> LearnedKernelModel:
     """Finalize a solver result into a queryable model (materializes M)."""
-    M, jitter_used = compute_M(km.K0, km.K)
+    M, dropped_rank = compute_M(km.K0, km.K)
     return LearnedKernelModel(
         kernel_spec=spec,
         X=None if X is None else np.asarray(X, dtype=float),
@@ -100,7 +129,7 @@ def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec,
         K=km.K,
         M=M,
         identity_coeff=identity_coeff,
-        jitter_used=jitter_used,
+        dropped_rank=dropped_rank,
         converged=km.converged,
     )
 
@@ -152,21 +181,38 @@ def learned_gram(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray | Non
 
 
 def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """Pairwise learned squared distances between columns of Z1 and Z2."""
-    G12 = learned_gram(model, Z1, Z2)
-    g1 = _learned_self_products(model, Z1)
-    g2 = _learned_self_products(model, Z2)
-    D = g1[:, None] + g2[None, :] - 2.0 * G12
-    return np.clip(D, 0.0, None)
+    """Pairwise learned squared distances between columns of Z1 and Z2:
+    ``clip(g1 + g2 - 2 G12, 0)`` with G12 the learned Gram between the sets
+    and g1, g2 their learned self products.  Each set is evaluated once;
+    pass the same object twice for the distances within one set."""
+    same = Z2 is Z1
+    K1, MK1 = _kernel_terms(model, Z1)
+    K2, MK2 = (K1, MK1) if same else _kernel_terms(model, Z2)
+    G12 = model.identity_coeff * cross_gram(Z1, Z2, model.kernel_spec) + K1.T @ MK2
+    g1 = _self_products(model, Z1, K1, MK1)
+    g2 = g1 if same else _self_products(model, Z2, K2, MK2)
+    # D = clip(g1 + g2 - 2 G12, 0), written over G12
+    G12 *= 2.0
+    D = np.subtract(g1[:, None] + g2[None, :], G12, out=G12)
+    return np.clip(D, 0.0, None, out=D)
 
 
-def _learned_self_products(model: LearnedKernelModel, Z: np.ndarray) -> np.ndarray:
-    KZ = model.kernel_vectors(Z)
+def _kernel_terms(model: LearnedKernelModel, Z) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, M K)``: the kernel vectors of the columns of Z and M applied to them."""
+    K = model.kernel_vectors(Z)
+    return K, model.apply_M(K)
+
+
+def _self_products(model: LearnedKernelModel, Z, K: np.ndarray, MK: np.ndarray) -> np.ndarray:
+    """Learned self products ``<z, z>_W`` of the columns of Z from their
+    kernel terms; MK is spent (overwritten with K * MK) to spare an
+    n x q temporary."""
+    Z = np.asarray(Z, dtype=float)
     if model.kernel_spec.kind == "gaussian":
         base = np.ones(Z.shape[1])
     else:
         base = np.sum(Z * Z, axis=0)
-    return model.identity_coeff * base + np.sum(KZ * model.apply_M(KZ), axis=0)
+    return model.identity_coeff * base + np.sum(np.multiply(K, MK, out=MK), axis=0)
 
 
 def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
@@ -180,8 +226,9 @@ def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
     n = model.K0.shape[0]
     if not (0 <= a < n and 0 <= b < n):
         raise InvalidArgumentError(f"training index out of range for n={n}")
-    if model.K is not None:
-        return float(model.K[a, a] + model.K[b, b] - 2.0 * model.K[a, b])
+    K = model.learned_K()
+    if K is not None:
+        return float(K[a, a] + K[b, b] - 2.0 * K[a, b])
     kv = model.K0[:, [a, b]]
     base = model.identity_coeff * model.K0[np.ix_([a, b], [a, b])]
     G = base + kv.T @ model.apply_M(kv)

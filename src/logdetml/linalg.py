@@ -144,14 +144,32 @@ def frob_divergence(A: np.ndarray, B: np.ndarray) -> float:
     return 0.5 * float(np.sum((A - B) ** 2))
 
 
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between columns of A (d, na) and B (d, nb)."""
+def _sq_dists_and_scratch(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(D, G)``: D is ``pairwise_sq_dists(A, B)``; G is the spent (na, nb)
+    buffer that held 2 A^T B, returned so a caller can reuse it."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     aa = np.sum(A * A, axis=0)[:, None]
     bb = np.sum(B * B, axis=0)[None, :]
-    D = aa + bb - 2.0 * (A.T @ B)
-    return np.clip(D, 0.0, None)
+    G = A.T @ B
+    G *= 2.0
+    D = aa + bb
+    D -= G
+    np.clip(D, 0.0, None, out=D)
+    return D, G
+
+
+def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between columns of A (d, na) and B (d, nb):
+    ``clip(aa + bb - 2 A^T B, 0)``, computed in two (na, nb) buffers."""
+    return _sq_dists_and_scratch(A, B)[0]
+
+
+def _gaussian_in_place(D: np.ndarray, sigma: float) -> np.ndarray:
+    """Overwrite squared distances D with exp(-D / (2 sigma^2)); returns D."""
+    np.negative(D, out=D)
+    np.divide(D, 2.0 * sigma**2, out=D)
+    return np.exp(D, out=D)
 
 
 def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -159,6 +177,11 @@ def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     linear   -> X.T @ X
     gaussian -> exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal
+
+    The Gaussian Gram is built in two n x n buffers, reused through every
+    step: the IEEE operations and their order are those of the plain
+    expression ``symmetrize(exp(-clip(aa + bb - 2 X^T X, 0) / (2 sigma^2)))``
+    with a unit diagonal, so the result is bit-identical to it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -167,10 +190,13 @@ def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise InvalidArgumentError("cannot build a Gram matrix from a precomputed spec")
     if spec.kind == "linear":
         return symmetrize(X.T @ X)
-    D = pairwise_sq_dists(X, X)
-    K = np.exp(-D / (2.0 * spec.sigma**2))
+    K, G = _sq_dists_and_scratch(X, X)
+    _gaussian_in_place(K, spec.sigma)
     np.fill_diagonal(K, 1.0)
-    return symmetrize(K)
+    # symmetrize(K) into the spent buffer
+    np.add(K, K.T, out=G)
+    G *= 0.5
+    return G
 
 
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -185,7 +211,7 @@ def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise InvalidArgumentError("precomputed kernels cannot evaluate new points")
     if spec.kind == "linear":
         return X.T @ Z
-    return np.exp(-pairwise_sq_dists(X, Z) / (2.0 * spec.sigma**2))
+    return _gaussian_in_place(pairwise_sq_dists(X, Z), spec.sigma)
 
 
 def pair_distance_kernel(K: np.ndarray, i: int, j: int) -> float:

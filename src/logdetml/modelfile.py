@@ -66,6 +66,8 @@ class ModelFile:
     seed: int
     converged: bool
     sweeps_used: int
+    # the ``jitter`` entry: the diagonal shift earlier trainers added to K0
+    # before inverting it; K0 is now pseudo-inverted, so new models write 0
     jitter_used: float = 0.0
     identity_coeff: float = 1.0
     # payload (presence depends on kind)
@@ -86,17 +88,19 @@ class ModelFile:
 
     # -- query surface ----------------------------------------------------
     def to_learned_kernel(self) -> LearnedKernelModel:
-        """Rebuild the out-of-sample model (kernel and iplr kinds)."""
+        """Rebuild the out-of-sample model (kernel and iplr kinds).
+
+        A ``kernel`` model's learned Gram K on the training points is not
+        formed here (two n^3 products); ``LearnedKernelModel.learned_K``
+        derives it when a training-index query first needs it.
+        """
         if self.kind == "kernel":
             return LearnedKernelModel(
                 kernel_spec=self.kernel_spec,
                 X=self.X,
                 K0=self.K0,
-                K=None if self.K0 is None else symmetrize(
-                    self.identity_coeff * self.K0 + self.K0 @ self.M @ self.K0),
                 M=self.M,
                 identity_coeff=self.identity_coeff,
-                jitter_used=self.jitter_used,
                 converged=self.converged,
             )
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:

@@ -1,0 +1,108 @@
+import numpy as np
+import pytest
+
+from logdetml.errors import InvalidArgumentError
+from logdetml.evaluation import (
+    EuclideanOracle,
+    clustering_protocol,
+    crossvalidate_gamma,
+    euclidean_learner,
+    two_fold_cv,
+)
+from logdetml.linalg import pairwise_sq_dists
+
+from conftest import make_blobs
+
+
+def separable(n_per=10, classes=2):
+    """Tight, far-apart classes: every neighbour of a point shares its label."""
+    rng = np.random.default_rng(3)
+    parts = [rng.standard_normal((2, n_per)) * 0.1 + 20.0 * c for c in range(classes)]
+    labels = np.repeat(np.arange(classes), n_per)
+    return np.concatenate(parts, axis=1), labels
+
+
+class FarthestOracle:
+    """Reversed geometry: the nearest neighbours are the farthest points."""
+
+    def pairwise(self, A, B):
+        return -pairwise_sq_dists(A, B)
+
+
+def stub_factory(good, calls):
+    """learner_factory whose learners score 1.0 for gamma in ``good`` and
+    0.0 otherwise on ``separable`` data; records the gammas it is asked for."""
+
+    def factory(gamma):
+        calls.append(gamma)
+
+        def learn(X, labels, seed):
+            return EuclideanOracle() if gamma in good else FarthestOracle()
+
+        return learn
+
+    return factory
+
+
+class TestCrossvalidateGamma:
+    def test_all_tied_picks_smallest(self):
+        X, y = separable()
+        calls = []
+        assert crossvalidate_gamma(X, y, stub_factory({0.1, 1.0, 10.0}, calls),
+                                   grid=(10.0, 0.1, 1.0), k=3) == 0.1
+        assert calls == [0.1, 1.0, 10.0]
+
+    def test_tie_among_best_picks_smaller(self):
+        X, y = separable()
+        assert crossvalidate_gamma(X, y, stub_factory({10.0, 100.0}, []),
+                                   grid=(0.1, 100.0, 10.0, 1.0), k=3) == 10.0
+
+    def test_strictly_better_larger_gamma_wins(self):
+        X, y = separable()
+        assert crossvalidate_gamma(X, y, stub_factory({1000.0}, []), k=3) == 1000.0
+
+    def test_empty_grid_rejected(self):
+        X, y = separable()
+        with pytest.raises(InvalidArgumentError, match="empty gamma grid"):
+            crossvalidate_gamma(X, y, stub_factory(set(), []), grid=())
+
+
+class TestTwoFoldCV:
+    def test_folds_are_balanced_and_partition_the_data(self):
+        X, y = make_blobs(np.random.default_rng(0), d=4, n=31, classes=3, nuisance=1)
+        y = np.concatenate([y, [2]])  # class sizes 10, 10, 11
+        X = np.concatenate([X, X[:, :1]], axis=1)
+        seen = []
+
+        def recording(Xtr, labels, seed):
+            seen.append((Xtr.copy(), labels.copy()))
+            return EuclideanOracle()
+
+        two_fold_cv(X, y, recording, k=3, seed=5)
+        assert len(seen) == 2
+        (Xa, ya), (Xb, yb) = seen
+        assert Xa.shape[1] + Xb.shape[1] == X.shape[1]
+        for cls in np.unique(y):
+            na, nb = np.count_nonzero(ya == cls), np.count_nonzero(yb == cls)
+            assert na + nb == np.count_nonzero(y == cls)
+            assert abs(na - nb) <= 1
+        # the two training folds are disjoint: together they hold every point once
+        together = np.concatenate([Xa, Xb], axis=1)
+        assert sorted(map(tuple, together.T)) == sorted(map(tuple, X.T))
+
+    def test_separable_data_scores_one(self):
+        X, y = separable()
+        report = two_fold_cv(X, y, euclidean_learner(), k=3, seed=0)
+        assert report.fold_accuracies == [1.0, 1.0]
+        assert report.accuracy == 1.0
+        assert report.error == 0.0
+
+
+class TestClusteringProtocol:
+    def test_deterministic_and_errors_in_unit_interval(self):
+        X, y = make_blobs(np.random.default_rng(1), d=6, n=45, classes=3, nuisance=2)
+        first = clustering_protocol(X, y, n_constraints=20, seed=4)
+        second = clustering_protocol(X, y, n_constraints=20, seed=4)
+        assert first == second
+        for err in first:
+            assert 0.0 <= err <= 1.0

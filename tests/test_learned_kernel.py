@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from logdetml import evaluation
 from logdetml.constraints import Constraint, ConstraintSet, SIMILAR, DISSIMILAR, Thresholds
+from logdetml.constraints import compute_thresholds, generate_from_labels, kernel_distance_pool
+from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.learned_kernel import (
     LearnedKernelModel,
@@ -14,6 +19,7 @@ from logdetml.learned_kernel import (
     training_pair_distance,
 )
 from logdetml.linalg import KernelSpec, gram, pair_distance_kernel
+from logdetml.linalg import cross_gram
 from logdetml.solver import SolverConfig, fit_kernel
 
 from conftest import random_pd
@@ -123,7 +129,7 @@ class TestLearnedQueries:
         cs = mixed_constraint_set(X, seed=0)
         km = fit_kernel(K0, cs, SolverConfig(gamma=1.0, tol=1e-8, seed=0))
         model = from_kernel_fit(km, X, spec)
-        assert model.jitter_used > 0.0
+        assert model.dropped_rank == X.shape[1] - X.shape[0]
         W = np.eye(3) + X @ model.M @ X.T
         for _ in range(20):
             z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
@@ -184,3 +190,109 @@ class TestLearnedQueries:
         z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
         assert learned_inner_product(fact, z1, z2) == pytest.approx(
             learned_inner_product(dense, z1, z2), abs=1e-10)
+
+
+# -- D2: out-of-sample distances on a numerically singular K0 -----------------
+
+IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fold", [0, 1])
+def test_ionosphere_fold_serves_training_distances_of_K(seed, fold):
+    # The Gaussian Gram of an ionosphere half has eigenvalues at round-off
+    # level (some negative); inverting it amplified that round-off into
+    # served training distances off by up to 1e22 times the median.
+    X, labels = load_points_csv(IONOSPHERE, label_col="last")
+    train = evaluation.stratified_split(labels, seed)[fold]
+    X, labels = X[:, train], labels[train]
+    spec = KernelSpec.gaussian(evaluation.median_pairwise_distance(X))
+    K0 = gram(X, spec)
+    cs = ConstraintSet(generate_from_labels(labels, per_class=100, seed=seed),
+                       compute_thresholds(kernel_distance_pool(K0, seed=seed)))
+    km = fit_kernel(K0, cs, SolverConfig(gamma=1.0, max_sweeps=5, seed=seed))
+    model = from_kernel_fit(km, X, spec)
+    served = learned_sq_distances(model, X, X)
+    g = np.diag(km.K)
+    ref = g[:, None] + g[None, :] - 2.0 * km.K
+    iu = np.triu_indices(X.shape[1], 1)
+    assert np.max(np.abs(served - ref)[iu]) <= 1e-8 * np.median(ref[iu])
+
+
+def test_dropped_rank_of_a_singular_K0():
+    # K0 = diag(2, 1, 0): the zero direction is dropped, the rest inverted
+    K0 = np.diag([2.0, 1.0, 0.0])
+    K = np.diag([3.0, 1.0, 0.0])
+    M, dropped = compute_M(K0, K)
+    assert dropped == 1
+    assert np.allclose(M, np.diag([0.25, 0.0, 0.0]), atol=1e-15)
+
+
+# -- the one-pass query equals the three-pass code it replaced -----------------
+
+def reference_learned_gram(model, Z1, Z2=None):
+    Z1 = np.asarray(Z1, dtype=float)
+    Z2same = Z2 is None
+    Z2 = Z1 if Z2same else np.asarray(Z2, dtype=float)
+    K1 = model.kernel_vectors(Z1)
+    K2 = K1 if Z2same else model.kernel_vectors(Z2)
+    base = cross_gram(Z1, Z2, model.kernel_spec)
+    return model.identity_coeff * base + K1.T @ model.apply_M(K2)
+
+
+def reference_learned_sq_distances(model, Z1, Z2):
+    G12 = reference_learned_gram(model, Z1, Z2)
+    g1 = _reference_learned_self_products(model, Z1)
+    g2 = _reference_learned_self_products(model, Z2)
+    D = g1[:, None] + g2[None, :] - 2.0 * G12
+    return np.clip(D, 0.0, None)
+
+
+def _reference_learned_self_products(model, Z):
+    KZ = model.kernel_vectors(Z)
+    if model.kernel_spec.kind == "gaussian":
+        base = np.ones(Z.shape[1])
+    else:
+        base = np.sum(Z * Z, axis=0)
+    return model.identity_coeff * base + np.sum(KZ * model.apply_M(KZ), axis=0)
+
+
+def _query_model(rng, spec, form, n=12, d=4):
+    X = rng.standard_normal((d, n))
+    K0 = gram(X, spec)
+    B = rng.standard_normal((n, 3))
+    core = np.diag([0.4, -0.1, 0.05])
+    if form == "dense":
+        return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, M=B @ core @ B.T,
+                                  identity_coeff=0.7)
+    return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, m_factor=B, m_core=core)
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(1.7), KernelSpec.linear()],
+                         ids=["gaussian", "linear"])
+@pytest.mark.parametrize("seed", range(4))
+def test_learned_sq_distances_is_bitwise_reference(seed, spec, form):
+    rng = np.random.default_rng(seed)
+    model = _query_model(rng, spec, form)
+    d = model.X.shape[0]
+    Z1 = rng.standard_normal((d, 9))
+    Z2 = np.asfortranarray(rng.standard_normal((d, 5)))
+    Z1[:, 3] = Z1[:, 1]  # a duplicate query point
+    cases = [(Z1, Z1), (Z1, Z2), (Z2, Z1), (Z1, Z1.copy()), (model.X, model.X), (Z1, model.X)]
+    for A, B in cases:
+        assert np.array_equal(learned_sq_distances(model, A, B),
+                              reference_learned_sq_distances(model, A, B))
+
+
+def test_learned_K_is_derived_once_for_dense_models(rng):
+    X, trained, _ = trained_model(rng, KernelSpec.gaussian(1.5))
+    model = LearnedKernelModel(kernel_spec=trained.kernel_spec, X=X, K0=trained.K0,
+                               M=trained.M)
+    assert model.K is None
+    K = model.learned_K()
+    assert np.array_equal(K, 0.5 * ((model.K0 + model.K0 @ model.M @ model.K0)
+                                    + (model.K0 + model.K0 @ model.M @ model.K0).T))
+    assert model.learned_K() is K
+    factored = _query_model(rng, KernelSpec.linear(), "factored")
+    assert factored.learned_K() is None

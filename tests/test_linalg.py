@@ -14,6 +14,7 @@ from logdetml.linalg import (
     logdet_divergence,
     min_eigenvalue,
     pair_distance_kernel,
+    pairwise_sq_dists,
     percentile,
     sqrt_psd,
     vn_divergence,
@@ -133,6 +134,51 @@ class TestGram:
     def test_gaussian_needs_positive_sigma(self):
         with pytest.raises(InvalidArgumentError):
             KernelSpec.gaussian(0.0)
+
+
+# The buffered Gram and distance code against the plain expressions it
+# replaced, copied as they were: the results must be equal bit for bit.
+
+def reference_pairwise_sq_dists(A, B):
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    aa = np.sum(A * A, axis=0)[:, None]
+    bb = np.sum(B * B, axis=0)[None, :]
+    D = aa + bb - 2.0 * (A.T @ B)
+    return np.clip(D, 0.0, None)
+
+
+def reference_gaussian_gram(X, sigma):
+    D = reference_pairwise_sq_dists(X, X)
+    K = np.exp(-D / (2.0 * sigma**2))
+    np.fill_diagonal(K, 1.0)
+    return 0.5 * (K + K.T)
+
+
+def _points(rng, d, n, order, duplicates):
+    X = rng.standard_normal((d, n)) * rng.uniform(0.1, 10.0)
+    if duplicates and n > 2:
+        X[:, n - 1] = X[:, 0]
+        X[:, 1] = X[:, 0]
+    return np.asfortranarray(X) if order == "F" else np.ascontiguousarray(X)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+@pytest.mark.parametrize("seed", range(5))
+def test_buffered_gram_and_distances_are_bitwise_reference(seed, duplicates, order):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 60):
+        d = int(rng.integers(1, 30))
+        X = _points(rng, d, n, order, duplicates)
+        Z = _points(rng, d, int(rng.integers(1, 20)), order, duplicates)
+        sigma = float(rng.uniform(0.3, 4.0))
+        assert np.array_equal(gram(X, KernelSpec.gaussian(sigma)),
+                              reference_gaussian_gram(X, sigma))
+        assert np.array_equal(pairwise_sq_dists(X, X), reference_pairwise_sq_dists(X, X))
+        assert np.array_equal(pairwise_sq_dists(X, Z), reference_pairwise_sq_dists(X, Z))
+        assert np.array_equal(cross_gram(X, Z, KernelSpec.gaussian(sigma)),
+                              np.exp(-reference_pairwise_sq_dists(X, Z) / (2.0 * sigma**2)))
 
 
 class TestPairDistanceKernel:

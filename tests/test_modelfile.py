@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from logdetml.cli import main
 from logdetml.datasets import load_kernel_csv, load_points_csv
 from logdetml.linalg import KernelSpec, gram
+from logdetml.linalg import symmetrize
 from logdetml.modelfile import load_model, save_model
 
 IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
@@ -274,3 +277,62 @@ def test_non_utf8_points_exit_2(gaussian_model, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert f"{points}: not a UTF-8 text file" in captured.err
+
+
+# -- `distance` output equals the per-row csv.writer output it replaced ----------
+
+def reference_distance_csv(model_path, query):
+    """The CSV the nested-loop, per-row ``csv.writer`` code wrote, with the
+    learned K formed on load as that code did."""
+    from test_learned_kernel import reference_learned_sq_distances
+
+    mf = load_model(model_path)
+    model = mf.to_learned_kernel()
+    if mf.kind == "kernel":
+        model.K = symmetrize(mf.identity_coeff * mf.K0 + mf.K0 @ mf.M @ mf.K0)
+    rows = []
+    if query[0] == "--pairs":
+        pairs, _ = load_points_csv(query[1])
+        for a, b in pairs.T:
+            i, j = int(a), int(b)
+            if model.K is not None:
+                d = float(model.K[i, i] + model.K[j, j] - 2.0 * model.K[i, j])
+            else:
+                kv = model.K0[:, [i, j]]
+                base = model.identity_coeff * model.K0[np.ix_([i, j], [i, j])]
+                G = base + kv.T @ model.apply_M(kv)
+                d = max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))
+            rows.append((i, j, d))
+    else:
+        Z, _ = load_points_csv(query[1])
+        D = reference_learned_sq_distances(model, Z, Z)
+        for i in range(Z.shape[1]):
+            for j in range(i, Z.shape[1]):
+                rows.append((i, j, float(D[i, j]) if i != j else 0.0))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["i", "j", "sq_distance"])
+    for i, j, d in rows:
+        writer.writerow([i, j, f"{d:.12g}"])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kernel", "gaussian"],
+        pytest.param(["--kernel", "gaussian", "--basis", "kmeans:20"],
+                     marks=pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")),
+    ],
+    ids=["kernel", "iplr-coefficient"],
+)
+def test_distance_csv_is_byte_identical_to_reference(small_ionosphere, query_points,
+                                                     tmp_path, flags):
+    model = tmp_path / "trained.model"
+    assert _train(small_ionosphere, model, *flags) == 0
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1\n2,19\n5,5\n13,7\n58,0\n")
+    for query in (["--points", str(query_points)], ["--pairs", str(pairs)]):
+        out = tmp_path / "distances.csv"
+        assert main(["distance", str(model), *query, "--out", str(out)]) == 0
+        assert out.read_bytes() == reference_distance_csv(model, query)
