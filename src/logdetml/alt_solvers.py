@@ -62,6 +62,12 @@ def constraints_to_general(cs: ConstraintSet, n: int) -> list[GeneralConstraint]
     return out
 
 
+def constraint_excess(K: np.ndarray, cons: list[GeneralConstraint]) -> np.ndarray:
+    """tr(C_i K) - b_i for each constraint, with K = X^T W X the learned
+    kernel: positive where K violates the constraint."""
+    return np.array([float(np.sum(con.C * K)) - con.b for con in cons])
+
+
 def _weighted_sum(cons: list[GeneralConstraint], lam: np.ndarray, n: int) -> np.ndarray:
     C = np.zeros((n, n))
     for li, con in zip(lam, cons):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from . import evaluation, lowrank, solver
-from .alt_solvers import constraints_to_general, fit_frob_kernel, fit_vn_kernel
+from .alt_solvers import constraint_excess, constraints_to_general, fit_frob_kernel, fit_vn_kernel
 from .constraints import (
     ConstraintSet,
     compute_thresholds,
@@ -42,6 +43,10 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_FLAGS = 4
 
+# The alternative losses run no sweeps: their fit counts as converged when
+# the learned kernel meets every constraint to this fraction of its threshold.
+ALT_VIOLATION_RTOL = 1e-6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -50,11 +55,31 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_FLAGS)
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert(text)``, rejected unless ``ok(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_positive_float = _checked(float, lambda v: v > 0, "positive")
+_nonnegative_float = _checked(float, lambda v: v >= 0, "nonnegative")
+
+
 def _kernel_arg(text: str) -> str:
     if text in ("linear", "precomputed", "gaussian"):
         return text
     if text.startswith("gaussian:"):
-        float(text.split(":", 1)[1])  # noqa: B018 - syntax check only
+        sigma = float(text.split(":", 1)[1])
+        if not 0 < sigma < math.inf:
+            raise argparse.ArgumentTypeError(f"gaussian width must be positive and finite: {text!r}")
         return text
     raise argparse.ArgumentTypeError(f"unknown kernel: {text!r}")
 
@@ -207,10 +232,18 @@ def _train_alt(args, X, K0, spec, cs, gamma) -> ModelFile:
     else:
         M = fit_frob_kernel(K0, gen, eta=args.eta)
         identity_coeff = args.eta
+        K = identity_coeff * K0 + K0 @ M @ K0
+    excess = constraint_excess(K, gen)
+    violated = int(np.count_nonzero(
+        excess > ALT_VIOLATION_RTOL * np.abs([con.b for con in gen])))
+    _log(args, "max_violation", f"{float(np.max(excess, initial=0.0)):.6g}")
+    if violated:
+        _log(args, "WARNING", f"{violated} of {len(gen)} constraints are violated by more "
+                              f"than {ALT_VIOLATION_RTOL:g} of their threshold")
     return ModelFile(
         kind="kernel", kernel_spec=spec, thresholds=cs.thresholds,
         gamma=gamma if gamma != "cv" else 1.0, seed=args.seed,
-        converged=True, sweeps_used=0,
+        converged=not violated, sweeps_used=0,
         identity_coeff=identity_coeff,
         X=X, K0=K0, M=M, constraints=cs.constraints,
     )
@@ -301,8 +334,6 @@ def _eval_learner(args, spec):
         return evaluation.euclidean_learner()
     if args.loss == "inverse-covariance":
         return evaluation.inverse_covariance_learner()
-    if args.loss != "logdet":
-        raise InvalidArgumentError(f"eval supports euclidean/inverse-covariance/logdet, got {args.loss!r}")
     if args.space == "kernel" or spec.kind != "linear":
         return evaluation.logdet_kernel_learner(
             spec if spec.kind != "linear" else None,
@@ -370,13 +401,13 @@ def build_parser() -> _Parser:
                        help="linear | gaussian[:sigma] | precomputed")
     train.add_argument("--gamma", type=_parse_gamma, default=1.0,
                        help="slack tradeoff, a float, 'inf', or 'cv'")
-    train.add_argument("--eta", type=float, default=1.0,
+    train.add_argument("--eta", type=_nonnegative_float, default=1.0,
                        help="identity shift for the frobenius loss")
-    train.add_argument("--per-class", type=int, default=100, dest="per_class")
+    train.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
     train.add_argument("--basis", type=_basis_arg, default=(None, 0),
                        help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
-    train.add_argument("--tol", type=float, default=1e-3)
-    train.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
+    train.add_argument("--tol", type=_positive_float, default=1e-3)
+    train.add_argument("--max-sweeps", type=_positive_int, default=None, dest="max_sweeps")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
@@ -394,15 +425,15 @@ def build_parser() -> _Parser:
     ev.add_argument("--labels")
     ev.add_argument("--label-col", choices=["last"], dest="label_col")
     ev.add_argument("--mode", choices=["knn", "cluster"], required=True)
-    ev.add_argument("--loss", default="logdet",
-                    help="logdet | euclidean | inverse-covariance")
+    ev.add_argument("--loss", choices=["logdet", "euclidean", "inverse-covariance"],
+                    default="logdet")
     ev.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
     ev.add_argument("--kernel", type=_kernel_arg, default="linear")
     ev.add_argument("--gamma", type=_parse_gamma, default=1.0)
-    ev.add_argument("--k", type=int, default=10)
-    ev.add_argument("--constraints", type=int, default=50)
-    ev.add_argument("--per-class", type=int, default=100, dest="per_class")
-    ev.add_argument("--tol", type=float, default=1e-3)
+    ev.add_argument("--k", type=_positive_int, default=10)
+    ev.add_argument("--constraints", type=_positive_int, default=50)
+    ev.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
+    ev.add_argument("--tol", type=_positive_float, default=1e-3)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_eval)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+
+from logdetml import solver
 
 from logdetml.constraints import (
     DISSIMILAR,
@@ -11,12 +14,28 @@ from logdetml.constraints import (
     Thresholds,
     compute_thresholds,
     euclidean_distance_pool,
+    generate_from_labels,
 )
-from logdetml.errors import InvalidArgumentError
-from logdetml.linalg import pair_distance_kernel, psd_tolerance
+from logdetml.errors import InvalidArgumentError, NumericalError
+from logdetml.linalg import (
+    KernelSpec,
+    gram,
+    is_psd,
+    pair_distance_kernel,
+    psd_tolerance,
+    symmetrize,
+)
 from logdetml.solver import (
+    DENOM_TOL,
+    P_MIN_RTOL,
+    DualState,
+    KernelModel,
+    LinearModel,
     SolverConfig,
+    SolverWarning,
+    _DGEMM_OUTER_MAX_N,
     _projection_scalars,
+    _warn_skipped,
     converged,
     fit_kernel,
     fit_linear,
@@ -25,7 +44,7 @@ from logdetml.solver import (
     project_constraint_linear,
 )
 
-from conftest import random_pd
+from conftest import make_blobs, random_pd
 
 
 def mixed_constraint_set(X, n_sim=3, n_dis=3, seed=0, lo=30, hi=70):
@@ -341,3 +360,350 @@ class TestFitLinearWithPrior:
         cs = mixed_constraint_set(X, seed=7)
         with pytest.raises(InvalidArgumentError):
             fit_linear_with_prior(X, np.diag([1.0, 1.0, 0.0]), cs)
+
+
+# -- reference: the sweep loop and projections as they were before the
+# per-projection overhead was cut, copied verbatim with a ref_ prefix.  The
+# fits above must reproduce them bit for bit.
+
+@dataclass
+class RefProjectionInfo:
+    alpha: float
+    clipped: bool   # alpha was capped at lam (dual feasibility)
+    skipped: bool   # pair distance below the skip floor
+
+
+def ref_projection_scalars(p: float, xi: float, lam: float, delta: float, gamma: float):
+    """Closed-form projection parameters for one constraint."""
+    factor = 1.0 if math.isinf(gamma) else gamma / (gamma + 1.0)
+    raw = delta * factor * (1.0 / p - 1.0 / xi)
+    clipped = lam < raw
+    alpha = lam if clipped else raw
+    denom = 1.0 - delta * alpha * p
+    if abs(denom) < DENOM_TOL:
+        raise NumericalError(
+            f"projection denominator vanished (p={p}, xi={xi}, alpha={alpha})"
+        )
+    beta = delta * alpha / denom
+    if math.isinf(gamma):
+        xi_new = xi
+    else:
+        slack_denom = gamma + delta * alpha * xi
+        if slack_denom <= 0:
+            raise NumericalError(
+                f"slack update denominator vanished (xi={xi}, alpha={alpha})"
+            )
+        xi_new = gamma * xi / slack_denom
+    return alpha, beta, xi_new, lam - alpha, clipped
+
+
+def ref_add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> None:
+    """A += beta * outer(v, v) in place, using ``work`` for the product.
+
+    These are the IEEE operations of ``A += beta * np.outer(v, v)`` in the same
+    order; only the two temporaries are gone.  ``einsum`` writes the outer
+    product nearly twice as fast as a broadcast ``np.multiply`` at n in the
+    hundreds, with each entry still the one product v_i * v_j, except that it
+    adds the products to +0.0, so a -0.0 product is stored as +0.0.  Since
+    x + (+-0.0) differs only for x = -0.0, and a sum is -0.0 only when both
+    terms are, the result is bit-identical wherever A holds no -0.0; a fit
+    never creates one.
+    """
+    np.einsum("i,j->ij", v, v, out=work)
+    np.multiply(work, beta, out=work)
+    np.add(A, work, out=A)
+
+
+def ref_project_constraint_kernel(
+    K: np.ndarray,
+    i: int,
+    j: int,
+    kind: str,
+    lam: float,
+    xi: float,
+    gamma: float,
+    p_min: float | None = None,
+    work: np.ndarray | None = None,
+) -> tuple[float, float, RefProjectionInfo]:
+    """Apply one Bregman projection in kernel space.
+
+    ``K`` is updated in place; the new (lam, xi) for the constraint are
+    returned together with diagnostics.  Pairs whose current distance is at
+    or below ``p_min`` are skipped untouched.
+
+    ``work`` is scratch space for the rank-one update: a float64 array of
+    K's shape, overwritten by the call, which must not alias ``K``.  ``None``
+    allocates one per call; a fit passes one buffer to all its projections.
+    """
+    n = K.shape[0]
+    if p_min is None:
+        p_min = P_MIN_RTOL * float(np.trace(K)) / n
+    v = K[:, i] - K[:, j]
+    p = float(v[i] - v[j])
+    if p <= p_min:
+        return lam, xi, RefProjectionInfo(0.0, False, True)
+    delta = 1.0 if kind == SIMILAR else -1.0
+    alpha, beta, xi_new, lam_new, clipped = ref_projection_scalars(p, xi, lam, delta, gamma)
+    if beta != 0.0:
+        ref_add_outer(K, beta, v, np.empty_like(K) if work is None else work)
+    return lam_new, xi_new, RefProjectionInfo(alpha, clipped, False)
+
+
+def ref_project_constraint_linear(
+    W: np.ndarray,
+    g: np.ndarray,
+    kind: str,
+    lam: float,
+    xi: float,
+    gamma: float,
+    p_min: float | None = None,
+    work: np.ndarray | None = None,
+) -> tuple[float, float, RefProjectionInfo]:
+    """Input-space analog of ``ref_project_constraint_kernel``; ``g`` is the pair
+    difference vector x_i - x_j and W is updated in place.
+
+    ``work`` is scratch space for the rank-one update: a float64 array of
+    W's shape, overwritten by the call, which must not alias ``W``.  ``None``
+    allocates one per call.
+    """
+    d = W.shape[0]
+    if p_min is None:
+        p_min = P_MIN_RTOL * float(np.trace(W)) / d
+    v = W @ g
+    p = float(g @ v)
+    if p <= p_min:
+        return lam, xi, RefProjectionInfo(0.0, False, True)
+    delta = 1.0 if kind == SIMILAR else -1.0
+    alpha, beta, xi_new, lam_new, clipped = ref_projection_scalars(p, xi, lam, delta, gamma)
+    if beta != 0.0:
+        ref_add_outer(W, beta, v, np.empty_like(W) if work is None else work)
+    return lam_new, xi_new, RefProjectionInfo(alpha, clipped, False)
+
+
+
+def ref_run_sweeps(project_one, m: int, xi0: np.ndarray, cfg: SolverConfig):
+    """Shared sweep loop: seed-shuffled fixed order, cyclic passes, dual-change
+    stopping rule.  ``project_one(c, lam_c, xi_c)`` performs the projection for
+    constraint c and returns (lam, xi, info)."""
+    lam = np.zeros(m)
+    xi = xi0.astype(float).copy()
+    if np.any(xi <= 0):
+        raise InvalidArgumentError("initial slacks must be positive")
+    order = np.random.default_rng(cfg.seed).permutation(m)
+    skipped_pairs: set[int] = set()
+    done = False
+    sweeps = 0
+    for sweeps in range(1, cfg.sweep_cap(m) + 1):
+        lam_before = lam.copy()
+        for c in order:
+            lam_c, xi_c, info = project_one(int(c), lam[c], xi[c])
+            lam[c], xi[c] = lam_c, xi_c
+            if info.skipped:
+                skipped_pairs.add(int(c))
+        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(xi)):
+            raise NumericalError("non-finite dual variables encountered")
+        if converged(lam_before, lam, cfg.tol):
+            done = True
+            break
+    return DualState(lam=lam, xi=xi), done, sweeps, skipped_pairs
+
+
+def ref_fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> KernelModel:
+    """Learn a kernel matrix satisfying the pairwise constraints while staying
+    LogDet-close to ``K0``.
+
+    Starts from K = K0 with zero duals and slacks at the thresholds, then
+    sweeps the constraints cyclically (in an order shuffled once from the
+    seed) until the dual change over a sweep falls below ``cfg.tol`` or the
+    sweep cap is reached.
+    """
+    cfg = cfg or SolverConfig()
+    K0 = symmetrize(np.asarray(K0, dtype=float))
+    if not is_psd(K0):
+        raise InvalidArgumentError("K0 must be positive semidefinite")
+    m = len(cs)
+    if m == 0:
+        raise InvalidArgumentError("constraint set is empty")
+    n = K0.shape[0]
+    cs.validate_indices(n)
+    K = K0.copy()
+    kinds = [c.kind for c in cs.constraints]
+    pairs = [(c.i, c.j) for c in cs.constraints]
+    work = np.empty_like(K)
+
+    def project_one(c, lam_c, xi_c):
+        i, j = pairs[c]
+        return ref_project_constraint_kernel(K, i, j, kinds[c], lam_c, xi_c, cfg.gamma,
+                                         work=work)
+
+    dual, done, sweeps, skipped = ref_run_sweeps(project_one, m, cs.initial_slacks(), cfg)
+    if not np.all(np.isfinite(K)):
+        raise NumericalError("non-finite entries in the learned kernel")
+    _warn_skipped(skipped, cs)
+    return KernelModel(K=K, K0=K0, dual=dual, converged=done,
+                       sweeps_used=sweeps, skipped=len(skipped))
+
+
+def ref_fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> LinearModel:
+    """Learn a d x d Mahalanobis matrix W (prior: identity) satisfying the
+    pairwise constraints; input-space analog of :func:`ref_fit_kernel`."""
+    cfg = cfg or SolverConfig()
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise InvalidArgumentError("X must be a (d, n) matrix")
+    d, n = X.shape
+    m = len(cs)
+    if m == 0:
+        raise InvalidArgumentError("constraint set is empty")
+    cs.validate_indices(n)
+    W = np.eye(d)
+    kinds = [c.kind for c in cs.constraints]
+    diffs = np.stack([X[:, c.i] - X[:, c.j] for c in cs.constraints], axis=1)
+    work = np.empty_like(W)
+
+    def project_one(c, lam_c, xi_c):
+        return ref_project_constraint_linear(W, diffs[:, c], kinds[c], lam_c, xi_c, cfg.gamma,
+                                         work=work)
+
+    dual, done, sweeps, skipped = ref_run_sweeps(project_one, m, cs.initial_slacks(), cfg)
+    if not np.all(np.isfinite(W)):
+        raise NumericalError("non-finite entries in the learned metric")
+    _warn_skipped(skipped, cs)
+    return LinearModel(W=symmetrize(W), W0=np.eye(d), dual=dual, converged=done,
+                       sweeps_used=sweeps, skipped=len(skipped))
+
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_fit(new, ref):
+    learned = "K" if isinstance(new, KernelModel) else "W"
+    assert _same_bits(getattr(new, learned), getattr(ref, learned))
+    assert _same_bits(new.dual.lam, ref.dual.lam)
+    assert _same_bits(new.dual.xi, ref.dual.xi)
+    assert (new.sweeps_used, new.converged, new.skipped) == \
+        (ref.sweeps_used, ref.converged, ref.skipped)
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("gamma", [1.0, 0.3, math.inf])
+    def test_kernel_fit(self, seed, gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((int(rng.integers(3, 30)), int(rng.integers(10, 60))))
+        K0 = X.T @ X if seed % 2 else gram(X, KernelSpec.gaussian(2.0))
+        cs = mixed_constraint_set(X, n_sim=8, n_dis=8, seed=seed)
+        cfg = SolverConfig(gamma=gamma, max_sweeps=30, seed=seed)
+        assert_same_fit(fit_kernel(K0, cs, cfg), ref_fit_kernel(K0, cs, cfg))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("gamma", [1.0, 0.3, math.inf])
+    def test_linear_fit(self, seed, gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((int(rng.integers(2, 60)), 40))
+        cs = mixed_constraint_set(X, n_sim=10, n_dis=10, seed=seed)
+        cfg = SolverConfig(gamma=gamma, max_sweeps=30, seed=seed)
+        assert_same_fit(fit_linear(X, cs, cfg), ref_fit_linear(X, cs, cfg))
+
+    def test_kernel_fit_above_the_dgemm_size(self, rng):
+        X = rng.standard_normal((5, _DGEMM_OUTER_MAX_N + 20))
+        K0 = gram(X, KernelSpec.gaussian(2.0))
+        cs = mixed_constraint_set(X, n_sim=4, n_dis=4)
+        cfg = SolverConfig(max_sweeps=3)
+        assert_same_fit(fit_kernel(K0, cs, cfg), ref_fit_kernel(K0, cs, cfg))
+
+    def test_converged_fit(self, rng):
+        X, labels = make_blobs(rng, d=4, n=60, nuisance=1)
+        cons = generate_from_labels(labels, per_class=15, seed=0)
+        cs = ConstraintSet(cons, compute_thresholds(euclidean_distance_pool(X)))
+        cfg = SolverConfig(gamma=1.0, tol=1e-6)
+        new, ref = fit_linear(X, cs, cfg), ref_fit_linear(X, cs, cfg)
+        assert new.converged
+        assert_same_fit(new, ref)
+        new, ref = fit_kernel(X.T @ X, cs, cfg), ref_fit_kernel(X.T @ X, cs, cfg)
+        assert new.converged
+        assert_same_fit(new, ref)
+
+    def test_coincident_dissimilar_pair_is_skipped(self, rng):
+        X = rng.standard_normal((3, 8))
+        X[:, 5] = X[:, 2]
+        cs = mixed_constraint_set(X, seed=4)
+        cs = ConstraintSet(cs.constraints + [Constraint(2, 5, DISSIMILAR)], cs.thresholds)
+        cfg = SolverConfig(max_sweeps=10)
+        for fit, ref, data in [(fit_kernel, ref_fit_kernel, X.T @ X),
+                               (fit_linear, ref_fit_linear, X)]:
+            with pytest.warns(SolverWarning):
+                new = fit(data, cs, cfg)
+            with pytest.warns(SolverWarning):
+                old = ref(data, cs, cfg)
+            assert new.skipped == 1
+            assert_same_fit(new, old)
+
+    def test_zero_slack_of_a_dissimilar_pair_is_carried(self):
+        # gamma * xi underflows to 0: the slack becomes exactly zero, and
+        # the next projection divides by it
+        cs = ConstraintSet([Constraint(0, 1, SIMILAR), Constraint(2, 3, DISSIMILAR)],
+                           Thresholds(1.0, 1.0), xi0=np.array([0.5, 1e-15]))
+        cfg = SolverConfig(gamma=1e-310, tol=5e-324, max_sweeps=3)
+        with np.errstate(divide="ignore"):
+            old = ref_fit_kernel(np.eye(4), cs, cfg)
+        new = fit_kernel(np.eye(4), cs, cfg)
+        assert new.dual.xi[1] == 0.0 and new.sweeps_used >= 2
+        assert_same_fit(new, old)
+
+    def test_zero_slack_of_a_similar_pair_is_a_numerical_error(self):
+        # the satisfied pair (0, 1) keeps alpha = 0 and gamma * xi underflows
+        # to 0; the violated pair (2, 3) keeps the run going, and projecting
+        # onto the zero slack makes the duals non-finite
+        cs = ConstraintSet([Constraint(0, 1, SIMILAR), Constraint(2, 3, SIMILAR)],
+                           Thresholds(1.0, 1.0), xi0=np.array([1e-15, 1e-21]))
+        cfg = SolverConfig(gamma=1e-310, tol=5e-324, max_sweeps=3)
+        K0 = 1e-20 * np.eye(4)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            ref_fit_kernel(K0, cs, cfg)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            fit_kernel(K0, cs, cfg)
+
+
+@pytest.mark.parametrize("project", ["kernel", "linear"])
+@pytest.mark.parametrize("n, order", [(7, "F"), (_DGEMM_OUTER_MAX_N + 1, "C"),
+                                      (_DGEMM_OUTER_MAX_N + 1, "F")])
+def test_update_without_work_for_any_layout(project, n, order):
+    rng = np.random.default_rng(n)
+    A = np.asarray(random_pd(rng, n), order=order)
+    kind = DISSIMILAR
+    if project == "kernel":
+        v = A[:, 0] - A[:, 1]
+        lam, xi, beta = _violating_scalars(rng, float(v[0] - v[1]), kind, 1.0)
+        expected = A + beta * np.outer(v, v)
+        project_constraint_kernel(A, 0, 1, kind, lam, xi, 1.0)
+    else:
+        g = rng.standard_normal(n)
+        v = A @ g
+        lam, xi, beta = _violating_scalars(rng, float(g @ v), kind, 1.0)
+        expected = A + beta * np.outer(v, v)
+        project_constraint_linear(A, g, kind, lam, xi, 1.0)
+    assert np.array_equal(A, expected)
+
+
+@pytest.mark.parametrize("name, fit", [("project_constraint_linear", "linear"),
+                                       ("project_constraint_kernel", "kernel")])
+def test_fits_call_the_projection_through_the_module(monkeypatch, rng, name, fit):
+    # the benchmark's tracer counts projections by wrapping these names
+    calls = []
+    original = getattr(solver, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, name, counted)
+    X = rng.standard_normal((4, 12))
+    cs = mixed_constraint_set(X, seed=1)
+    cfg = SolverConfig(max_sweeps=7, tol=1e-12)
+    model = solver.fit_linear(X, cs, cfg) if fit == "linear" else solver.fit_kernel(X.T @ X, cs, cfg)
+    assert model.sweeps_used == 7
+    assert len(calls) == len(cs) * model.sweeps_used
