@@ -135,10 +135,10 @@ def _projection_scalars(p: float, xi: float, lam: float, delta: float, gamma: fl
     return alpha, beta, xi_new, lam - alpha, clipped
 
 
-# Above this size ``einsum`` writes the outer product faster than dgemm,
-# whose extra pass over ``work`` then costs more than its smaller call
-# overhead saves (measured crossover n ~ 400 on a 2-core Xeon, 4 MiB L2).
-_DGEMM_OUTER_MAX_N = 400
+def _p_min(diag: np.ndarray, n: int) -> float:
+    """Skip floor P_MIN_RTOL * trace / n from A's diagonal.  ``np.add.reduce``
+    is the reduction ``ndarray.trace`` runs, without its call overhead."""
+    return P_MIN_RTOL * float(np.add.reduce(diag)) / n
 
 
 def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> None:
@@ -147,19 +147,15 @@ def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> N
     ``work`` must be a C-contiguous float64 array of A's shape: ``np.dot``
     writes only into such an ``out``.  These are the IEEE operations of
     ``A += beta * np.outer(v, v)`` in the same order; only the two temporaries
-    are gone.  Up to ``_DGEMM_OUTER_MAX_N`` the outer product is a BLAS dgemm
-    with inner dimension 1, above it an ``einsum``; either way each entry is
-    the one product v_i * v_j, however the work is split across threads.
-    Only the sign of a zero product may differ from ``np.outer``: dgemm
-    writes an exact zero as +0.0 (an underflowed negative product stays
-    -0.0), and ``einsum`` adds every product to +0.0.  Since x + (+-0.0)
-    differs only for x = -0.0, and a sum is -0.0 only when both terms are, the
-    result is bit-identical wherever A holds no -0.0; a fit never creates one.
+    are gone.  The outer product is a BLAS dgemm with inner dimension 1, so
+    each entry is the one product v_i * v_j, however the work is split across
+    threads.  Only the sign of a zero product may differ from ``np.outer``:
+    dgemm writes an exact zero as +0.0 (an underflowed negative product stays
+    -0.0).  Since x + (+-0.0) differs only for x = -0.0, and a sum is -0.0 only
+    when both terms are, the result is bit-identical wherever A holds no -0.0;
+    a fit never creates one.
     """
-    if v.shape[0] <= _DGEMM_OUTER_MAX_N:
-        np.dot(v.reshape(-1, 1), v.reshape(1, -1), out=work)
-    else:
-        np.einsum("i,j->ij", v, v, out=work)
+    np.dot(v.reshape(-1, 1), v.reshape(1, -1), out=work)
     np.multiply(work, beta, out=work)
     np.add(A, work, out=A)
 
@@ -186,9 +182,8 @@ def project_constraint_kernel(
     ``None`` allocates one per call; a fit passes one buffer to all its
     projections.
     """
-    n = K.shape[0]
     if p_min is None:
-        p_min = P_MIN_RTOL * float(np.trace(K)) / n
+        p_min = _p_min(K.diagonal(), K.shape[0])
     v = K[:, i] - K[:, j]
     p = float(v[i] - v[j])
     if p <= p_min:
@@ -217,9 +212,8 @@ def project_constraint_linear(
     array of W's shape, overwritten by the call, which must not alias ``W``.
     ``None`` allocates one per call.
     """
-    d = W.shape[0]
     if p_min is None:
-        p_min = P_MIN_RTOL * float(np.trace(W)) / d
+        p_min = _p_min(W.diagonal(), W.shape[0])
     v = W.dot(g)
     p = float(g.dot(v))
     if p <= p_min:
@@ -267,9 +261,8 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], xi0: np.ndarray,
     for sweeps in range(1, cfg.sweep_cap(m) + 1):
         lam_before = lam_after
         for c in order:
-            # np.add.reduce is the reduction ndarray.trace runs, without its overhead
-            p_min = P_MIN_RTOL * float(np.add.reduce(diag)) / n
-            lam[c], xi[c], info = project(A, *operands[c], lam[c], xi[c], gamma, p_min, work)
+            lam[c], xi[c], info = project(A, *operands[c], lam[c], xi[c], gamma,
+                                          _p_min(diag, n), work)
             if info.skipped:
                 skipped_pairs.add(c)
         lam_after, xi_after = np.array(lam), np.array(xi)
