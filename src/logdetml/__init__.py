@@ -17,7 +17,7 @@ from .constraints import (
     generate_from_labels,
     generate_pairs_random,
 )
-from .errors import InfeasibleError, InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import (
     LearnedKernelModel,
     compute_M,
@@ -25,14 +25,7 @@ from .learned_kernel import (
     learned_distance,
     learned_inner_product,
 )
-from .linalg import (
-    KernelSpec,
-    frob_divergence,
-    gram,
-    logdet_divergence,
-    pair_distance_kernel,
-    vn_divergence,
-)
+from .linalg import KernelSpec, gram, logdet_divergence, pair_distance_kernel
 from .lowrank import Basis, fit_low_rank, reconstruct, select_basis_feature, select_basis_kernel
 from .solver import (
     KernelModel,
@@ -47,7 +40,6 @@ __all__ = [
     "Basis",
     "Constraint",
     "ConstraintSet",
-    "InfeasibleError",
     "InvalidArgumentError",
     "KernelModel",
     "KernelSpec",
@@ -62,7 +54,6 @@ __all__ = [
     "fit_linear",
     "fit_linear_with_prior",
     "fit_low_rank",
-    "frob_divergence",
     "from_kernel_fit",
     "generate_from_labels",
     "generate_pairs_random",
@@ -74,7 +65,6 @@ __all__ = [
     "reconstruct",
     "select_basis_feature",
     "select_basis_kernel",
-    "vn_divergence",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,11 @@
 """Command-line surface: train models, query distances, run evaluations.
 
-Exit codes: 0 success, 2 malformed data, 3 infeasible or numerical failure,
+``train`` fits the LogDet loss: a Mahalanobis matrix (linear space), a
+learned kernel, or, with ``--basis``, an identity-plus-low-rank model.
+``eval --loss`` compares that fit with the Euclidean and inverse-covariance
+baselines.
+
+Exit codes: 0 success, 2 malformed data, 3 numerical failure,
 4 bad flags.  Every run logs its full effective configuration to stderr so
 an output is reproducible from the log alone, and stdout carries only data;
 all randomness flows from --seed.
@@ -24,7 +29,6 @@ import time
 import numpy as np
 
 from . import evaluation, lowrank, solver
-from .alt_solvers import constraint_excess, constraints_to_general, fit_frob_kernel, fit_vn_kernel
 from .constraints import (
     ConstraintSet,
     compute_thresholds,
@@ -42,10 +46,6 @@ from .solver import SolverConfig, max_violation
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_FLAGS = 4
-
-# The von Neumann loss runs no sweeps: its fit counts as converged when the
-# learned kernel meets every constraint to this fraction of its threshold.
-VN_VIOLATION_RTOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +70,6 @@ def _checked(convert, ok, what: str):
 
 _positive_int = _checked(int, lambda v: v > 0, "positive")
 _positive_float = _checked(float, lambda v: v > 0, "positive")
-_nonnegative_float = _checked(float, lambda v: v >= 0, "nonnegative")
 
 
 def _kernel_arg(text: str) -> str:
@@ -152,7 +151,7 @@ def cmd_train(args) -> int:
     elif space == "auto":
         space = "linear" if X.shape[0] <= X.shape[1] else "kernel"
 
-    for key in ("data", "loss", "space", "kernel", "gamma", "per_class", "basis",
+    for key in ("data", "space", "kernel", "gamma", "per_class", "basis",
                 "tol", "max_sweeps", "seed", "out"):
         _log(args, key, getattr(args, key, None))
     _log(args, "effective_space", space)
@@ -172,8 +171,6 @@ def cmd_train(args) -> int:
 
     gamma = args.gamma
     if gamma == "cv":
-        if args.loss != "logdet":
-            raise InvalidArgumentError("--gamma cv is only supported for the logdet loss")
         if space == "kernel" and spec.kind == "precomputed":
             raise InvalidArgumentError("--gamma cv needs explicit points")
         factory = (
@@ -186,14 +183,13 @@ def cmd_train(args) -> int:
 
     cfg = SolverConfig(gamma=gamma, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed)
 
-    if args.loss in ("vonneumann", "frobenius"):
-        mf = _train_alt(args, X, K0, spec, cs, gamma)
-    elif basis_name is not None:
+    if basis_name is not None:
         mf = _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k, gamma)
     elif space == "linear":
         model = solver.fit_linear(X, cs, cfg)
         _log(args, "sweeps_used", model.sweeps_used)
         _log(args, "converged", model.converged)
+        _log(args, "skipped", model.skipped)
         mf = ModelFile(
             kind="linear", kernel_spec=None, thresholds=cs.thresholds,
             gamma=gamma, seed=args.seed, converged=model.converged,
@@ -203,6 +199,7 @@ def cmd_train(args) -> int:
         km = solver.fit_kernel(K0, cs, cfg)
         _log(args, "sweeps_used", km.sweeps_used)
         _log(args, "converged", km.converged)
+        _log(args, "skipped", km.skipped)
         _log(args, "max_violation", f"{max_violation(km.K, cs, km.dual):.6g}")
         M, dropped_rank = compute_M(km.K0, km.K)
         _log(args, "dropped_rank", dropped_rank)
@@ -217,38 +214,6 @@ def cmd_train(args) -> int:
     _log(args, "wall_time_s", f"{time.perf_counter() - t0:.3f}")
     _log(args, "model_written", args.out)
     return 0
-
-
-def _train_alt(args, X, K0, spec, cs, gamma) -> ModelFile:
-    if K0 is None:
-        K0 = gram(X, spec)
-    gen = constraints_to_general(cs, K0.shape[0])
-    if args.loss == "vonneumann":
-        lam, K = fit_vn_kernel(K0, gen)
-        M, dropped_rank = compute_M(K0, K)
-        identity_coeff = 1.0
-        _log(args, "dual_norm", f"{float(np.max(lam)) if lam.size else 0.0:.6g}")
-        _log(args, "dropped_rank", dropped_rank)
-        # the dual solver can stop short of feasibility: check the kernel
-        excess = constraint_excess(K, gen)
-        violated = int(np.count_nonzero(
-            excess > VN_VIOLATION_RTOL * np.abs([con.b for con in gen])))
-        _log(args, "max_violation", f"{float(np.max(excess, initial=0.0)):.6g}")
-        if violated:
-            _log(args, "WARNING", f"{violated} of {len(gen)} constraints are violated by more "
-                                  f"than {VN_VIOLATION_RTOL:g} of their threshold")
-    else:
-        # returns a feasible iterate or raises InfeasibleError
-        M = fit_frob_kernel(K0, gen, eta=args.eta)
-        identity_coeff = args.eta
-        violated = 0
-    return ModelFile(
-        kind="kernel", kernel_spec=spec, thresholds=cs.thresholds,
-        gamma=gamma if gamma != "cv" else 1.0, seed=args.seed,
-        converged=not violated, sweeps_used=0,
-        identity_coeff=identity_coeff,
-        X=X, K0=K0, M=M, constraints=cs.constraints,
-    )
 
 
 def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k, gamma) -> ModelFile:
@@ -266,6 +231,7 @@ def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k, gamm
         model = lowrank.fit_low_rank(K0, basis, cs, cfg)
     _log(args, "sweeps_used", model.inner.sweeps_used)
     _log(args, "converged", model.inner.converged)
+    _log(args, "skipped", model.inner.skipped)
     _log(args, "basis_k", basis.k)
     return ModelFile(
         kind="iplr", kernel_spec=spec if basis.mode == lowrank.COEFFICIENT else None,
@@ -392,19 +358,15 @@ def build_parser() -> _Parser:
                      description="Metric/kernel learning from pairwise constraints")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="learn a metric/kernel model")
+    train = sub.add_parser("train", help="learn a metric/kernel model under the LogDet loss")
     train.add_argument("--data", required=True)
     train.add_argument("--labels")
     train.add_argument("--label-col", choices=["last"], dest="label_col")
-    train.add_argument("--loss", choices=["logdet", "vonneumann", "frobenius"],
-                       default="logdet")
     train.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
     train.add_argument("--kernel", type=_kernel_arg, default="linear",
                        help="linear | gaussian[:sigma] | precomputed")
     train.add_argument("--gamma", type=_parse_gamma, default=1.0,
                        help="slack tradeoff, a float, 'inf', or 'cv'")
-    train.add_argument("--eta", type=_nonnegative_float, default=1.0,
-                       help="identity shift for the frobenius loss")
     train.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
     train.add_argument("--basis", type=_basis_arg, default=(None, 0),
                        help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
@@ -428,7 +390,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--label-col", choices=["last"], dest="label_col")
     ev.add_argument("--mode", choices=["knn", "cluster"], required=True)
     ev.add_argument("--loss", choices=["logdet", "euclidean", "inverse-covariance"],
-                    default="logdet")
+                    default="logdet", help="the learned metric or a baseline")
     ev.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
     ev.add_argument("--kernel", type=_kernel_arg, default="linear")
     ev.add_argument("--gamma", type=_parse_gamma, default=1.0)

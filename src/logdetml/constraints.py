@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import pair_distance_kernel, pairwise_sq_dists, percentile
+from .linalg import pairwise_sq_dists, percentile
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"

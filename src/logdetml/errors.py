@@ -7,7 +7,3 @@ class InvalidArgumentError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical operation failed beyond the configured rescue policies."""
-
-
-class InfeasibleError(NumericalError):
-    """The constraint set admits no solution the solver can reach."""

@@ -8,7 +8,6 @@ training index wins, which keeps every run deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -20,7 +20,7 @@ them, self products -- and shares them when both sides are the same set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,6 @@ class LearnedKernelModel:
 
     Either ``M`` (dense n x n) or the factored pair ``(m_factor, m_core)``
     with M = m_factor @ m_core @ m_factor.T is set, never both.
-    ``identity_coeff`` scales the input-kernel term of the inner product
-    (1 for LogDet models; the Frobenius solver regularizes toward eta * I).
     ``K``, the learned Gram on the training points, may be left unset; see
     ``learned_K``.  ``dropped_rank`` is what ``compute_M`` reported.
     """
@@ -74,7 +72,6 @@ class LearnedKernelModel:
     M: np.ndarray | None = None
     m_factor: np.ndarray | None = None
     m_core: np.ndarray | None = None
-    identity_coeff: float = 1.0
     dropped_rank: int = 0
     converged: bool = True
 
@@ -96,11 +93,11 @@ class LearnedKernelModel:
         """The learned Gram on the training points.
 
         A dense model built without one (a loaded model file) derives
-        ``identity_coeff * K0 + K0 M K0`` on the first call and keeps it;
+        ``K0 + K0 M K0`` on the first call and keeps it;
         a factored model has none and returns None.
         """
         if self.K is None and self.M is not None and self.K0 is not None:
-            self.K = symmetrize(self.identity_coeff * self.K0 + self.K0 @ self.M @ self.K0)
+            self.K = symmetrize(self.K0 + self.K0 @ self.M @ self.K0)
         return self.K
 
     def apply_M(self, V: np.ndarray) -> np.ndarray:
@@ -118,8 +115,7 @@ class LearnedKernelModel:
         return cross_gram(self.X, Z, self.kernel_spec)
 
 
-def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec,
-                    identity_coeff: float = 1.0) -> LearnedKernelModel:
+def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec) -> LearnedKernelModel:
     """Finalize a solver result into a queryable model (materializes M)."""
     M, dropped_rank = compute_M(km.K0, km.K)
     return LearnedKernelModel(
@@ -128,7 +124,6 @@ def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec,
         K0=km.K0,
         K=km.K,
         M=M,
-        identity_coeff=identity_coeff,
         dropped_rank=dropped_rank,
         converged=km.converged,
     )
@@ -149,7 +144,7 @@ def learned_inner_product(model: LearnedKernelModel, z1, z2) -> float:
     Z = np.concatenate([_as_column(z1, d), _as_column(z2, d)], axis=1)
     kv = model.kernel_vectors(Z)
     base = float(cross_gram(Z[:, :1], Z[:, 1:], model.kernel_spec)[0, 0])
-    return model.identity_coeff * base + float(kv[:, 0] @ model.apply_M(kv[:, 1:2])[:, 0])
+    return base + float(kv[:, 0] @ model.apply_M(kv[:, 1:2])[:, 0])
 
 
 def learned_distance(model: LearnedKernelModel, z1, z2) -> float:
@@ -177,7 +172,7 @@ def learned_gram(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray | Non
     K1 = model.kernel_vectors(Z1)
     K2 = K1 if Z2same else model.kernel_vectors(Z2)
     base = cross_gram(Z1, Z2, model.kernel_spec)
-    return model.identity_coeff * base + K1.T @ model.apply_M(K2)
+    return base + K1.T @ model.apply_M(K2)
 
 
 def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -188,7 +183,7 @@ def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarr
     same = Z2 is Z1
     K1, MK1 = _kernel_terms(model, Z1)
     K2, MK2 = (K1, MK1) if same else _kernel_terms(model, Z2)
-    G12 = model.identity_coeff * cross_gram(Z1, Z2, model.kernel_spec) + K1.T @ MK2
+    G12 = cross_gram(Z1, Z2, model.kernel_spec) + K1.T @ MK2
     g1 = _self_products(model, Z1, K1, MK1)
     g2 = g1 if same else _self_products(model, Z2, K2, MK2)
     # D = clip(g1 + g2 - 2 G12, 0), written over G12
@@ -212,7 +207,7 @@ def _self_products(model: LearnedKernelModel, Z, K: np.ndarray, MK: np.ndarray) 
         base = np.ones(Z.shape[1])
     else:
         base = np.sum(Z * Z, axis=0)
-    return model.identity_coeff * base + np.sum(np.multiply(K, MK, out=MK), axis=0)
+    return base + np.sum(np.multiply(K, MK, out=MK), axis=0)
 
 
 def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
@@ -230,6 +225,5 @@ def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
     if K is not None:
         return float(K[a, a] + K[b, b] - 2.0 * K[a, b])
     kv = model.K0[:, [a, b]]
-    base = model.identity_coeff * model.K0[np.ix_([a, b], [a, b])]
-    G = base + kv.T @ model.apply_M(kv)
+    G = model.K0[np.ix_([a, b], [a, b])] + kv.T @ model.apply_M(kv)
     return max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))

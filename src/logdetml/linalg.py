@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * a data matrix ``X`` has shape ``(d, n)`` -- columns are points;
 * symmetric matrices are plain float64 ndarrays kept exactly symmetric
   (``symmetrize`` guarantees entrywise equality of ``A[i, j]`` and ``A[j, i]``);
-* all matrix functions (inverse square root, exponential) go through a single
-  spectral primitive, the symmetric eigendecomposition.
+* all matrix functions (square root, inverse square root) go through a
+  single spectral primitive, the symmetric eigendecomposition.
 """
 
 from __future__ import annotations
@@ -116,32 +116,6 @@ def logdet_divergence(A: np.ndarray, B: np.ndarray) -> float:
     trace_term = float(np.sum(A * Binv))
     logdet_term = float(np.sum(np.log(wa)) - np.sum(np.log(wb)))
     return trace_term - logdet_term - d
-
-
-def vn_divergence(A: np.ndarray, B: np.ndarray) -> float:
-    """von Neumann divergence tr(A log A - A log B - A + B), with 0 log 0 = 0."""
-    A = _check_square(A, "A")
-    B = _check_square(B, "B")
-    _check_same_dim(A, B)
-    wb, Vb = np.linalg.eigh(B)
-    if wb[0] <= psd_tolerance(B):
-        raise InvalidArgumentError("B must be positive definite")
-    wa, Va = np.linalg.eigh(A)
-    if wa[0] < -psd_tolerance(A):
-        raise InvalidArgumentError("A must be positive semidefinite")
-    wa = np.clip(wa, 0.0, None)
-    ent = float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
-    logB = (Vb * np.log(wb)) @ Vb.T
-    cross = float(np.sum(A * logB))
-    return ent - cross - float(np.sum(wa)) + float(np.sum(wb))
-
-
-def frob_divergence(A: np.ndarray, B: np.ndarray) -> float:
-    """Squared Frobenius divergence 0.5 * ||A - B||_F^2."""
-    A = _check_square(A, "A")
-    B = _check_square(B, "B")
-    _check_same_dim(A, B)
-    return 0.5 * float(np.sum((A - B) ** 2))
 
 
 def _sq_dists_and_scratch(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kernel_kmeans, kmeans
-from .constraints import SIMILAR, ConstraintSet
+from .constraints import ConstraintSet
 from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import LearnedKernelModel
 from .linalg import KernelSpec, inv_sqrt, pair_distance_kernel, symmetrize

@@ -16,7 +16,9 @@ Stored and derived matrices (format version 2):
   n x n; a coefficient-basis ``iplr`` file is O(n (d + k)).)
 
 Version 1 files, which always carry ``K0``, still load; their ``K0`` block
-is used as written.  Saving a loaded model always writes version 2.
+is used as written.  Saving a loaded model always writes version 2.  Both
+versions carry an ``identity_coeff`` line, always ``1`` for a LogDet model;
+``load_model`` rejects any other value.
 
 Training builds ``K0`` from the column-major (Fortran-order) ``X`` that
 ``datasets.load_points_csv`` returns, while this file reads ``X`` back
@@ -29,12 +31,11 @@ in, because out-of-sample queries depend on its bits too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import Constraint, ConstraintSet, Thresholds
+from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel
 from .linalg import KernelSpec, gram, inv_sqrt, symmetrize
@@ -69,7 +70,6 @@ class ModelFile:
     # the ``jitter`` entry: the diagonal shift earlier trainers added to K0
     # before inverting it; K0 is now pseudo-inverted, so new models write 0
     jitter_used: float = 0.0
-    identity_coeff: float = 1.0
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
@@ -100,7 +100,6 @@ class ModelFile:
                 X=self.X,
                 K0=self.K0,
                 M=self.M,
-                identity_coeff=self.identity_coeff,
                 converged=self.converged,
             )
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
@@ -148,7 +147,7 @@ def save_model(path, mf: ModelFile) -> None:
     lines.append(f"converged {int(mf.converged)}")
     lines.append(f"sweeps {mf.sweeps_used}")
     lines.append(f"jitter {_fmt(mf.jitter_used)}")
-    lines.append(f"identity_coeff {_fmt(mf.identity_coeff)}")
+    lines.append("identity_coeff 1")
     if mf.thresholds is None:
         lines.append("thresholds none")
     else:
@@ -238,7 +237,8 @@ def load_model(path) -> ModelFile:
     conv = bool(number(expect("converged")[0], int))
     sweeps = number(expect("sweeps")[0], int)
     jitter = number(expect("jitter")[0])
-    ic = number(expect("identity_coeff")[0])
+    if number(expect("identity_coeff")[0]) != 1.0:
+        fail("identity_coeff must be 1")
     tparts = expect("thresholds")
     if tparts[0] == "none":
         thresholds = None
@@ -298,7 +298,6 @@ def load_model(path) -> ModelFile:
         converged=conv,
         sweeps_used=sweeps,
         jitter_used=jitter,
-        identity_coeff=ic,
         W=matrices.get("W"),
         X=X,
         K0=K0,

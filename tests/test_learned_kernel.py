@@ -237,7 +237,7 @@ def reference_learned_gram(model, Z1, Z2=None):
     K1 = model.kernel_vectors(Z1)
     K2 = K1 if Z2same else model.kernel_vectors(Z2)
     base = cross_gram(Z1, Z2, model.kernel_spec)
-    return model.identity_coeff * base + K1.T @ model.apply_M(K2)
+    return base + K1.T @ model.apply_M(K2)
 
 
 def reference_learned_sq_distances(model, Z1, Z2):
@@ -254,7 +254,7 @@ def _reference_learned_self_products(model, Z):
         base = np.ones(Z.shape[1])
     else:
         base = np.sum(Z * Z, axis=0)
-    return model.identity_coeff * base + np.sum(KZ * model.apply_M(KZ), axis=0)
+    return base + np.sum(KZ * model.apply_M(KZ), axis=0)
 
 
 def _query_model(rng, spec, form, n=12, d=4):
@@ -263,8 +263,7 @@ def _query_model(rng, spec, form, n=12, d=4):
     B = rng.standard_normal((n, 3))
     core = np.diag([0.4, -0.1, 0.05])
     if form == "dense":
-        return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, M=B @ core @ B.T,
-                                  identity_coeff=0.7)
+        return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, M=B @ core @ B.T)
     return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, m_factor=B, m_core=core)
 
 

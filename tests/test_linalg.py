@@ -7,7 +7,6 @@ from logdetml.errors import InvalidArgumentError, NumericalError
 from logdetml.linalg import (
     KernelSpec,
     cross_gram,
-    frob_divergence,
     gram,
     inv_psd,
     inv_sqrt,
@@ -17,7 +16,6 @@ from logdetml.linalg import (
     pairwise_sq_dists,
     percentile,
     sqrt_psd,
-    vn_divergence,
 )
 
 from conftest import random_pd
@@ -59,49 +57,6 @@ class TestLogDetDivergence:
             A, B = random_pd(rng, dim), random_pd(rng, dim)
             base = logdet_divergence(A, B)
             assert logdet_divergence(alpha * A, alpha * B) == pytest.approx(base, abs=1e-9)
-
-
-class TestVnDivergence:
-    def test_identity_pair(self):
-        assert vn_divergence(np.eye(2), np.eye(2)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_scalar_case(self):
-        # x log x - x + 1 at x = 2
-        val = vn_divergence(2 * np.eye(1), np.eye(1))
-        assert val == pytest.approx(2 * math.log(2) - 1, abs=1e-12)
-
-    def test_singular_psd_argument_uses_zero_convention(self):
-        # 0 log 0 := 0: value is 0 - 0 - 1 + 2 = 1
-        assert vn_divergence(np.diag([0.0, 1.0]), np.eye(2)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonnegative_on_random_pairs(self, rng):
-        for _ in range(100):
-            dim = int(rng.integers(1, 9))
-            A, B = random_pd(rng, dim), random_pd(rng, dim)
-            assert vn_divergence(A, B) >= -1e-12
-            assert vn_divergence(A, A) == pytest.approx(0.0, abs=1e-12)
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            vn_divergence(np.diag([-1.0, 1.0]), np.eye(2))
-
-
-class TestFrobDivergence:
-    def test_equal(self):
-        assert frob_divergence(np.eye(3), np.eye(3)) == 0.0
-
-    def test_identity_vs_zero(self):
-        assert frob_divergence(np.eye(2), np.zeros((2, 2))) == pytest.approx(1.0)
-
-    def test_offdiagonal(self):
-        A = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert frob_divergence(A, np.zeros((2, 2))) == pytest.approx(4.0)
-
-    def test_nonnegative_random(self, rng):
-        for _ in range(100):
-            dim = int(rng.integers(1, 9))
-            A, B = random_pd(rng, dim), random_pd(rng, dim)
-            assert frob_divergence(A, B) >= 0.0
 
 
 class TestGram:

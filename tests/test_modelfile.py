@@ -184,6 +184,10 @@ def _malformed(text, case):
         return _replace_line(text, "seed", "seed 1.5") + ("integer",)
     if case == "unknown-kind":
         return _replace_line(text, "kind", "kind quadratic") + ("unknown model kind",)
+    if case == "identity-coeff":
+        # every model has identity_coeff 1; the line stays in the format
+        return _replace_line(text, "identity_coeff", "identity_coeff 0.5") + (
+            "identity_coeff must be 1",)
     if case == "no-points":
         broken = _drop_matrix(text, "X")
         return broken, len(broken.splitlines()), "no K0 block"
@@ -194,7 +198,8 @@ def _malformed(text, case):
 
 
 @pytest.mark.parametrize("case", ["missing-value", "non-numeric-entry", "non-integer",
-                                  "unknown-kind", "no-points", "precomputed-no-K0"])
+                                  "unknown-kind", "identity-coeff", "no-points",
+                                  "precomputed-no-K0"])
 def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, capsys, case):
     text, line, fragment = _malformed(gaussian_model.read_text(), case)
     broken = tmp_path / "broken.model"
@@ -289,7 +294,7 @@ def reference_distance_csv(model_path, query):
     mf = load_model(model_path)
     model = mf.to_learned_kernel()
     if mf.kind == "kernel":
-        model.K = symmetrize(mf.identity_coeff * mf.K0 + mf.K0 @ mf.M @ mf.K0)
+        model.K = symmetrize(mf.K0 + mf.K0 @ mf.M @ mf.K0)
     rows = []
     if query[0] == "--pairs":
         pairs, _ = load_points_csv(query[1])
@@ -299,8 +304,7 @@ def reference_distance_csv(model_path, query):
                 d = float(model.K[i, i] + model.K[j, j] - 2.0 * model.K[i, j])
             else:
                 kv = model.K0[:, [i, j]]
-                base = model.identity_coeff * model.K0[np.ix_([i, j], [i, j])]
-                G = base + kv.T @ model.apply_M(kv)
+                G = model.K0[np.ix_([i, j], [i, j])] + kv.T @ model.apply_M(kv)
                 d = max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))
             rows.append((i, j, d))
     else:
