@@ -2,8 +2,9 @@
 
 ``train`` fits the LogDet loss: a Mahalanobis matrix (linear space), a
 learned kernel, or, with ``--basis``, an identity-plus-low-rank model.
-``eval --loss`` compares that fit with the Euclidean and inverse-covariance
-baselines.
+``eval`` resolves ``--space`` and ``--kernel`` exactly as ``train`` does
+and scores the same fit; ``eval --loss`` compares it with the Euclidean and
+inverse-covariance baselines.
 
 Exit codes: 0 success, 2 malformed data, 3 numerical failure,
 4 bad flags.  Every run logs its full effective configuration to stderr so
@@ -29,16 +30,9 @@ import time
 import numpy as np
 
 from . import evaluation, lowrank, solver
-from .constraints import (
-    ConstraintSet,
-    compute_thresholds,
-    euclidean_distance_pool,
-    generate_from_labels,
-    kernel_distance_pool,
-)
 from .datasets import load_kernel_csv, load_labels_file, load_points_csv
 from .errors import InvalidArgumentError, NumericalError
-from .learned_kernel import compute_M, learned_sq_distances, training_pair_distance
+from .learned_kernel import from_kernel_fit, training_pair_distance
 from .linalg import KernelSpec, gram
 from .modelfile import ModelFile, load_model, save_model
 from .solver import SolverConfig, max_violation
@@ -126,14 +120,24 @@ def _load_dataset(args, need_labels: bool):
     return X, K0, labels
 
 
-def _resolve_spec(args, X):
+def _resolve(args, X):
+    """``(space, spec)`` for the ``--space`` and ``--kernel`` flags: a
+    non-linear kernel forces kernel space, and ``auto`` picks linear space
+    when d <= n.  ``train`` and ``eval`` both resolve here."""
     if args.kernel == "precomputed":
-        return KernelSpec.precomputed()
-    if args.kernel == "linear":
-        return KernelSpec.linear()
-    if args.kernel == "gaussian":
-        return KernelSpec.gaussian(evaluation.median_pairwise_distance(X))
-    return KernelSpec.gaussian(float(args.kernel.split(":", 1)[1]))
+        spec = KernelSpec.precomputed()
+    elif args.kernel == "linear":
+        spec = KernelSpec.linear()
+    elif args.kernel == "gaussian":
+        spec = KernelSpec.gaussian(evaluation.median_pairwise_distance(X))
+    else:
+        spec = KernelSpec.gaussian(float(args.kernel.split(":", 1)[1]))
+    space = args.space
+    if spec.kind != "linear":
+        space = "kernel"
+    elif space == "auto":
+        space = "linear" if X.shape[0] <= X.shape[1] else "kernel"
+    return space, spec
 
 
 def _log(args, key, value):
@@ -141,82 +145,76 @@ def _log(args, key, value):
     print(f"[{args.command}] {key}: {value}", file=sys.stderr)
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    X, K0, labels = _load_dataset(args, need_labels=True)
-    spec = _resolve_spec(args, X)
-    space = args.space
-    if spec.kind != "linear":
-        space = "kernel"
-    elif space == "auto":
-        space = "linear" if X.shape[0] <= X.shape[1] else "kernel"
-
-    for key in ("data", "space", "kernel", "gamma", "per_class", "basis",
-                "tol", "max_sweeps", "seed", "out"):
-        _log(args, key, getattr(args, key, None))
+def _log_effective(args, space, spec):
     _log(args, "effective_space", space)
     _log(args, "effective_kernel",
          f"{spec.kind}" + (f":{spec.sigma:.6g}" if spec.kind == "gaussian" else ""))
 
+
+def _logdet_learner(args, space, spec, gamma):
+    """A two-fold CV learner that fits what ``train`` fits for these flags."""
+    opts = dict(per_class=args.per_class, gamma=gamma, tol=args.tol,
+                max_sweeps=getattr(args, "max_sweeps", None))
+    if space == "linear":
+        return evaluation.logdet_linear_learner(**opts)
+    return evaluation.logdet_kernel_learner(spec, **opts)
+
+
+def cmd_train(args) -> int:
+    t0 = time.perf_counter()
+    X, K0, labels = _load_dataset(args, need_labels=True)
+    space, spec = _resolve(args, X)
+
+    for key in ("data", "space", "kernel", "gamma", "per_class", "basis",
+                "tol", "max_sweeps", "seed", "out"):
+        _log(args, key, getattr(args, key, None))
+    _log_effective(args, space, spec)
+
     basis_name, basis_k = args.basis
     if K0 is None and space == "kernel":
         K0 = gram(X, spec)
-    cons = generate_from_labels(labels, per_class=args.per_class, seed=args.seed)
-    if space == "kernel":
-        pool = kernel_distance_pool(K0, seed=args.seed)
-    else:
-        pool = euclidean_distance_pool(X, seed=args.seed)
-    cs = ConstraintSet(cons, compute_thresholds(pool))
+    cs = evaluation.label_constraints(labels, args.per_class, args.seed, X=X, K0=K0)
     _log(args, "thresholds", f"u={cs.thresholds.u:.6g} l={cs.thresholds.l:.6g}")
 
     gamma = args.gamma
     if gamma == "cv":
-        if space == "kernel" and spec.kind == "precomputed":
+        if spec.kind == "precomputed":
             raise InvalidArgumentError("--gamma cv needs explicit points")
-        factory = (
-            (lambda g: evaluation.logdet_linear_learner(args.per_class, g, args.tol, args.max_sweeps))
-            if space == "linear"
-            else (lambda g: evaluation.logdet_kernel_learner(spec, args.per_class, g, args.tol, args.max_sweeps))
-        )
-        gamma = evaluation.crossvalidate_gamma(X, labels, factory, seed=args.seed)
+        gamma = evaluation.crossvalidate_gamma(
+            X, labels, lambda g: _logdet_learner(args, space, spec, g), seed=args.seed)
         _log(args, "gamma_selected", gamma)
 
     cfg = SolverConfig(gamma=gamma, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed)
 
     if basis_name is not None:
-        mf = _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k, gamma)
+        fit, payload = _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k)
     elif space == "linear":
-        model = solver.fit_linear(X, cs, cfg)
-        _log(args, "sweeps_used", model.sweeps_used)
-        _log(args, "converged", model.converged)
-        _log(args, "skipped", model.skipped)
-        mf = ModelFile(
-            kind="linear", kernel_spec=None, thresholds=cs.thresholds,
-            gamma=gamma, seed=args.seed, converged=model.converged,
-            sweeps_used=model.sweeps_used, W=model.W,
-        )
+        fit = solver.fit_linear(X, cs, cfg)
+        _log_fit(args, fit)
+        payload = dict(kind="linear", kernel_spec=None, W=fit.W)
     else:
-        km = solver.fit_kernel(K0, cs, cfg)
-        _log(args, "sweeps_used", km.sweeps_used)
-        _log(args, "converged", km.converged)
-        _log(args, "skipped", km.skipped)
-        _log(args, "max_violation", f"{max_violation(km.K, cs, km.dual):.6g}")
-        M, dropped_rank = compute_M(km.K0, km.K)
-        _log(args, "dropped_rank", dropped_rank)
-        mf = ModelFile(
-            kind="kernel", kernel_spec=spec, thresholds=cs.thresholds,
-            gamma=gamma, seed=args.seed, converged=km.converged,
-            sweeps_used=km.sweeps_used,
-            X=X, K0=km.K0, M=M, constraints=cs.constraints,
-            lam=km.dual.lam, xi=km.dual.xi,
-        )
-    save_model(args.out, mf)
+        fit = solver.fit_kernel(K0, cs, cfg)
+        _log_fit(args, fit)
+        _log(args, "max_violation", f"{max_violation(fit.K, cs, fit.dual):.6g}")
+        model = from_kernel_fit(fit, X, spec)
+        _log(args, "dropped_rank", model.dropped_rank)
+        payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=model.M,
+                       constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi)
+    save_model(args.out, ModelFile(thresholds=cs.thresholds, gamma=gamma, seed=args.seed,
+                                   converged=fit.converged, sweeps_used=fit.sweeps_used,
+                                   **payload))
     _log(args, "wall_time_s", f"{time.perf_counter() - t0:.3f}")
     _log(args, "model_written", args.out)
     return 0
 
 
-def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k, gamma) -> ModelFile:
+def _log_fit(args, fit):
+    for key in ("sweeps_used", "converged", "skipped"):
+        _log(args, key, getattr(fit, key))
+
+
+def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k):
+    """Fit with ``--basis``; returns the inner fit and the model file payload."""
     if basis_name in ("topk", "classmeans"):
         if X is None or spec.kind != "linear":
             raise InvalidArgumentError(f"--basis {basis_name} requires explicit points and a linear kernel")
@@ -229,47 +227,23 @@ def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k, gamm
         method = {"random": "random-J", "subset": "subset", "kmeans": "kernel-kmeans"}[basis_name]
         basis = lowrank.select_basis_kernel(K0, method, basis_k, seed=args.seed)
         model = lowrank.fit_low_rank(K0, basis, cs, cfg)
-    _log(args, "sweeps_used", model.inner.sweeps_used)
-    _log(args, "converged", model.inner.converged)
-    _log(args, "skipped", model.inner.skipped)
+    _log_fit(args, model.inner)
+    # the dual state covers only the constraints the basis can reach
+    _log(args, "dropped", len(cs) - len(model.inner.dual.lam))
     _log(args, "basis_k", basis.k)
-    return ModelFile(
+    return model.inner, dict(
         kind="iplr", kernel_spec=spec if basis.mode == lowrank.COEFFICIENT else None,
-        thresholds=cs.thresholds, gamma=gamma, seed=args.seed,
-        converged=model.inner.converged, sweeps_used=model.inner.sweeps_used,
         X=X, K0=model.K0, basis_mode=basis.mode, basis_matrix=basis.matrix, F=model.F,
     )
 
 
-def _model_sq_distance_fn(mf: ModelFile):
-    """Returns (pair_fn(i, j), points_fn(Z) -> full distance matrix or None)."""
-    if mf.kind == "linear" or (mf.kind == "iplr" and mf.basis_mode == lowrank.EXPLICIT):
-        W = mf.to_mahalanobis()
-        oracle = evaluation.MahalanobisOracle(W)
-
-        def points_fn(Z):
-            return oracle.pairwise(Z, Z)
-
-        def pair_fn(i, j):
-            raise InvalidArgumentError("index pairs need a model trained with stored points")
-
-        return pair_fn, points_fn
-    model = mf.to_learned_kernel()
-
-    def pair_fn(i, j):
-        return training_pair_distance(model, i, j)
-
-    def points_fn(Z):
-        if model.X is None:
-            raise InvalidArgumentError("precomputed-kernel models cannot score new points")
-        return learned_sq_distances(model, Z, Z)
-
-    return pair_fn, points_fn
-
-
 def cmd_distance(args) -> int:
     mf = load_model(args.model)
-    pair_fn, points_fn = _model_sq_distance_fn(mf)
+    if mf.kind == "linear" or (mf.kind == "iplr" and mf.basis_mode == lowrank.EXPLICIT):
+        model, oracle = None, evaluation.MahalanobisOracle(mf.to_mahalanobis())
+    else:
+        model = mf.to_learned_kernel()
+        oracle = evaluation.LearnedKernelOracle(model)
     if args.pairs:
         pairs, _ = load_points_csv(args.pairs)
         if pairs.shape[0] != 2:
@@ -279,12 +253,16 @@ def cmd_distance(args) -> int:
             # an integral float such as 1.0 names a point; 0.5 names none
             if not (a.is_integer() and b.is_integer()):
                 raise InvalidArgumentError(f"{args.pairs}: non-integer index in pair {k}")
+            if model is None:
+                raise InvalidArgumentError("index pairs need a model trained with stored points")
             i, j = int(a), int(b)
-            rows.append((i, j, pair_fn(i, j)))
+            rows.append((i, j, training_pair_distance(model, i, j)))
     else:
         Z, _ = load_points_csv(args.points)
+        if model is not None and model.X is None:
+            raise InvalidArgumentError("precomputed-kernel models cannot score new points")
         I, J = np.triu_indices(Z.shape[1])
-        vals = points_fn(Z)[I, J]
+        vals = oracle.pairwise(Z, Z)[I, J]
         vals[I == J] = 0.0
         rows = zip(I.tolist(), J.tolist(), vals.tolist())
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
@@ -297,31 +275,25 @@ def cmd_distance(args) -> int:
     return 0
 
 
-def _eval_learner(args, spec):
+def _eval_learner(args, space, spec):
     if args.loss == "euclidean":
         return evaluation.euclidean_learner()
     if args.loss == "inverse-covariance":
         return evaluation.inverse_covariance_learner()
-    if args.space == "kernel" or spec.kind != "linear":
-        return evaluation.logdet_kernel_learner(
-            spec if spec.kind != "linear" else None,
-            per_class=args.per_class, gamma=args.gamma, tol=args.tol,
-        )
-    return evaluation.logdet_linear_learner(
-        per_class=args.per_class, gamma=args.gamma, tol=args.tol,
-    )
+    _log_effective(args, space, spec)
+    return _logdet_learner(args, space, spec, args.gamma)
 
 
 def cmd_eval(args) -> int:
     X, K0, labels = _load_dataset(args, need_labels=True)
     if X is None:
         raise InvalidArgumentError("eval requires explicit points")
-    spec = _resolve_spec(args, X)
+    space, spec = _resolve(args, X)
     dataset = os.path.basename(args.data)
     gamma_txt = args.gamma if isinstance(args.gamma, str) else f"{args.gamma:.12g}"
     rows = []
     if args.mode == "knn":
-        learner = _eval_learner(args, spec)
+        learner = _eval_learner(args, space, spec)
         report = evaluation.two_fold_cv(X, labels, learner, k=args.k, seed=args.seed)
         for fold, acc in enumerate(report.fold_accuracies):
             rows.append([dataset, "knn", "accuracy", f"{acc:.12g}", str(fold),

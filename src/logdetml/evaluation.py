@@ -180,9 +180,20 @@ def inverse_covariance_learner():
     return learn
 
 
+def label_constraints(labels, per_class: int, seed: int, X=None, K0=None) -> ConstraintSet:
+    """The constraint set a LogDet fit trains on: pairs drawn from the
+    labels, thresholds from the distance profile of K0 when the fit is in
+    kernel space (K0 given), of the points X otherwise."""
+    cons = generate_from_labels(labels, per_class=per_class, seed=seed)
+    if K0 is not None:
+        pool = kernel_distance_pool(K0, seed=seed)
+    else:
+        pool = euclidean_distance_pool(X, seed=seed)
+    return ConstraintSet(cons, compute_thresholds(pool))
+
+
 def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
-                          tol: float = 1e-3, max_sweeps: int | None = None,
-                          prior: str = "identity"):
+                          tol: float = 1e-3, max_sweeps: int | None = None):
     """LogDet metric learning in input space; ``gamma='cv'`` tunes the slack
     parameter on the training fold."""
 
@@ -191,23 +202,12 @@ def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
         if g == "cv":
             g = crossvalidate_gamma(
                 X, labels,
-                lambda gg: logdet_linear_learner(per_class, gg, tol, max_sweeps, prior),
+                lambda gg: logdet_linear_learner(per_class, gg, tol, max_sweeps),
                 seed=seed,
             )
-        cons = generate_from_labels(labels, per_class=per_class, seed=seed)
-        if prior == "inverse-covariance":
-            W0 = inverse_covariance_baseline(X)
-            pool = euclidean_distance_pool(sqrt_psd(W0) @ X, seed=seed)
-        else:
-            W0 = None
-            pool = euclidean_distance_pool(X, seed=seed)
-        cs = ConstraintSet(cons, compute_thresholds(pool))
+        cs = label_constraints(labels, per_class, seed, X=X)
         cfg = solver.SolverConfig(gamma=g, tol=tol, max_sweeps=max_sweeps, seed=seed)
-        if W0 is None:
-            model = solver.fit_linear(X, cs, cfg)
-        else:
-            model = solver.fit_linear_with_prior(X, W0, cs, cfg)
-        return MahalanobisOracle(model.W)
+        return MahalanobisOracle(solver.fit_linear(X, cs, cfg).W)
 
     return learn
 
@@ -228,8 +228,7 @@ def logdet_kernel_learner(spec: KernelSpec | None = None, per_class: int = 100,
             )
         sp = spec or KernelSpec.gaussian(median_pairwise_distance(X))
         K0 = gram(X, sp)
-        cons = generate_from_labels(labels, per_class=per_class, seed=seed)
-        cs = ConstraintSet(cons, compute_thresholds(kernel_distance_pool(K0, seed=seed)))
+        cs = label_constraints(labels, per_class, seed, K0=K0)
         cfg = solver.SolverConfig(gamma=g, tol=tol, max_sweeps=max_sweeps, seed=seed)
         km = solver.fit_kernel(K0, cs, cfg)
         return LearnedKernelOracle(from_kernel_fit(km, X, sp))

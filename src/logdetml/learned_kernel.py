@@ -83,12 +83,6 @@ class LearnedKernelModel:
         if self.kernel_spec.kind != "precomputed" and self.X is None:
             raise InvalidArgumentError("explicit training points are required unless the kernel is precomputed")
 
-    @property
-    def n_train(self) -> int:
-        if self.M is not None:
-            return self.M.shape[0]
-        return self.m_factor.shape[0]
-
     def learned_K(self) -> np.ndarray | None:
         """The learned Gram on the training points.
 

@@ -170,17 +170,22 @@ def select_basis_kernel(K0: np.ndarray, method: str, k: int, seed: int = 0) -> B
                 members = lab == c
                 J[members, c] = 1.0 / np.count_nonzero(members)
         try:
-            inv_sqrt(symmetrize(J.T @ K0 @ J), jitter=1e-10)
+            _coefficient_T(J, K0)
             return Basis(COEFFICIENT, J, k)
         except NumericalError:
             continue
     raise NumericalError("J^T K0 J is singular after jitter (two draws)")
 
 
+def _coefficient_T(J: np.ndarray, K0: np.ndarray) -> np.ndarray:
+    """T = (J^T K0 J)^(-1/2), which makes U = X J T orthonormal."""
+    return inv_sqrt(symmetrize(J.T @ K0 @ J), jitter=1e-10)
+
+
 def _reduced_points(data: np.ndarray, basis: Basis) -> np.ndarray:
     if basis.mode == EXPLICIT:
         return basis.matrix.T @ data          # data is X (d, n)
-    T = inv_sqrt(symmetrize(basis.matrix.T @ data @ basis.matrix), jitter=1e-10)
+    T = _coefficient_T(basis.matrix, data)
     return T @ (basis.matrix.T @ data)        # data is K0 (n, n)
 
 
@@ -253,32 +258,42 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
     )
 
 
-def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
-                kernel_spec: KernelSpec | None = None):
-    """Expand the solved factor back to full form.
+def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
+           X: np.ndarray | None = None, kernel_spec: KernelSpec | None = None,
+           converged: bool = True):
+    """The full form of a solved k x k factor F.
 
-    Explicit basis: returns the d x d LinearModel W = I + U (F - I) U^T.
-    Coefficient basis: returns a LearnedKernelModel whose mixing matrix is
-    kept factored, M = J' (F - I) J'^T with J' = J (J^T K0 J)^(-1/2), so no
+    Explicit basis: the d x d matrix W = I + U (F - I) U^T.
+    Coefficient basis: a LearnedKernelModel whose mixing matrix is kept
+    factored, M = J' (F - I) J'^T with J' = J (J^T K0 J)^(-1/2), so no
     n x n matrix is ever materialized.
     """
-    k = model.basis.k
-    if model.basis.mode == EXPLICIT:
-        U = model.basis.matrix
-        d = U.shape[0]
-        W = symmetrize(np.eye(d) + U @ (model.F - np.eye(k)) @ U.T)
-        return LinearModel(W=W, W0=np.eye(d), dual=model.inner.dual,
-                           converged=model.inner.converged,
-                           sweeps_used=model.inner.sweeps_used,
-                           skipped=model.inner.skipped)
-    J = model.basis.matrix
-    T = inv_sqrt(symmetrize(J.T @ model.K0 @ J), jitter=1e-10)
+    core = F - np.eye(F.shape[0])
+    if basis.mode == EXPLICIT:
+        U = basis.matrix
+        return symmetrize(np.eye(U.shape[0]) + U @ core @ U.T)
     return LearnedKernelModel(
         kernel_spec=kernel_spec or KernelSpec.precomputed(),
         X=None if X is None else np.asarray(X, dtype=float),
-        K0=model.K0,
-        K=None,
-        m_factor=J @ T,
-        m_core=model.F - np.eye(k),
-        converged=model.inner.converged,
+        K0=K0,
+        m_factor=basis.matrix @ _coefficient_T(basis.matrix, K0),
+        m_core=core,
+        converged=converged,
     )
+
+
+def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
+                kernel_spec: KernelSpec | None = None):
+    """Expand the solved factor back to full form (see ``expand``).
+
+    Explicit basis: returns the d x d LinearModel with W = I + U (F - I) U^T.
+    Coefficient basis: returns the factored LearnedKernelModel.
+    """
+    if model.basis.mode == EXPLICIT:
+        d = model.basis.matrix.shape[0]
+        return LinearModel(W=expand(model.basis, model.F), W0=np.eye(d), dual=model.inner.dual,
+                           converged=model.inner.converged,
+                           sweeps_used=model.inner.sweeps_used,
+                           skipped=model.inner.skipped)
+    return expand(model.basis, model.F, model.K0, X=X, kernel_spec=kernel_spec,
+                  converged=model.inner.converged)

@@ -38,8 +38,8 @@ import numpy as np
 from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel
-from .linalg import KernelSpec, gram, inv_sqrt, symmetrize
-from .lowrank import COEFFICIENT, EXPLICIT
+from .linalg import KernelSpec, gram
+from .lowrank import COEFFICIENT, EXPLICIT, Basis, expand
 
 VERSION = 2
 READABLE_VERSIONS = (1, 2)
@@ -67,9 +67,6 @@ class ModelFile:
     seed: int
     converged: bool
     sweeps_used: int
-    # the ``jitter`` entry: the diagonal shift earlier trainers added to K0
-    # before inverting it; K0 is now pseudo-inverted, so new models write 0
-    jitter_used: float = 0.0
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
@@ -103,17 +100,8 @@ class ModelFile:
                 converged=self.converged,
             )
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
-            J = self.basis_matrix
-            T = inv_sqrt(symmetrize(J.T @ self.K0 @ J), jitter=1e-10)
-            k = self.F.shape[0]
-            return LearnedKernelModel(
-                kernel_spec=self.kernel_spec,
-                X=self.X,
-                K0=self.K0,
-                m_factor=J @ T,
-                m_core=self.F - np.eye(k),
-                converged=self.converged,
-            )
+            return expand(self._basis(), self.F, self.K0, X=self.X,
+                          kernel_spec=self.kernel_spec, converged=self.converged)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no kernel form")
 
     def to_mahalanobis(self) -> np.ndarray:
@@ -121,10 +109,11 @@ class ModelFile:
         if self.kind == "linear":
             return self.W
         if self.kind == "iplr" and self.basis_mode == EXPLICIT:
-            U = self.basis_matrix
-            d, k = U.shape
-            return symmetrize(np.eye(d) + U @ (self.F - np.eye(k)) @ U.T)
+            return expand(self._basis(), self.F)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no explicit metric")
+
+    def _basis(self) -> Basis:
+        return Basis(self.basis_mode, self.basis_matrix, self.basis_matrix.shape[1])
 
 
 def _write_matrix(lines: list[str], name: str, A: np.ndarray) -> None:
@@ -146,7 +135,9 @@ def save_model(path, mf: ModelFile) -> None:
     lines.append(f"seed {mf.seed}")
     lines.append(f"converged {int(mf.converged)}")
     lines.append(f"sweeps {mf.sweeps_used}")
-    lines.append(f"jitter {_fmt(mf.jitter_used)}")
+    # earlier trainers recorded a diagonal shift of K0 here; K0 is now
+    # pseudo-inverted, so every model writes 0
+    lines.append("jitter 0")
     lines.append("identity_coeff 1")
     if mf.thresholds is None:
         lines.append("thresholds none")
@@ -236,7 +227,7 @@ def load_model(path) -> ModelFile:
     seed = number(expect("seed")[0], int)
     conv = bool(number(expect("converged")[0], int))
     sweeps = number(expect("sweeps")[0], int)
-    jitter = number(expect("jitter")[0])
+    number(expect("jitter")[0])  # parsed so a malformed entry is rejected; unused
     if number(expect("identity_coeff")[0]) != 1.0:
         fail("identity_coeff must be 1")
     tparts = expect("thresholds")
@@ -297,7 +288,6 @@ def load_model(path) -> ModelFile:
         seed=seed,
         converged=conv,
         sweeps_used=sweeps,
-        jitter_used=jitter,
         W=matrices.get("W"),
         X=X,
         K0=K0,

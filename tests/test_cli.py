@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logdetml.cli import EXIT_DATA, EXIT_FLAGS, main
+from logdetml import evaluation, lowrank
+from logdetml.cli import EXIT_DATA, EXIT_FLAGS, EXIT_NUMERIC, main
 from logdetml.constraints import ConstraintGenerationWarning, generate_from_labels
+from logdetml.datasets import load_points_csv
+from logdetml.linalg import KernelSpec, gram
 
 IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
 
@@ -27,6 +30,10 @@ def ionosphere_rows(tmp_path_factory):
     ("train", "--kernel", "gaussian:-1"),
     ("train", "--kernel", "gaussian:nan"),
     ("train", "--kernel", "gaussian:inf"),
+    ("train", "--kernel", "cosine"),
+    ("train", "--basis", "spectral:3"),
+    ("train", "--basis", "topk:x"),
+    ("train", "--basis", "topk:0"),
     ("eval", "--k", "0"),
     ("eval", "--k", "-3"),
     ("eval", "--loss", "bogus"),
@@ -106,6 +113,110 @@ def test_train_logs_no_skipped_constraints_on_ionosphere(ionosphere_rows, tmp_pa
     assert _logged_skipped(capsys.readouterr().err) == 0
 
 
+# -- train logs how many constraints a --basis fit dropped ---------------------------
+
+def _logged(err: str, command: str, key: str) -> str:
+    return re.search(rf"^\[{command}\] {key}: (.*)$", err, re.MULTILINE).group(1)
+
+
+def _unreachable(data, basis, cs) -> int:
+    """Constraints whose adjusted threshold is non-positive in the basis."""
+    _, reduced = lowrank.reduce_problem(data, basis, cs)
+    return int(np.count_nonzero(reduced.xi0 <= 0))
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.solver.SolverWarning",
+                            "ignore::logdetml.lowrank.BasisWarning")
+def test_train_logs_dropped_constraints_on_coincident_points(tmp_path, capsys):
+    labels = ["ab"[i % 2] for i in range(20)] + ["a", "b"]
+    rows = ["1.0,2.0,3.0"] * 20 + ["4.0,0.0,1.0", "0.0,5.0,2.0"]
+    data = tmp_path / "coincident.csv"
+    data.write_text("".join(f"{r},{c}\n" for r, c in zip(rows, labels)))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--label-col", "last", "--gamma", "inf",
+                 "--max-sweeps", "3", "--basis", "topk:2",
+                 "--out", str(tmp_path / "model.txt")]) == 0
+    X, y = load_points_csv(data, label_col="last")
+    basis = lowrank.select_basis_feature(X, "topk-svd", 2)
+    expected = _unreachable(X, basis, evaluation.label_constraints(y, 100, 0, X=X))
+    assert expected > 0
+    assert int(_logged(capsys.readouterr().err, "train", "dropped")) == expected
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_train_logs_dropped_constraints_on_ionosphere(ionosphere_rows, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last",
+                 "--kernel", "gaussian", "--basis", "kmeans:10", "--per-class", "10",
+                 "--max-sweeps", "3", "--out", str(tmp_path / "model.txt")]) == 0
+    X, y = load_points_csv(ionosphere_rows, label_col="last")
+    K0 = gram(X, KernelSpec.gaussian(evaluation.median_pairwise_distance(X)))
+    basis = lowrank.select_basis_kernel(K0, "kernel-kmeans", 10)
+    expected = _unreachable(K0, basis, evaluation.label_constraints(y, 10, 0, K0=K0))
+    assert int(_logged(capsys.readouterr().err, "train", "dropped")) == expected
+
+
+# -- eval resolves --space and --kernel exactly as train does -------------------------
+
+@pytest.fixture(scope="module")
+def ionosphere_every4(tmp_path_factory):
+    """Every fourth ionosphere row: 88 points, both classes."""
+    path = tmp_path_factory.mktemp("data") / "ionosphere_every4.csv"
+    path.write_text("\n".join(IONOSPHERE.read_text().splitlines()[::4]) + "\n")
+    return path
+
+
+def _eval_mean(data, capsys, *flags) -> str:
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--label-col", "last", "--mode", "knn",
+                 *flags]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[4] == "mean"
+    return last[3]
+
+
+def test_eval_kernel_space_linear_kernel_fits_the_linear_kernel(ionosphere_every4, capsys):
+    # the linear kernel, not a Gaussian at each fold's median width
+    flags = ["--space", "kernel", "--per-class", "20", "--seed", "0"]
+    served = _eval_mean(ionosphere_every4, capsys, *flags, "--kernel", "linear")
+    X, y = load_points_csv(ionosphere_every4, label_col="last")
+    learner = evaluation.logdet_kernel_learner(KernelSpec.linear(), per_class=20)
+    assert served == f"{evaluation.two_fold_cv(X, y, learner, seed=0).accuracy:.12g}"
+    assert served != _eval_mean(ionosphere_every4, capsys, *flags, "--kernel", "gaussian")
+
+
+@pytest.fixture(scope="module")
+def wide_rows(tmp_path_factory):
+    """16 points in 20 dimensions (d > n), two classes."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((16, 20)) + np.arange(16)[:, None] % 2
+    path = tmp_path_factory.mktemp("data") / "wide.csv"
+    path.write_text("".join(",".join(f"{v:.17g}" for v in x) + f",{'ab'[i % 2]}\n"
+                            for i, x in enumerate(X)))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.constraints.ConstraintGenerationWarning")
+@pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+@pytest.mark.parametrize("space", ["auto", "linear", "kernel"])
+@pytest.mark.parametrize("dataset", ["ionosphere", "wide"])
+def test_train_and_eval_resolve_space_and_kernel_alike(ionosphere_rows, wide_rows, tmp_path,
+                                                       capsys, dataset, space, kernel):
+    data = ionosphere_rows if dataset == "ionosphere" else wide_rows
+    flags = ["--data", str(data), "--label-col", "last", "--space", space,
+             "--kernel", kernel, "--per-class", "3"]
+    capsys.readouterr()
+    assert main(["train", *flags, "--max-sweeps", "3",
+                 "--out", str(tmp_path / "model.txt")]) == 0
+    trained = capsys.readouterr().err
+    assert main(["eval", *flags, "--mode", "knn", "--k", "3"]) == 0
+    evaluated = capsys.readouterr().err
+    for key in ("effective_space", "effective_kernel"):
+        assert _logged(evaluated, "eval", key) == _logged(trained, "train", key)
+    if dataset == "wide" and kernel == "linear" and space != "linear":
+        assert _logged(trained, "train", "effective_space") == "kernel"
+
+
 # -- exits on degenerate data -----------------------------------------------------
 
 def _write_rows(path, rows):
@@ -173,3 +284,74 @@ def test_gamma_cv_on_two_points_exits_2(tmp_path, capsys):
                                   "--gamma", "cv")
     assert code == EXIT_DATA
     assert "at least 4 points" in err
+
+
+def test_singular_subset_basis_exits_3(tmp_path, capsys):
+    # every 2 x 2 principal submatrix of this K0 is singular, so no subset
+    # basis of two points is usable
+    K0 = np.zeros((8, 8))
+    K0[0, 0] = 1.0
+    kernel = _write_rows(tmp_path / "kernel.csv", K0.tolist())
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\n" * 4)
+    code, err = _train_degenerate(tmp_path, capsys, kernel, "--labels", str(labels),
+                                  "--kernel", "precomputed", "--basis", "subset:2",
+                                  "--per-class", "3", "--seed", "0")
+    assert code == EXIT_NUMERIC
+    assert "numerical failure: J^T K0 J is singular after jitter (two draws)" in err
+
+
+@pytest.fixture(scope="module")
+def constant_column(tmp_path_factory):
+    """24 points in 4 dimensions whose third feature is always 5."""
+    X = np.random.default_rng(1).standard_normal((24, 4)) + np.arange(24)[:, None] % 2
+    X[:, 2] = 5.0
+    path = tmp_path_factory.mktemp("data") / "constant.csv"
+    return _write_rows(path, [[*x, "ab"[i % 2]] for i, x in enumerate(X)])
+
+
+@pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+def test_constant_feature_trains_and_evaluates(constant_column, tmp_path, capsys, kernel):
+    code, _ = _train_degenerate(tmp_path, capsys, constant_column, "--label-col", "last",
+                                "--kernel", kernel, "--per-class", "10")
+    assert code == 0
+    assert main(["eval", "--data", str(constant_column), "--label-col", "last",
+                 "--mode", "knn", "--kernel", kernel, "--per-class", "10", "--k", "3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["cluster-cv", "precomputed-cv", "precomputed-eval",
+                                  "no-labels", "label-count", "missing-file",
+                                  "topk-gaussian"])
+def test_rejected_run_exits_with_a_message(ionosphere_rows, tmp_path, capsys, case):
+    kernel = _write_rows(tmp_path / "kernel.csv", np.eye(6).tolist())
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\n" * 3)
+    four = tmp_path / "four.txt"
+    four.write_text("a\nb\n" * 2)
+    data = ["--data", str(ionosphere_rows), "--label-col", "last"]
+    precomputed = ["--data", str(kernel), "--labels", str(labels), "--kernel", "precomputed"]
+    out = ["--out", str(tmp_path / "model.txt")]
+    argv, code, message = {
+        "cluster-cv": (["eval", *data, "--mode", "cluster", "--gamma", "cv"],
+                       EXIT_FLAGS, "--gamma cv is not supported in cluster mode"),
+        "precomputed-cv": (["train", *precomputed, "--gamma", "cv", *out],
+                           EXIT_DATA, "--gamma cv needs explicit points"),
+        "precomputed-eval": (["eval", *precomputed, "--mode", "knn"],
+                             EXIT_DATA, "eval requires explicit points"),
+        "no-labels": (["train", "--data", str(kernel), *out],
+                      EXIT_DATA, "labels are required"),
+        "label-count": (["train", "--data", str(kernel), "--labels", str(four), *out],
+                        EXIT_DATA, "4 labels for 6 points"),
+        "missing-file": (["train", "--data", str(tmp_path / "absent.csv"), *out],
+                         EXIT_DATA, "absent.csv"),
+        "topk-gaussian": (["train", *data, "--kernel", "gaussian", "--basis", "topk:2", *out],
+                          EXIT_DATA, "--basis topk requires explicit points and a linear kernel"),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert message in captured.err
+    assert not (tmp_path / "model.txt").exists()

@@ -101,6 +101,22 @@ def test_v2_drops_K0_and_rebuilds_it_bit_identically(small_ionosphere, tmp_path,
     assert np.array_equal(mf.K0, gram(X_csv, mf.kernel_spec))
 
 
+def _train_precomputed(data, tmp_path, *flags):
+    """Train on the Gaussian Gram of ``data`` given as a precomputed kernel;
+    returns (kernel CSV, model file)."""
+    X, labels = load_points_csv(data, label_col="last")
+    K = gram(X, KernelSpec.gaussian(3.0))
+    kernel_csv = tmp_path / "kernel.csv"
+    kernel_csv.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in K) + "\n")
+    labels_txt = tmp_path / "labels.txt"
+    labels_txt.write_text("\n".join(labels) + "\n")
+    trained = tmp_path / "trained.model"
+    assert main(["train", "--data", str(kernel_csv), "--labels", str(labels_txt),
+                 "--kernel", "precomputed", "--per-class", "10", "--max-sweeps", "5",
+                 "--out", str(trained), *flags]) == 0
+    return kernel_csv, trained
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -111,17 +127,7 @@ def test_v2_drops_K0_and_rebuilds_it_bit_identically(small_ionosphere, tmp_path,
     ids=["kernel", "iplr-kmeans"],
 )
 def test_precomputed_kernel_keeps_K0(small_ionosphere, tmp_path, flags):
-    X, labels = load_points_csv(small_ionosphere, label_col="last")
-    K = gram(X, KernelSpec.gaussian(3.0))
-    kernel_csv = tmp_path / "kernel.csv"
-    kernel_csv.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in K) + "\n")
-    labels_txt = tmp_path / "labels.txt"
-    labels_txt.write_text("\n".join(labels) + "\n")
-    trained = tmp_path / "trained.model"
-    code = main(["train", "--data", str(kernel_csv), "--labels", str(labels_txt),
-                 "--kernel", "precomputed", "--per-class", "10", "--max-sweeps", "5",
-                 "--out", str(trained), *flags])
-    assert code == 0
+    kernel_csv, trained = _train_precomputed(small_ionosphere, tmp_path, *flags)
     assert "K0" in _matrix_names(trained)
     assert "X" not in _matrix_names(trained)
     mf = load_model(trained)
@@ -242,6 +248,55 @@ def test_train_logs_to_stderr_and_distance_prints_only_csv(small_ionosphere, que
     assert lines[0] == "i,j,sq_distance"
     n = len(query_points.read_text().splitlines())
     assert len(lines) == 1 + n * (n + 1) // 2
+
+
+# -- explicit-metric models serve (x - y)^T W (x - y) ----------------------------
+
+@pytest.mark.parametrize("flags", [
+    ["--space", "linear"],
+    pytest.param(["--basis", "topk:5"],
+                 marks=pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")),
+], ids=["linear", "iplr-topk"])
+def test_explicit_metric_distance_matches_naive_quadratic_form(small_ionosphere, query_points,
+                                                               tmp_path, flags):
+    model = tmp_path / "trained.model"
+    assert _train(small_ionosphere, model, *flags) == 0
+    mf = load_model(model)
+    if mf.kind == "linear":
+        W = mf.W
+    else:
+        B = mf.basis_matrix
+        W = np.eye(B.shape[0]) + B @ (mf.F - np.eye(B.shape[1])) @ B.T
+    out = tmp_path / "distances.csv"
+    assert main(["distance", str(model), "--points", str(query_points), "--out", str(out)]) == 0
+    served = np.loadtxt(out, delimiter=",", skiprows=1)
+    Z, _ = load_points_csv(query_points)
+    naive = [(i, j, float((Z[:, i] - Z[:, j]) @ W @ (Z[:, i] - Z[:, j])))
+             for i in range(Z.shape[1]) for j in range(i, Z.shape[1])]
+    np.testing.assert_array_equal(served[:, :2], [row[:2] for row in naive])
+    np.testing.assert_allclose(served[:, 2], [row[2] for row in naive], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("model, query, message", [
+    ("linear", "--pairs", "index pairs need a model trained with stored points"),
+    ("precomputed", "--points", "precomputed-kernel models cannot score new points"),
+])
+def test_distance_refuses_a_query_the_model_cannot_serve(small_ionosphere, query_points,
+                                                         tmp_path, capsys, model, query,
+                                                         message):
+    if model == "linear":
+        path = tmp_path / "linear.model"
+        assert _train(small_ionosphere, path, "--space", "linear") == 0
+    else:
+        _, path = _train_precomputed(small_ionosphere, tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1\n")
+    capsys.readouterr()
+    code = main(["distance", str(path), query, str(pairs if query == "--pairs" else query_points)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 # -- `distance --pairs` takes integer indices ------------------------------------
