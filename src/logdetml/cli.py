@@ -108,7 +108,7 @@ def _load_dataset(args, need_labels: bool):
         labels = load_labels_file(args.labels) if args.labels else None
     else:
         X, labels = load_points_csv(args.data, label_col=args.label_col)
-        if labels is None and args.labels:
+        if args.labels:
             labels = load_labels_file(args.labels)
         K0 = None
     if need_labels and labels is None:
@@ -152,9 +152,10 @@ def _log_effective(args, space, spec):
 
 
 def _logdet_learner(args, space, spec, gamma):
-    """A two-fold CV learner that fits what ``train`` fits for these flags."""
+    """A two-fold CV learner that fits what ``train`` fits for these flags;
+    ``eval --gamma cv`` tunes gamma with the outer ``--k``."""
     opts = dict(per_class=args.per_class, gamma=gamma, tol=args.tol,
-                max_sweeps=getattr(args, "max_sweeps", None))
+                max_sweeps=getattr(args, "max_sweeps", None), k=getattr(args, "k", 10))
     if space == "linear":
         return evaluation.logdet_linear_learner(**opts)
     return evaluation.logdet_kernel_learner(spec, **opts)
@@ -325,6 +326,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _add_label_flags(parser) -> None:
+    # labels come from a file or from the data's last column, never both
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--labels")
+    group.add_argument("--label-col", choices=["last"], dest="label_col")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="logdetml",
                      description="Metric/kernel learning from pairwise constraints")
@@ -332,8 +340,7 @@ def build_parser() -> _Parser:
 
     train = sub.add_parser("train", help="learn a metric/kernel model under the LogDet loss")
     train.add_argument("--data", required=True)
-    train.add_argument("--labels")
-    train.add_argument("--label-col", choices=["last"], dest="label_col")
+    _add_label_flags(train)
     train.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
     train.add_argument("--kernel", type=_kernel_arg, default="linear",
                        help="linear | gaussian[:sigma] | precomputed")
@@ -358,8 +365,7 @@ def build_parser() -> _Parser:
 
     ev = sub.add_parser("eval", help="k-NN or clustering evaluation")
     ev.add_argument("--data", required=True)
-    ev.add_argument("--labels")
-    ev.add_argument("--label-col", choices=["last"], dest="label_col")
+    _add_label_flags(ev)
     ev.add_argument("--mode", choices=["knn", "cluster"], required=True)
     ev.add_argument("--loss", choices=["logdet", "euclidean", "inverse-covariance"],
                     default="logdet", help="the learned metric or a baseline")

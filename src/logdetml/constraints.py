@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import pairwise_sq_dists, percentile
+from .linalg import percentile
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -180,7 +180,9 @@ def compute_thresholds(distances) -> Thresholds:
     l = 99th percentile.
 
     A non-positive u is clamped to 1e-3 times the smallest positive distance;
-    an all-zero pool is rejected as degenerate.
+    an all-zero pool is rejected as degenerate.  The pool is partially
+    sorted in place (see ``percentile``): the pools are built for this call,
+    and a full one holds n(n-1)/2 values.
     """
     d = np.asarray(distances, dtype=float).ravel()
     if d.size == 0:
@@ -195,6 +197,22 @@ def compute_thresholds(distances) -> Thresholds:
     return Thresholds(u=u, l=max(l, u))
 
 
+def _upper_triangle_sq_dists(g: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``clip(g_i + g_j - 2 P_ij, 0)`` for every pair i < j, in row-major
+    order: the upper triangle of the squared-distance matrix of inner
+    products P with self products g, filled row by row without forming it.
+    """
+    n = P.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        row = out[pos:pos + n - 1 - i]
+        np.multiply(P[i, i + 1:], 2.0, out=row)
+        np.subtract(g[i] + g[i + 1:], row, out=row)
+        pos += row.size
+    return np.clip(out, 0.0, None, out=out)
+
+
 def kernel_distance_pool(K: np.ndarray, seed: int = 0) -> np.ndarray:
     """Pool of pairwise baseline distances read off a Gram matrix.
 
@@ -206,10 +224,7 @@ def kernel_distance_pool(K: np.ndarray, seed: int = 0) -> np.ndarray:
     if n < 2:
         raise InvalidArgumentError("need at least 2 points for a distance pool")
     if n <= FULL_POOL_MAX_N:
-        diag = np.diag(K)
-        D = diag[:, None] + diag[None, :] - 2.0 * K
-        iu = np.triu_indices(n, k=1)
-        return np.clip(D[iu], 0.0, None)
+        return _upper_triangle_sq_dists(np.diag(K), K)
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=SAMPLED_PAIRS)
     j = rng.integers(0, n, size=SAMPLED_PAIRS)
@@ -230,9 +245,7 @@ def euclidean_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
     if n < 2:
         raise InvalidArgumentError("need at least 2 points for a distance pool")
     if n <= FULL_POOL_MAX_N:
-        D = pairwise_sq_dists(X, X)
-        iu = np.triu_indices(n, k=1)
-        return D[iu]
+        return _upper_triangle_sq_dists(np.sum(X * X, axis=0), X.T @ X)
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=SAMPLED_PAIRS)
     j = rng.integers(0, n, size=SAMPLED_PAIRS)

@@ -156,9 +156,11 @@ def inverse_covariance_baseline(X: np.ndarray) -> np.ndarray:
 
 
 def median_pairwise_distance(X: np.ndarray) -> float:
-    """Median Euclidean pairwise distance; the default gaussian width."""
+    """Median Euclidean pairwise distance; the default gaussian width.
+    The root and the median are taken in place in the pool."""
     D = euclidean_distance_pool(X)
-    med = float(np.median(np.sqrt(D)))
+    np.sqrt(D, out=D)
+    med = float(np.median(D, overwrite_input=True))
     if med <= 0:
         raise InvalidArgumentError("all points coincide; no usable kernel width")
     return med
@@ -193,9 +195,9 @@ def label_constraints(labels, per_class: int, seed: int, X=None, K0=None) -> Con
 
 
 def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
-                          tol: float = 1e-3, max_sweeps: int | None = None):
+                          tol: float = 1e-3, max_sweeps: int | None = None, k: int = 10):
     """LogDet metric learning in input space; ``gamma='cv'`` tunes the slack
-    parameter on the training fold."""
+    parameter on the training fold, by an inner CV of k-NN with this k."""
 
     def learn(X, labels, seed):
         g = gamma
@@ -203,7 +205,7 @@ def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
             g = crossvalidate_gamma(
                 X, labels,
                 lambda gg: logdet_linear_learner(per_class, gg, tol, max_sweeps),
-                seed=seed,
+                k=k, seed=seed,
             )
         cs = label_constraints(labels, per_class, seed, X=X)
         cfg = solver.SolverConfig(gamma=g, tol=tol, max_sweeps=max_sweeps, seed=seed)
@@ -214,9 +216,10 @@ def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
 
 def logdet_kernel_learner(spec: KernelSpec | None = None, per_class: int = 100,
                           gamma: float | str = 1.0, tol: float = 1e-3,
-                          max_sweeps: int | None = None):
+                          max_sweeps: int | None = None, k: int = 10):
     """LogDet learning in kernel space with out-of-sample extension;
-    ``spec=None`` uses a gaussian kernel at the median-distance width."""
+    ``spec=None`` uses a gaussian kernel at the median-distance width, and
+    ``gamma='cv'`` is tuned by an inner CV of k-NN with this k."""
 
     def learn(X, labels, seed):
         g = gamma
@@ -224,7 +227,7 @@ def logdet_kernel_learner(spec: KernelSpec | None = None, per_class: int = 100,
             g = crossvalidate_gamma(
                 X, labels,
                 lambda gg: logdet_kernel_learner(spec, per_class, gg, tol, max_sweeps),
-                seed=seed,
+                k=k, seed=seed,
             )
         sp = spec or KernelSpec.gaussian(median_pairwise_distance(X))
         K0 = gram(X, sp)

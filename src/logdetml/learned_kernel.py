@@ -16,6 +16,13 @@ K0^+ is a pseudo-inverse (see ``compute_M``): Gaussian Grams are often
 singular in floating point, and an inverse would amplify their round-off.
 A batch query evaluates each point set once -- kernel vectors, M applied to
 them, self products -- and shares them when both sides are the same set.
+
+Memory: a model that holds its training points and a rebuildable kernel
+need not hold the n x n input Gram K0; it is rebuilt on first read (see
+``RebuiltK0``), which only training-index queries and the dense model's
+learned K do.  A query against a second, different point set processes that
+set in blocks of COLUMN_BLOCK columns, so serving against the n training
+points never forms their n x n kernel vectors.
 """
 
 from __future__ import annotations
@@ -25,7 +32,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import KernelSpec, cross_gram, symmetrize
+from .linalg import KernelSpec, cross_gram, gram, sq_dists_from_products, symmetrize
+
+# Columns of the second point set a query evaluates at once.  Whether a
+# block's BLAS products carry the bits of the whole-matrix products is up to
+# BLAS: OpenBLAS keeps them for the benchmark's shapes, and may move the last
+# bits for others, as it does between thread counts.
+COLUMN_BLOCK = 256
+
+
+def rebuildable(X, spec: KernelSpec | None) -> bool:
+    """True when K0 is a function of stored points X and the kernel."""
+    return X is not None and spec is not None and spec.kind != "precomputed"
+
+
+def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The input Gram K0 of stored training points, bit for bit as training
+    built it.
+
+    Training builds K0 from the column-major (Fortran-order) X that
+    ``datasets.load_points_csv`` returns, while a model file reads X back
+    row-major.  BLAS sums ``X.T @ X`` in a layout-dependent order, so the
+    Gram is built from a Fortran-order copy.
+    """
+    return gram(np.asfortranarray(X), spec)
+
+
+class RebuiltK0:
+    """A ``K0`` dataclass field that may be left None on an object holding
+    training points ``X`` and a ``kernel_spec`` that can rebuild it: the Gram
+    is then built on first read (``training_gram``) and kept.  The stored
+    value, None until then, is ``_K0``."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        if obj._K0 is None and rebuildable(obj.X, obj.kernel_spec):
+            obj._K0 = training_gram(obj.X, obj.kernel_spec)
+        return obj._K0
+
+    def __set__(self, obj, value):
+        obj._K0 = value
 
 
 def compute_M(K0: np.ndarray, K: np.ndarray):
@@ -61,13 +108,14 @@ class LearnedKernelModel:
 
     Either ``M`` (dense n x n) or the factored pair ``(m_factor, m_core)``
     with M = m_factor @ m_core @ m_factor.T is set, never both.
+    ``K0`` may be left None when X and the kernel rebuild it (``RebuiltK0``).
     ``K``, the learned Gram on the training points, may be left unset; see
     ``learned_K``.  ``dropped_rank`` is what ``compute_M`` reported.
     """
 
     kernel_spec: KernelSpec
     X: np.ndarray | None
-    K0: np.ndarray | None
+    K0: np.ndarray | None = RebuiltK0()
     K: np.ndarray | None = None
     M: np.ndarray | None = None
     m_factor: np.ndarray | None = None
@@ -173,17 +221,31 @@ def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarr
     """Pairwise learned squared distances between columns of Z1 and Z2:
     ``clip(g1 + g2 - 2 G12, 0)`` with G12 the learned Gram between the sets
     and g1, g2 their learned self products.  Each set is evaluated once;
-    pass the same object twice for the distances within one set."""
-    same = Z2 is Z1
+    pass the same object twice for the distances within one set.  A
+    different Z2 is evaluated COLUMN_BLOCK columns at a time, each block's
+    kernel terms dropped once its columns of G12 and g2 are written."""
     K1, MK1 = _kernel_terms(model, Z1)
-    K2, MK2 = (K1, MK1) if same else _kernel_terms(model, Z2)
-    G12 = cross_gram(Z1, Z2, model.kernel_spec) + K1.T @ MK2
-    g1 = _self_products(model, Z1, K1, MK1)
-    g2 = g1 if same else _self_products(model, Z2, K2, MK2)
-    # D = clip(g1 + g2 - 2 G12, 0), written over G12
-    G12 *= 2.0
-    D = np.subtract(g1[:, None] + g2[None, :], G12, out=G12)
-    return np.clip(D, 0.0, None, out=D)
+    if Z2 is Z1:
+        G12 = cross_gram(Z1, Z1, model.kernel_spec) + K1.T @ MK1
+        g1 = g2 = _self_products(model, Z1, K1, MK1)
+    else:
+        Z2 = np.asarray(Z2, dtype=float)
+        G12 = np.empty((K1.shape[1], Z2.shape[1]))
+        g2 = np.empty(Z2.shape[1])
+        for cols in _column_blocks(Z2.shape[1]):
+            K2, MK2 = _kernel_terms(model, Z2[:, cols])
+            G12[:, cols] = cross_gram(Z1, Z2[:, cols], model.kernel_spec) + K1.T @ MK2
+            g2[cols] = _self_products(model, Z2[:, cols], K2, MK2)
+            del K2, MK2  # before the next block's are built
+        g1 = _self_products(model, Z1, K1, MK1)
+    return sq_dists_from_products(g1, g2, G12)
+
+
+def _column_blocks(n: int):
+    """Slices of ``range(n)`` starting at multiples of COLUMN_BLOCK; the last
+    absorbs the remainder, so only a lone block is narrower."""
+    starts = list(range(0, n - COLUMN_BLOCK + 1, COLUMN_BLOCK)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _kernel_terms(model: LearnedKernelModel, Z) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,10 @@ PSD_RTOL = 1e-8
 # plain Cholesky factorization fails.
 DEFAULT_JITTER = 1e-10
 
+# In-place passes over an n x n matrix (distances, symmetrize) work on row
+# blocks of about this many entries, so their temporaries stay small.
+BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -118,25 +122,35 @@ def logdet_divergence(A: np.ndarray, B: np.ndarray) -> float:
     return trace_term - logdet_term - d
 
 
-def _sq_dists_and_scratch(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(D, G)``: D is ``pairwise_sq_dists(A, B)``; G is the spent (na, nb)
-    buffer that held 2 A^T B, returned so a caller can reuse it."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    aa = np.sum(A * A, axis=0)[:, None]
-    bb = np.sum(B * B, axis=0)[None, :]
-    G = A.T @ B
-    G *= 2.0
-    D = aa + bb
-    D -= G
-    np.clip(D, 0.0, None, out=D)
-    return D, G
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices covering ``range(n_rows)`` in blocks of about BLOCK_ELEMENTS
+    entries of an (n_rows, n_cols) matrix."""
+    step = max(1, BLOCK_ELEMENTS // max(n_cols, 1))
+    for r0 in range(0, n_rows, step):
+        yield slice(r0, min(r0 + step, n_rows))
+
+
+def sq_dists_from_products(aa: np.ndarray, bb: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Overwrite the inner products G (na, nb) with the squared distances
+    ``clip(aa_i + bb_j - 2 G_ij, 0)`` and return G.
+
+    Works one row block at a time, so the only temporary is a block; the
+    IEEE operations per entry are those of the whole-matrix expression.
+    """
+    for rows in _row_blocks(*G.shape):
+        blk = G[rows]
+        blk *= 2.0
+        np.subtract(aa[rows, None] + bb, blk, out=blk)
+        np.clip(blk, 0.0, None, out=blk)
+    return G
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between columns of A (d, na) and B (d, nb):
-    ``clip(aa + bb - 2 A^T B, 0)``, computed in two (na, nb) buffers."""
-    return _sq_dists_and_scratch(A, B)[0]
+    ``clip(aa + bb - 2 A^T B, 0)``, written over the (na, nb) product A^T B."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    return sq_dists_from_products(np.sum(A * A, axis=0), np.sum(B * B, axis=0), A.T @ B)
 
 
 def _gaussian_in_place(D: np.ndarray, sigma: float) -> np.ndarray:
@@ -146,16 +160,31 @@ def _gaussian_in_place(D: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(D, out=D)
 
 
+def symmetrize_in_place(A: np.ndarray) -> np.ndarray:
+    """Overwrite a square A with ``symmetrize(A)`` and return it, one row
+    block at a time: each block of 0.5 (A + A^T) is written to both of its
+    mirror positions (a + b == b + a exactly), so the result is bit-identical
+    to ``symmetrize(A)`` with only a block as temporary."""
+    for rows in _row_blocks(*A.shape):
+        r0 = rows.start
+        S = A[rows, r0:] + A[r0:, rows].T
+        S *= 0.5
+        A[rows, r0:] = S
+        A[r0:, rows] = S.T
+    return A
+
+
 def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the columns of X under the given kernel.
 
     linear   -> X.T @ X
     gaussian -> exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal
 
-    The Gaussian Gram is built in two n x n buffers, reused through every
-    step: the IEEE operations and their order are those of the plain
-    expression ``symmetrize(exp(-clip(aa + bb - 2 X^T X, 0) / (2 sigma^2)))``
-    with a unit diagonal, so the result is bit-identical to it.
+    Both are built in the one n x n buffer of the product X^T X, in place and
+    a row block at a time: the IEEE operations and their order are those of
+    ``symmetrize(X.T @ X)`` and of
+    ``symmetrize(exp(-clip(aa + bb - 2 X^T X, 0) / (2 sigma^2)))`` with a
+    unit diagonal, so the result is bit-identical to them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -163,14 +192,10 @@ def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == "precomputed":
         raise InvalidArgumentError("cannot build a Gram matrix from a precomputed spec")
     if spec.kind == "linear":
-        return symmetrize(X.T @ X)
-    K, G = _sq_dists_and_scratch(X, X)
-    _gaussian_in_place(K, spec.sigma)
+        return symmetrize_in_place(X.T @ X)
+    K = _gaussian_in_place(pairwise_sq_dists(X, X), spec.sigma)
     np.fill_diagonal(K, 1.0)
-    # symmetrize(K) into the spent buffer
-    np.add(K, K.T, out=G)
-    G *= 0.5
-    return G
+    return symmetrize_in_place(K)
 
 
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -253,10 +278,14 @@ def inv_psd(A: np.ndarray, jitter: float | None = None) -> tuple[np.ndarray, flo
 
 def percentile(values, p: float) -> float:
     """Linear-interpolation percentile: rank = p/100 * (len-1), interpolated
-    between the floor and ceil ranks of the ascending-sorted values."""
-    vals = np.asarray(values, dtype=float).ravel()
+    between the floor and ceil ranks of the ascending-sorted values.
+
+    A writeable contiguous float64 array is partially sorted in place
+    instead of copied (the order of its values changes, not their set).
+    """
+    vals = np.require(values, dtype=float, requirements="W").ravel()
     if vals.size == 0:
         raise InvalidArgumentError("percentile of an empty list")
     if not 0.0 <= p <= 100.0:
         raise InvalidArgumentError(f"percentile p must be in [0, 100], got {p}")
-    return float(np.percentile(vals, p))
+    return float(np.percentile(vals, p, overwrite_input=True))

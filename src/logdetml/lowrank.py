@@ -24,7 +24,7 @@ import numpy as np
 from .clustering import kernel_kmeans, kmeans
 from .constraints import ConstraintSet
 from .errors import InvalidArgumentError, NumericalError
-from .learned_kernel import LearnedKernelModel
+from .learned_kernel import LearnedKernelModel, training_gram
 from .linalg import KernelSpec, inv_sqrt, pair_distance_kernel, symmetrize
 from .solver import DualState, LinearModel, SolverConfig, fit_linear
 
@@ -266,17 +266,21 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
     Explicit basis: the d x d matrix W = I + U (F - I) U^T.
     Coefficient basis: a LearnedKernelModel whose mixing matrix is kept
     factored, M = J' (F - I) J'^T with J' = J (J^T K0 J)^(-1/2), so no
-    n x n matrix is ever materialized.
+    n x n matrix is ever materialized.  With ``K0=None`` the Gram is rebuilt
+    from X and the kernel only to form J', and the model rebuilds it again
+    if a query needs it.
     """
     core = F - np.eye(F.shape[0])
     if basis.mode == EXPLICIT:
         U = basis.matrix
         return symmetrize(np.eye(U.shape[0]) + U @ core @ U.T)
+    J = basis.matrix
+    T = _coefficient_T(J, training_gram(X, kernel_spec) if K0 is None else K0)
     return LearnedKernelModel(
         kernel_spec=kernel_spec or KernelSpec.precomputed(),
         X=None if X is None else np.asarray(X, dtype=float),
         K0=K0,
-        m_factor=basis.matrix @ _coefficient_T(basis.matrix, K0),
+        m_factor=J @ T,
         m_core=core,
         converged=converged,
     )

@@ -12,7 +12,10 @@ Stored and derived matrices (format version 2):
 * derived: the input Gram matrix ``K0`` is a pure function of the stored
   points and the kernel, so it is written only when it cannot be rebuilt --
   no stored points, or a ``precomputed`` kernel.  Otherwise ``load_model``
-  sets ``K0 = gram(X, kernel)``.  (The dense kernel-kind ``M`` is still
+  leaves it unbuilt: ``ModelFile.K0`` is rebuilt on first read
+  (``learned_kernel.RebuiltK0``), bit for bit as training built it, and
+  ``to_learned_kernel`` builds it only for as long as it takes to form a
+  coefficient basis's k x k factor.  (The dense kernel-kind ``M`` is still
   n x n; a coefficient-basis ``iplr`` file is O(n (d + k)).)
 
 Version 1 files, which always carry ``K0``, still load; their ``K0`` block
@@ -20,13 +23,9 @@ is used as written.  Saving a loaded model always writes version 2.  Both
 versions carry an ``identity_coeff`` line, always ``1`` for a LogDet model;
 ``load_model`` rejects any other value.
 
-Training builds ``K0`` from the column-major (Fortran-order) ``X`` that
-``datasets.load_points_csv`` returns, while this file reads ``X`` back
-row-major.  BLAS sums ``X.T @ X`` in a layout-dependent order, so a Gram of
-the row-major copy can differ from the training ``K0`` by one ulp.  ``K0``
-is therefore rebuilt from a Fortran-order copy, which reproduces the
-training matrix bit for bit; ``ModelFile.X`` keeps the layout it was read
-in, because out-of-sample queries depend on its bits too.
+``ModelFile.X`` keeps the layout it was read in (row-major), because
+out-of-sample queries depend on its bits; ``learned_kernel.training_gram``
+explains why the rebuilt ``K0`` comes from a Fortran-order copy instead.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ import numpy as np
 
 from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
-from .learned_kernel import LearnedKernelModel
-from .linalg import KernelSpec, gram
+from .learned_kernel import LearnedKernelModel, RebuiltK0, rebuildable
+from .linalg import KernelSpec
 from .lowrank import COEFFICIENT, EXPLICIT, Basis, expand
 
 VERSION = 2
@@ -49,11 +48,6 @@ KINDS = ("linear", "kernel", "iplr")
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _derivable_K0(X: np.ndarray | None, spec: KernelSpec | None) -> bool:
-    """True when K0 is a function of the stored points and kernel."""
-    return X is not None and spec is not None and spec.kind != "precomputed"
 
 
 @dataclass
@@ -70,7 +64,7 @@ class ModelFile:
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
-    K0: np.ndarray | None = None
+    K0: np.ndarray | None = RebuiltK0()
     M: np.ndarray | None = None
     constraints: list[Constraint] = field(default_factory=list)
     lam: np.ndarray | None = None
@@ -89,18 +83,20 @@ class ModelFile:
 
         A ``kernel`` model's learned Gram K on the training points is not
         formed here (two n^3 products); ``LearnedKernelModel.learned_K``
-        derives it when a training-index query first needs it.
+        derives it when a training-index query first needs it.  An unbuilt
+        K0 is handed on unbuilt, for the model to rebuild if a query needs
+        it.
         """
         if self.kind == "kernel":
             return LearnedKernelModel(
                 kernel_spec=self.kernel_spec,
                 X=self.X,
-                K0=self.K0,
+                K0=self._K0,
                 M=self.M,
                 converged=self.converged,
             )
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
-            return expand(self._basis(), self.F, self.K0, X=self.X,
+            return expand(self._basis(), self.F, self._K0, X=self.X,
                           kernel_spec=self.kernel_spec, converged=self.converged)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no kernel form")
 
@@ -153,10 +149,10 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
-    skip_K0 = _derivable_K0(mf.X, mf.kernel_spec)
+    skip_K0 = rebuildable(mf.X, mf.kernel_spec)
     for name in ("W", "X", "K0", "M", "F"):
-        A = getattr(mf, name)
-        if A is not None and not (name == "K0" and skip_K0):
+        A = None if name == "K0" and skip_K0 else getattr(mf, name)
+        if A is not None:
             _write_matrix(lines, name, A)
     if mf.basis_matrix is not None:
         _write_matrix(lines, "B", mf.basis_matrix)
@@ -169,8 +165,8 @@ def load_model(path) -> ModelFile:
     """Read a version 1 or 2 model file.
 
     Malformed content raises ``InvalidArgumentError`` naming the file and
-    the 1-based line.  A missing ``K0`` is rebuilt from the stored points
-    and kernel (see the module docstring).
+    the 1-based line.  A missing ``K0`` is left to be rebuilt from the
+    stored points and kernel on first use (see the module docstring).
     """
     try:
         with open(path) as fh:
@@ -275,9 +271,9 @@ def load_model(path) -> ModelFile:
 
     X = matrices.get("X")
     K0 = matrices.get("K0")
-    if K0 is None and _derivable_K0(X, spec):
-        K0 = build(gram, np.asfortranarray(X), spec)
-    if K0 is None and (kind == "kernel" or basis_mode == COEFFICIENT):
+    if K0 is None and rebuildable(X, spec) and X.shape[1] < 1:
+        fail("matrix X holds no points to rebuild K0 from")
+    if K0 is None and not rebuildable(X, spec) and (kind == "kernel" or basis_mode == COEFFICIENT):
         fail(f"{kind} model has no K0 block and no points and kernel to rebuild it from")
 
     return ModelFile(

@@ -355,3 +355,52 @@ def test_rejected_run_exits_with_a_message(ionosphere_rows, tmp_path, capsys, ca
     assert "Traceback" not in captured.err
     assert message in captured.err
     assert not (tmp_path / "model.txt").exists()
+
+
+def test_class_means_basis_of_rank_zero_exits_3(tmp_path, capsys):
+    # both classes are centred on the origin, so both class means are zero
+    rows = [[1.0, 0.0, "a"], [-1.0, 0.0, "a"], [0.0, 1.0, "a"], [0.0, -1.0, "a"],
+            [2.0, 0.0, "b"], [-2.0, 0.0, "b"], [0.0, 2.0, "b"], [0.0, -2.0, "b"]]
+    data = _write_rows(tmp_path / "centred.csv", rows)
+    code, err = _train_degenerate(tmp_path, capsys, data, "--label-col", "last",
+                                  "--basis", "classmeans:2", "--per-class", "3")
+    assert code == EXIT_NUMERIC
+    assert "numerical failure: class-mean basis has rank zero" in err
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def ionosphere_every12(tmp_path_factory):
+    """Every twelfth ionosphere row: 30 points, both classes."""
+    path = tmp_path_factory.mktemp("data") / "ionosphere_every12.csv"
+    path.write_text("\n".join(IONOSPHERE.read_text().splitlines()[::12]) + "\n")
+    return path
+
+
+def test_eval_gamma_cv_tunes_with_the_outer_k(ionosphere_every12, capsys):
+    # the inner folds hold 7 or 8 training points: k=3 fits them, the
+    # default k=10 the inner CV used to take did not
+    argv = ["eval", "--data", str(ionosphere_every12), "--label-col", "last",
+            "--mode", "knn", "--gamma", "cv", "--per-class", "5"]
+    capsys.readouterr()
+    assert main(argv + ["--k", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("ionosphere_every12.csv,knn,accuracy,")
+    X, labels = load_points_csv(ionosphere_every12, label_col="last")
+    learner = evaluation.logdet_kernel_learner(KernelSpec.linear(), per_class=5, gamma="cv", k=3)
+    report = evaluation.two_fold_cv(X, labels, learner, k=3, seed=0)
+    assert captured.out.splitlines()[-1].split(",")[3] == f"{report.accuracy:.12g}"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_labels_file_and_label_column_are_exclusive(tmp_path, capsys, command):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\n")
+    # the data file does not exist: the flags are rejected before any read
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--label-col", "last",
+            "--labels", str(labels)]
+    argv += ["--out", str(tmp_path / "model.txt")] if command == "train" else ["--mode", "knn"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_FLAGS
+    assert "not allowed with argument" in capsys.readouterr().err

@@ -159,3 +159,47 @@ class TestConstraintSet:
         cs = ConstraintSet([Constraint(0, 5, SIMILAR)], Thresholds(1.0, 1.0))
         with pytest.raises(InvalidArgumentError):
             cs.validate_indices(4)
+
+
+# -- the row-by-row pools against the whole-matrix expressions they replaced ----
+
+def _reference_kernel_pool(K):
+    diag = np.diag(K)
+    D = diag[:, None] + diag[None, :] - 2.0 * K
+    return np.clip(D[np.triu_indices(K.shape[0], k=1)], 0.0, None)
+
+
+def _reference_euclidean_pool(X):
+    aa = np.sum(X * X, axis=0)[:, None]
+    D = np.clip(aa + aa.T - 2.0 * (X.T @ X), 0.0, None)
+    return D[np.triu_indices(X.shape[1], k=1)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [2, 3, 17, 240])
+def test_pools_are_bitwise_the_triu_expressions(n, order):
+    from logdetml.linalg import KernelSpec, gram
+
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((5, n)) * 3.0
+    X[:, -1] = X[:, 0]  # a coincident pair
+    X = np.asfortranarray(X) if order == "F" else np.ascontiguousarray(X)
+    assert np.array_equal(euclidean_distance_pool(X), _reference_euclidean_pool(X))
+    for K in (gram(X, KernelSpec.gaussian(1.3)), X.T @ X):
+        assert np.array_equal(kernel_distance_pool(K), _reference_kernel_pool(K))
+
+
+def test_thresholds_in_place_equal_thresholds_of_a_copy():
+    pool = np.random.default_rng(4).exponential(size=5001)
+    expected = (float(np.percentile(pool, 1.0)), float(np.percentile(pool, 99.0)))
+    t = compute_thresholds(pool)
+    assert (t.u, t.l) == expected
+    zeros = np.concatenate([np.zeros(60), np.arange(1.0, 41.0)])
+    assert compute_thresholds(zeros).u == 1e-3
+
+
+def test_median_width_is_bitwise_the_median_of_the_root_pool():
+    from logdetml.evaluation import median_pairwise_distance
+
+    X = np.random.default_rng(5).standard_normal((4, 301))
+    assert median_pairwise_distance(X) == float(np.median(np.sqrt(_reference_euclidean_pool(X))))

@@ -295,3 +295,63 @@ def test_learned_K_is_derived_once_for_dense_models(rng):
     assert model.learned_K() is K
     factored = _query_model(rng, KernelSpec.linear(), "factored")
     assert factored.learned_K() is None
+
+
+# -- serving a second point set in column blocks -------------------------------
+#
+# A block changes only how many columns each BLAS product covers.  Whether a
+# column's bits depend on that is up to BLAS: on OpenBLAS they do not for the
+# shapes the benchmark serves (a 50-column coefficient basis scored against
+# its 2000 training points), and they do, in the last bits, for others (a
+# block whose width is no multiple of 8, or a rank-4 factor at n=512).
+
+def test_serving_the_training_points_in_blocks_is_bitwise_reference():
+    rng = np.random.default_rng(12)
+    n, k = 2000, 50
+    model = LearnedKernelModel(kernel_spec=KernelSpec.gaussian(2.1),
+                               X=rng.standard_normal((20, n)),
+                               m_factor=rng.standard_normal((n, k)),
+                               m_core=np.diag(rng.uniform(-0.2, 0.3, k)))
+    Z = rng.standard_normal((20, 100))
+    assert np.array_equal(learned_sq_distances(model, Z, model.X),
+                          reference_learned_sq_distances(model, Z, model.X))
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["default", "16-columns"])
+@pytest.mark.parametrize("form", ["dense", "factored"])
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(1.7), KernelSpec.linear()],
+                         ids=["gaussian", "linear"])
+def test_column_blocks_match_reference_to_round_off(monkeypatch, block, form, spec):
+    from logdetml import learned_kernel
+
+    if block is not None:
+        monkeypatch.setattr(learned_kernel, "COLUMN_BLOCK", block)
+    rng = np.random.default_rng(11)
+    model = _query_model(rng, spec, form, n=300)
+    d = model.X.shape[0]
+    Z1 = rng.standard_normal((d, 9))
+    # four default blocks, the last absorbing 76 columns; or 68 blocks of 16
+    Z2 = rng.standard_normal((d, 1100))
+    Z2[:, 700] = Z2[:, 3]  # a duplicate point in another block
+    for B in (Z2, np.asfortranarray(Z2), Z2[:, :257], model.X):
+        served = learned_sq_distances(model, Z1, B)
+        ref = reference_learned_sq_distances(model, Z1, B)
+        assert served.shape == ref.shape
+        assert np.max(np.abs(served - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_K0_left_unset_is_rebuilt_on_first_read():
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((3, 8))
+    spec = KernelSpec.gaussian(1.1)
+    model = LearnedKernelModel(kernel_spec=spec, X=X, m_factor=np.ones((8, 1)),
+                               m_core=np.eye(1))
+    assert model._K0 is None
+    K0 = model.K0
+    assert np.array_equal(K0, gram(np.asfortranarray(X), spec))
+    assert model.K0 is K0
+    pre = LearnedKernelModel(kernel_spec=KernelSpec.precomputed(), X=None,
+                             M=np.zeros((8, 8)))
+    assert pre.K0 is None
+    with pytest.raises(InvalidArgumentError, match="does not carry K0"):
+        training_pair_distance(pre, 0, 1)

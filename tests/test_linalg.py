@@ -227,3 +227,39 @@ class TestPercentile:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             percentile([], 50.0)
+
+
+# -- the row-block passes against the same whole-matrix references -------------
+
+@pytest.mark.parametrize("block", [None, 64, 700], ids=["default", "row", "11-rows"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+def test_row_block_gram_and_distances_are_bitwise_reference(monkeypatch, block, order,
+                                                            duplicates):
+    from logdetml import linalg
+
+    if block is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(7)
+    n = 600 if block is None else 60  # 6 blocks of 109 rows by default
+    X = _points(rng, 13, n, order, duplicates)
+    Z = _points(rng, 13, 97, order, duplicates)
+    sigma = 2.3
+    assert np.array_equal(gram(X, KernelSpec.gaussian(sigma)), reference_gaussian_gram(X, sigma))
+    assert np.array_equal(gram(X, KernelSpec.linear()), 0.5 * ((X.T @ X) + (X.T @ X).T))
+    assert np.array_equal(pairwise_sq_dists(X, X), reference_pairwise_sq_dists(X, X))
+    assert np.array_equal(pairwise_sq_dists(Z, X), reference_pairwise_sq_dists(Z, X))
+    assert np.array_equal(cross_gram(Z, X, KernelSpec.gaussian(sigma)),
+                          np.exp(-reference_pairwise_sq_dists(Z, X) / (2.0 * sigma**2)))
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
+def test_symmetrize_in_place_is_bitwise_symmetrize(monkeypatch, block):
+    from logdetml import linalg
+
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", block)
+    A = np.random.default_rng(block).standard_normal((37, 37))
+    expected = 0.5 * (A + A.T)
+    out = linalg.symmetrize_in_place(A)
+    assert out is A
+    assert np.array_equal(A, expected)

@@ -395,3 +395,51 @@ def test_distance_csv_is_byte_identical_to_reference(small_ionosphere, query_poi
         out = tmp_path / "distances.csv"
         assert main(["distance", str(model), *query, "--out", str(out)]) == 0
         assert out.read_bytes() == reference_distance_csv(model, query)
+
+
+# -- K0 is rebuilt on first use, not on load -----------------------------------
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kernel", "gaussian"],
+        pytest.param(["--kernel", "gaussian", "--basis", "kmeans:20"],
+                     marks=pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")),
+    ],
+    ids=["kernel", "iplr-coefficient"],
+)
+def test_load_model_leaves_K0_unbuilt_until_read(small_ionosphere, tmp_path, flags):
+    path = tmp_path / "trained.model"
+    assert _train(small_ionosphere, path, *flags) == 0
+    mf = load_model(path)
+    assert mf._K0 is None
+    model = mf.to_learned_kernel()
+    assert mf._K0 is None and model._K0 is None
+    X_csv, _ = load_points_csv(small_ionosphere, label_col="last")
+    assert np.array_equal(model.K0, gram(X_csv, mf.kernel_spec))
+    assert np.array_equal(mf.K0, model.K0)
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_coefficient_model_serves_pairs_as_with_K0_built_on_load(small_ionosphere, tmp_path):
+    from logdetml.linalg import inv_sqrt
+
+    path = tmp_path / "trained.model"
+    assert _train(small_ionosphere, path, "--kernel", "gaussian", "--basis", "kmeans:20") == 0
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1\n2,19\n5,5\n13,7\n58,0\n")
+    out = tmp_path / "distances.csv"
+    assert main(["distance", str(path), "--pairs", str(pairs), "--out", str(out)]) == 0
+
+    # the served form as it was built when load_model formed K0 and kept it
+    mf = load_model(path)
+    K0 = gram(np.asfortranarray(mf.X), mf.kernel_spec)
+    J = mf.basis_matrix
+    P = J @ inv_sqrt(symmetrize(J.T @ K0 @ J), jitter=1e-10)
+    core = mf.F - np.eye(mf.F.shape[0])
+    lines = ["i,j,sq_distance"]
+    for i, j in ((0, 1), (2, 19), (5, 5), (13, 7), (58, 0)):
+        kv = K0[:, [i, j]]
+        G = K0[np.ix_([i, j], [i, j])] + kv.T @ (P @ (core @ (P.T @ kv)))
+        lines.append("%d,%d,%.12g" % (i, j, max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))))
+    assert out.read_text() == "\n".join(lines) + "\n"
