@@ -1,10 +1,15 @@
 """Command-line surface: train models, query distances, run evaluations.
 
 ``train`` fits the LogDet loss: a Mahalanobis matrix (linear space), a
-learned kernel, or, with ``--basis``, an identity-plus-low-rank model.
-``eval`` resolves ``--space`` and ``--kernel`` exactly as ``train`` does
-and scores the same fit; ``eval --loss`` compares it with the Euclidean and
-inverse-covariance baselines.
+learned kernel, or, with ``--basis``, an identity-plus-low-rank model.  It
+logs why the fit stopped (``stop_reason``: ``rule`` when no constrained
+distance moved by more than ``--tol`` over the last sweep, ``cap`` when the
+sweep cap ended it, with a WARNING line).  ``eval --mode knn`` resolves
+``--space`` and ``--kernel`` exactly as ``train`` does and scores the same
+fit; ``eval --loss`` compares it with the Euclidean and inverse-covariance
+baselines.  ``eval --mode cluster`` learns a linear-space LogDet metric only,
+and rejects ``--space kernel``, a non-linear ``--kernel``, a baseline
+``--loss`` and ``--gamma cv`` with exit 4.
 
 Exit codes: 0 success, 2 malformed data, 3 numerical failure,
 4 bad flags.  Every run logs its full effective configuration to stderr so
@@ -212,6 +217,13 @@ def cmd_train(args) -> int:
 def _log_fit(args, fit):
     for key in ("sweeps_used", "converged", "skipped"):
         _log(args, key, getattr(fit, key))
+    change = fit.trace[-1].distance_change if fit.trace else 0.0
+    _log(args, "stop_reason", "rule" if fit.converged else "cap")
+    _log(args, "distance_change", f"{change:.6g}")
+    if not fit.converged:
+        _log(args, "WARNING", f"the sweep cap ended the fit after {fit.sweeps_used} sweeps; "
+             f"a constrained distance still moved by {change:.3g} (relative) in the last "
+             f"sweep, above --tol {args.tol:g}")
 
 
 def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k):
@@ -285,7 +297,25 @@ def _eval_learner(args, space, spec):
     return _logdet_learner(args, space, spec, args.gamma)
 
 
+def _cluster_flag_error(args):
+    """The first flag cluster mode cannot honour, or None: it fits a
+    linear-space LogDet metric at a fixed gamma whatever the flags say."""
+    if args.space == "kernel":
+        return "--space kernel"
+    if args.kernel != "linear":
+        return f"--kernel {args.kernel}"
+    if args.loss != "logdet":
+        return f"--loss {args.loss}"
+    if args.gamma == "cv":
+        return "--gamma cv"
+    return None
+
+
 def cmd_eval(args) -> int:
+    if args.mode == "cluster" and (bad := _cluster_flag_error(args)):
+        print(f"error: {bad} is not supported in cluster mode "
+              "(it learns a linear-space LogDet metric)", file=sys.stderr)
+        return EXIT_FLAGS
     X, K0, labels = _load_dataset(args, need_labels=True)
     if X is None:
         raise InvalidArgumentError("eval requires explicit points")
@@ -302,12 +332,8 @@ def cmd_eval(args) -> int:
         rows.append([dataset, "knn", "accuracy", f"{report.accuracy:.12g}", "mean",
                      str(args.seed), gamma_txt, "0"])
     else:
-        if args.gamma == "cv":
-            print("error: --gamma cv is not supported in cluster mode", file=sys.stderr)
-            return EXIT_FLAGS
-        gamma = args.gamma
         unsup, learned = evaluation.clustering_protocol(
-            X, labels, n_constraints=args.constraints, gamma=gamma,
+            X, labels, n_constraints=args.constraints, gamma=args.gamma,
             tol=args.tol, seed=args.seed,
         )
         rows.append([dataset, "cluster", "error_unsupervised", f"{unsup:.12g}",
@@ -333,6 +359,10 @@ def _add_label_flags(parser) -> None:
     group.add_argument("--label-col", choices=["last"], dest="label_col")
 
 
+_TOL_HELP = ("stop a fit once no constrained-pair distance moved by more than this "
+             "fraction over a sweep (default %(default)g)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="logdetml",
                      description="Metric/kernel learning from pairwise constraints")
@@ -349,7 +379,8 @@ def build_parser() -> _Parser:
     train.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
     train.add_argument("--basis", type=_basis_arg, default=(None, 0),
                        help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
-    train.add_argument("--tol", type=_positive_float, default=1e-3)
+    train.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
+                       help=_TOL_HELP)
     train.add_argument("--max-sweeps", type=_positive_int, default=None, dest="max_sweeps")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
@@ -375,7 +406,8 @@ def build_parser() -> _Parser:
     ev.add_argument("--k", type=_positive_int, default=10)
     ev.add_argument("--constraints", type=_positive_int, default=50)
     ev.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
-    ev.add_argument("--tol", type=_positive_float, default=1e-3)
+    ev.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
+                    help=_TOL_HELP)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_eval)

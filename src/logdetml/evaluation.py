@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver
-from .clustering import kernel_kmeans, kmeans, matching_error
+from .clustering import kmeans, matching_error
 from .constraints import (
     ConstraintSet,
     compute_thresholds,
@@ -23,7 +23,7 @@ from .constraints import (
     kernel_distance_pool,
 )
 from .errors import InvalidArgumentError
-from .learned_kernel import LearnedKernelModel, from_kernel_fit, learned_gram, learned_sq_distances
+from .learned_kernel import LearnedKernelModel, from_kernel_fit, learned_sq_distances
 from .linalg import KernelSpec, gram, inv_psd, pairwise_sq_dists, sqrt_psd
 
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
@@ -195,7 +195,8 @@ def label_constraints(labels, per_class: int, seed: int, X=None, K0=None) -> Con
 
 
 def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
-                          tol: float = 1e-3, max_sweeps: int | None = None, k: int = 10):
+                          tol: float = solver.DEFAULT_TOL, max_sweeps: int | None = None,
+                          k: int = 10):
     """LogDet metric learning in input space; ``gamma='cv'`` tunes the slack
     parameter on the training fold, by an inner CV of k-NN with this k."""
 
@@ -215,7 +216,7 @@ def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
 
 
 def logdet_kernel_learner(spec: KernelSpec | None = None, per_class: int = 100,
-                          gamma: float | str = 1.0, tol: float = 1e-3,
+                          gamma: float | str = 1.0, tol: float = solver.DEFAULT_TOL,
                           max_sweeps: int | None = None, k: int = 10):
     """LogDet learning in kernel space with out-of-sample extension;
     ``spec=None`` uses a gaussian kernel at the median-distance width, and
@@ -247,19 +248,16 @@ def semisup_kmeans(oracle, X, labels, test_idx, c: int, seed: int = 0) -> float:
     """Cluster the whole dataset with k-means in the oracle's geometry and
     report the matching error on the test subset only.
 
-    Linear-metric oracles cluster the G-transformed points with arithmetic
-    means; kernel-model oracles run kernel k-means on the learned Gram
-    matrix.  Empty clusters are reseeded at the farthest point.
+    A Mahalanobis oracle clusters the G-transformed points, a Euclidean one
+    the points themselves.  Empty clusters are reseeded at the farthest
+    point.
     """
     if c < 2:
         raise InvalidArgumentError("need at least 2 clusters")
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     test_idx = np.asarray(test_idx)
-    if isinstance(oracle, LearnedKernelOracle):
-        G = learned_gram(oracle.model, X)
-        pred = kernel_kmeans(G, c, seed=seed)
-    elif isinstance(oracle, MahalanobisOracle):
+    if isinstance(oracle, MahalanobisOracle):
         pred, _ = kmeans(oracle.G @ X, c, seed=seed)
     elif isinstance(oracle, EuclideanOracle):
         pred, _ = kmeans(X, c, seed=seed)
@@ -269,7 +267,7 @@ def semisup_kmeans(oracle, X, labels, test_idx, c: int, seed: int = 0) -> float:
 
 
 def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
-                        tol: float = 1e-3, seed: int = 0):
+                        tol: float = solver.DEFAULT_TOL, seed: int = 0):
     """Two-fold semi-supervised clustering run.
 
     For each fold: learn a LogDet metric from ``n_constraints`` random pairs

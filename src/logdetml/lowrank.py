@@ -17,7 +17,7 @@ K0 alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -295,9 +295,6 @@ def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
     """
     if model.basis.mode == EXPLICIT:
         d = model.basis.matrix.shape[0]
-        return LinearModel(W=expand(model.basis, model.F), W0=np.eye(d), dual=model.inner.dual,
-                           converged=model.inner.converged,
-                           sweeps_used=model.inner.sweeps_used,
-                           skipped=model.inner.skipped)
+        return replace(model.inner, W=expand(model.basis, model.F), W0=np.eye(d))
     return expand(model.basis, model.F, model.K0, X=X, kernel_spec=kernel_spec,
                   converged=model.inner.converged)

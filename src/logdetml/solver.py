@@ -18,13 +18,22 @@ and xi stays fixed), so projections land exactly on the constraint boundary.
 
 The same update runs in input space on a d x d matrix W with the pair
 difference vector ``x_i - x_j`` in place of ``e_i - e_j``.
+
+A fit sweeps the m constraints in a fixed order and stops on primal
+evidence: at the end of each sweep every constrained-pair distance p_c is
+computed afresh, and the fit stops once no p_c has moved by more than
+``tol`` relative to its value at the end of the previous sweep (for the
+first sweep, before any projection).  Pairs at or below the skip floor are
+left out.  The duals are not part of the rule; their change is recorded in
+the per-sweep trace with the rest of the sweep's diagnostics.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +49,11 @@ P_MIN_RTOL = 1e-12
 
 DENOM_TOL = 1e-12
 
+# The stopping rule's default: a fit stops when no constrained-pair distance
+# moved by more than 5% of its value over the last sweep.  Every default
+# ``tol`` in the package (the CLI's flags, the learners) reads this one.
+DEFAULT_TOL = 5e-2
+
 
 class SolverWarning(UserWarning):
     pass
@@ -50,13 +64,16 @@ class SolverConfig:
     """Knobs for a projection run.
 
     ``gamma`` may be ``math.inf`` for the no-slack (hard constraint) variant.
-    ``max_sweeps=None`` derives the cap from the constraint count:
+    ``tol`` is the stopping rule's only knob: the fit stops after the first
+    sweep over which no constrained-pair distance changed by more than
+    ``tol`` relative to its value before the sweep.  ``max_sweeps`` caps the
+    sweeps; ``None`` derives the cap from the constraint count:
     ceil(1e5 / m), at least 50.
     """
 
     gamma: float = 1.0
     max_sweeps: int | None = None
-    tol: float = 1e-3
+    tol: float = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -81,24 +98,44 @@ class DualState:
     xi: np.ndarray
 
 
+class SweepStats(NamedTuple):
+    """One sweep of a fit: an entry of the model's ``trace``."""
+
+    distance_change: float  # max relative change of a constrained distance
+    dual_change: float      # max |delta lam| / (1 + |lam|)
+    active: int             # constraints with lam > 0 after the sweep
+    lam_to_zero: int        # projections that drove a positive lam to 0
+    noops: int              # projections with alpha = 0: nothing to do
+    skipped: int            # projections skipped at the floor
+    wall_s: float
+
+
 @dataclass
 class KernelModel:
+    """A learned kernel.  ``converged`` is True when the stopping rule ended
+    the fit, False when the sweep cap did; ``trace`` has one entry per
+    sweep."""
+
     K: np.ndarray
     K0: np.ndarray
     dual: DualState
     converged: bool
     sweeps_used: int
     skipped: int = 0
+    trace: list[SweepStats] = field(default_factory=list)
 
 
 @dataclass
 class LinearModel:
+    """Input-space analog of :class:`KernelModel`."""
+
     W: np.ndarray
     W0: np.ndarray
     dual: DualState
     converged: bool
     sweeps_used: int
     skipped: int = 0
+    trace: list[SweepStats] = field(default_factory=list)
 
 
 class ProjectionInfo(NamedTuple):
@@ -225,23 +262,35 @@ def project_constraint_linear(
     return lam_new, xi_new, ProjectionInfo(alpha, clipped, False)
 
 
-def converged(lam_before: np.ndarray, lam_after: np.ndarray, tol: float) -> bool:
-    """Relative dual-change stopping rule over one full sweep:
-    max |delta lam| / (1 + |lam|) <= tol."""
-    if lam_before.shape != lam_after.shape:
-        raise InvalidArgumentError("dual states are not aligned")
-    if lam_after.size == 0:
-        return True
-    rel = np.abs(lam_after - lam_before) / (1.0 + np.abs(lam_after))
-    return bool(np.max(rel) <= tol)
+def max_relative_change(before: np.ndarray, after: np.ndarray, p_min: float = 0.0) -> float:
+    """max |after - before| / |before| over the pairs whose distance ``after``
+    is above the skip floor ``p_min``; 0 when no pair is.  A pair that rises
+    from a zero distance changes by inf."""
+    live = after > p_min
+    if not np.any(live):
+        return 0.0
+    b = before[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.abs(after[live] - b) / np.abs(b)))
+
+
+def converged(p_before: np.ndarray, p_after: np.ndarray, tol: float,
+              p_min: float = 0.0) -> bool:
+    """The stopping rule on the constrained-pair distances at the end of two
+    successive sweeps: no pair above the skip floor ``p_min`` has moved by
+    more than ``tol`` relative to its earlier distance."""
+    if p_before.shape != p_after.shape:
+        raise InvalidArgumentError("distance vectors are not aligned")
+    return max_relative_change(p_before, p_after, p_min) <= tol
 
 
 def _run_sweeps(project, A: np.ndarray, operands: list[tuple], xi0: np.ndarray,
-                cfg: SolverConfig):
-    """Shared sweep loop: seed-shuffled fixed order, cyclic passes, dual-change
-    stopping rule.  Constraint c is projected by
+                cfg: SolverConfig, distances):
+    """Shared sweep loop: seed-shuffled fixed order, cyclic passes, stopping
+    rule on the constrained distances.  Constraint c is projected by
     ``project(A, *operands[c], lam_c, xi_c, gamma, p_min, work)``, which
-    updates A in place and returns (lam, xi, info)."""
+    updates A in place and returns (lam, xi, info); ``distances(A)`` gives
+    every constrained-pair distance by the projections' own arithmetic."""
     m = len(operands)
     xi0 = xi0.astype(float)
     if np.any(xi0 <= 0):
@@ -256,22 +305,37 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], xi0: np.ndarray,
     diag = A.diagonal()  # a view: it follows the updates to A
     work = np.empty(A.shape)
     skipped_pairs: set[int] = set()
+    trace: list[SweepStats] = []
+    p_before = distances(A)
     done = False
     sweeps = 0
     for sweeps in range(1, cfg.sweep_cap(m) + 1):
-        lam_before = lam_after
+        t0 = time.perf_counter()
+        lam_to_zero = noops = skipped = 0
         for c in order:
             lam[c], xi[c], info = project(A, *operands[c], lam[c], xi[c], gamma,
                                           _p_min(diag, n), work)
             if info.skipped:
                 skipped_pairs.add(c)
+                skipped += 1
+            elif info.alpha == 0.0:
+                noops += 1
+            elif info.clipped:
+                lam_to_zero += 1
+        lam_before = lam_after
         lam_after, xi_after = np.array(lam), np.array(xi)
         if not np.all(np.isfinite(lam_after)) or not np.all(np.isfinite(xi_after)):
             raise NumericalError("non-finite dual variables encountered")
-        if converged(lam_before, lam_after, cfg.tol):
+        p_after = distances(A)
+        change = max_relative_change(p_before, p_after, _p_min(diag, n))
+        dual_change = float(np.max(np.abs(lam_after - lam_before) / (1.0 + lam_after)))
+        trace.append(SweepStats(change, dual_change, int(np.count_nonzero(lam_after)),
+                                lam_to_zero, noops, skipped, time.perf_counter() - t0))
+        if change <= cfg.tol:
             done = True
             break
-    return DualState(lam=lam_after, xi=xi_after), done, sweeps, skipped_pairs
+        p_before = p_after
+    return DualState(lam=lam_after, xi=xi_after), done, sweeps, skipped_pairs, trace
 
 
 def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> KernelModel:
@@ -280,8 +344,8 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
 
     Starts from K = K0 with zero duals and slacks at the thresholds, then
     sweeps the constraints cyclically (in an order shuffled once from the
-    seed) until the dual change over a sweep falls below ``cfg.tol`` or the
-    sweep cap is reached.
+    seed) until no constrained distance moves by more than ``cfg.tol``
+    (relative) over a sweep, or the sweep cap is reached.
     """
     cfg = cfg or SolverConfig()
     K0 = symmetrize(np.asarray(K0, dtype=float))
@@ -292,13 +356,20 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
     cs.validate_indices(K0.shape[0])
     K = K0.copy()
     operands = [(c.i, c.j, c.kind) for c in cs.constraints]
-    dual, done, sweeps, skipped = _run_sweeps(project_constraint_kernel, K, operands,
-                                              cs.initial_slacks(), cfg)
+    I = np.array([c.i for c in cs.constraints])
+    J = np.array([c.j for c in cs.constraints])
+
+    def distances(K):
+        # p = v[i] - v[j] with v = K[:, i] - K[:, j], element by element
+        return (K[I, I] - K[I, J]) - (K[J, I] - K[J, J])
+
+    dual, done, sweeps, skipped, trace = _run_sweeps(
+        project_constraint_kernel, K, operands, cs.initial_slacks(), cfg, distances)
     if not np.all(np.isfinite(K)):
         raise NumericalError("non-finite entries in the learned kernel")
     _warn_skipped(skipped, cs)
     return KernelModel(K=K, K0=K0, dual=dual, converged=done,
-                       sweeps_used=sweeps, skipped=len(skipped))
+                       sweeps_used=sweeps, skipped=len(skipped), trace=trace)
 
 
 def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> LinearModel:
@@ -315,13 +386,18 @@ def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
     W = np.eye(d)
     diffs = np.stack([X[:, c.i] - X[:, c.j] for c in cs.constraints], axis=1)
     operands = [(diffs[:, c], con.kind) for c, con in enumerate(cs.constraints)]
-    dual, done, sweeps, skipped = _run_sweeps(project_constraint_linear, W, operands,
-                                              cs.initial_slacks(), cfg)
+
+    def distances(W):
+        # the projection's own products, one pair at a time
+        return np.array([g.dot(W.dot(g)) for g, _ in operands])
+
+    dual, done, sweeps, skipped, trace = _run_sweeps(
+        project_constraint_linear, W, operands, cs.initial_slacks(), cfg, distances)
     if not np.all(np.isfinite(W)):
         raise NumericalError("non-finite entries in the learned metric")
     _warn_skipped(skipped, cs)
     return LinearModel(W=symmetrize(W), W0=np.eye(d), dual=dual, converged=done,
-                       sweeps_used=sweeps, skipped=len(skipped))
+                       sweeps_used=sweeps, skipped=len(skipped), trace=trace)
 
 
 def fit_linear_with_prior(
@@ -340,16 +416,12 @@ def fit_linear_with_prior(
     if W0.shape != (d, d):
         raise InvalidArgumentError(f"W0 has shape {W0.shape}, expected ({d}, {d})")
     if np.array_equal(W0, np.eye(d)):
-        model = fit_linear(X, cs, cfg)
-        return LinearModel(W=model.W, W0=W0, dual=model.dual, converged=model.converged,
-                           sweeps_used=model.sweeps_used, skipped=model.skipped)
+        return replace(fit_linear(X, cs, cfg), W0=W0)
     if min_eigenvalue(W0) <= psd_tolerance(W0):
         raise InvalidArgumentError("W0 must be positive definite")
     S = sqrt_psd(W0)
     inner = fit_linear(S @ X, cs, cfg)
-    W = symmetrize(S @ inner.W @ S)
-    return LinearModel(W=W, W0=W0, dual=inner.dual, converged=inner.converged,
-                       sweeps_used=inner.sweeps_used, skipped=inner.skipped)
+    return replace(inner, W=symmetrize(S @ inner.W @ S), W0=W0)
 
 
 def _warn_skipped(skipped: set[int], cs: ConstraintSet) -> None:

@@ -1,11 +1,12 @@
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logdetml import evaluation, lowrank
-from logdetml.cli import EXIT_DATA, EXIT_FLAGS, EXIT_NUMERIC, main
+from logdetml import evaluation, lowrank, solver
+from logdetml.cli import EXIT_DATA, EXIT_FLAGS, EXIT_NUMERIC, build_parser, main
 from logdetml.constraints import ConstraintGenerationWarning, generate_from_labels
 from logdetml.datasets import load_points_csv
 from logdetml.linalg import KernelSpec, gram
@@ -404,3 +405,66 @@ def test_labels_file_and_label_column_are_exclusive(tmp_path, capsys, command):
         main(argv)
     assert exc.value.code == EXIT_FLAGS
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+# -- one default tol, and train says why a fit stopped ---------------------------------
+
+def test_every_default_tol_is_the_solver_default():
+    parser = build_parser()
+    defaults = [
+        solver.SolverConfig().tol,
+        parser.parse_args(["train", "--data", "d.csv", "--out", "m.txt"]).tol,
+        parser.parse_args(["eval", "--data", "d.csv", "--mode", "knn"]).tol,
+        *(inspect.signature(f).parameters["tol"].default
+          for f in (evaluation.logdet_linear_learner, evaluation.logdet_kernel_learner,
+                    evaluation.clustering_protocol)),
+    ]
+    assert defaults == [solver.DEFAULT_TOL] * 6
+
+
+@pytest.mark.parametrize("flags, reason", [(["--max-sweeps", "1"], "cap"), ([], "rule")])
+def test_train_logs_why_the_fit_stopped(ionosphere_every4, tmp_path, capsys, flags, reason):
+    capsys.readouterr()
+    assert main(["train", "--data", str(ionosphere_every4), "--label-col", "last",
+                 "--out", str(tmp_path / "model.txt"), *flags]) == 0
+    err = capsys.readouterr().err
+    assert _logged(err, "train", "stop_reason") == reason
+    assert _logged(err, "train", "converged") == str(reason == "rule")
+    change = float(_logged(err, "train", "distance_change"))
+    assert (change > solver.DEFAULT_TOL) == (reason == "cap")
+    warnings = re.findall(r"^\[train\] WARNING: (.*)$", err, re.MULTILINE)
+    if reason == "cap":
+        assert len(warnings) == 1 and warnings[0].startswith("the sweep cap ended the fit")
+    else:
+        assert warnings == []
+
+
+# -- cluster mode rejects the flags it cannot honour ---------------------------------
+
+@pytest.mark.parametrize("flags, named", [
+    (["--space", "kernel"], "--space kernel"),
+    (["--kernel", "gaussian"], "--kernel gaussian"),
+    (["--loss", "euclidean"], "--loss euclidean"),
+    (["--kernel", "gaussian", "--space", "kernel", "--loss", "euclidean"], "--space kernel"),
+])
+def test_cluster_mode_rejects_flags_it_cannot_honour(tmp_path, capsys, flags, named):
+    # the data file does not exist: the flags are rejected before any read
+    argv = ["eval", "--data", str(tmp_path / "absent.csv"), "--label-col", "last",
+            "--mode", "cluster", *flags]
+    assert main(argv) == EXIT_FLAGS
+    err = capsys.readouterr().err
+    assert f"error: {named} is not supported in cluster mode" in err
+    assert "absent.csv" not in err
+
+
+def test_cluster_mode_runs_with_linear_flags(ionosphere_every4, capsys):
+    argv = ["eval", "--data", str(ionosphere_every4), "--label-col", "last",
+            "--mode", "cluster", "--constraints", "20"]
+    outputs = []
+    for flags in ([], ["--space", "linear", "--kernel", "linear"]):
+        capsys.readouterr()
+        assert main(argv + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert [row.split(",")[2] for row in outputs[0].splitlines()[1:]] == \
+        ["error_unsupervised", "error_logdet"]

@@ -158,6 +158,26 @@ def test_v1_model_loads_and_serves_like_v2(tmp_path, query_points):
         assert outputs[0] == outputs[1]
 
 
+def test_v1_model_serves_the_distances_it_always_served(tmp_path, query_points):
+    # how a fit stops decides what a new file holds, never how a stored one serves
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1\n2,19\n5,11\n13,7\n")
+    out = tmp_path / "pairs_out.csv"
+    assert main(["distance", str(V1_KERNEL_MODEL), "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert out.read_text() == ("i,j,sq_distance\n0,1,0.0609433468012\n2,19,0.0331867511771\n"
+                               "5,11,0.599703027899\n13,7,0.51822416709\n")
+    out = tmp_path / "points_out.csv"
+    assert main(["distance", str(V1_KERNEL_MODEL), "--points", str(query_points),
+                 "--out", str(out)]) == 0
+    served = {(int(i), int(j)): float(d) for i, j, d in
+              csv.reader(out.read_text().splitlines()[1:])}
+    assert len(served) == 210
+    expected = {(0, 1): 1.11055719943, (0, 3): 1.05085382167, (2, 11): 1.07571980722,
+                (5, 13): 0.548331169525, (9, 13): 0.556883602652, (19, 19): 0.0}
+    for pair, d in expected.items():
+        assert served[pair] == pytest.approx(d, rel=1e-9, abs=0)
+
+
 # -- malformed model files exit 2 with a message ------------------------------
 
 def _replace_line(text, prefix, new):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logdetml
 from logdetml import solver
 
 from logdetml.constraints import (
@@ -16,7 +21,9 @@ from logdetml.constraints import (
     euclidean_distance_pool,
     generate_from_labels,
 )
+from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError, NumericalError
+from logdetml.evaluation import median_pairwise_distance
 from logdetml.linalg import (
     KernelSpec,
     gram,
@@ -26,6 +33,7 @@ from logdetml.linalg import (
     symmetrize,
 )
 from logdetml.solver import (
+    DEFAULT_TOL,
     DENOM_TOL,
     P_MIN_RTOL,
     DualState,
@@ -39,6 +47,7 @@ from logdetml.solver import (
     fit_kernel,
     fit_linear,
     fit_linear_with_prior,
+    max_relative_change,
     project_constraint_kernel,
     project_constraint_linear,
 )
@@ -480,20 +489,25 @@ def ref_project_constraint_linear(
 
 
 
-def ref_run_sweeps(project_one, m: int, xi0: np.ndarray, cfg: SolverConfig):
-    """Shared sweep loop: seed-shuffled fixed order, cyclic passes, dual-change
-    stopping rule.  ``project_one(c, lam_c, xi_c)`` performs the projection for
-    constraint c and returns (lam, xi, info)."""
+def ref_run_sweeps(project_one, m: int, xi0: np.ndarray, cfg: SolverConfig,
+                   distance_one, p_min):
+    """Shared sweep loop: seed-shuffled fixed order, cyclic passes, stopping
+    rule on the constrained distances.  ``project_one(c, lam_c, xi_c)``
+    performs the projection for constraint c and returns (lam, xi, info);
+    ``distance_one(c)`` is pair c's current distance and ``p_min()`` the
+    current skip floor.  The fit stops after the first sweep in which no pair
+    above the floor moved by more than ``cfg.tol`` of its distance before
+    the sweep."""
     lam = np.zeros(m)
     xi = xi0.astype(float).copy()
     if np.any(xi <= 0):
         raise InvalidArgumentError("initial slacks must be positive")
     order = np.random.default_rng(cfg.seed).permutation(m)
     skipped_pairs: set[int] = set()
+    p_before = [distance_one(c) for c in range(m)]
     done = False
     sweeps = 0
     for sweeps in range(1, cfg.sweep_cap(m) + 1):
-        lam_before = lam.copy()
         for c in order:
             lam_c, xi_c, info = project_one(int(c), lam[c], xi[c])
             lam[c], xi[c] = lam_c, xi_c
@@ -501,9 +515,14 @@ def ref_run_sweeps(project_one, m: int, xi0: np.ndarray, cfg: SolverConfig):
                 skipped_pairs.add(int(c))
         if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(xi)):
             raise NumericalError("non-finite dual variables encountered")
-        if converged(lam_before, lam, cfg.tol):
+        p_after = [distance_one(c) for c in range(m)]
+        floor = p_min()
+        change = max((abs(a - b) / abs(b) if b else math.inf
+                      for a, b in zip(p_after, p_before) if a > floor), default=0.0)
+        if change <= cfg.tol:
             done = True
             break
+        p_before = p_after
     return DualState(lam=lam, xi=xi), done, sweeps, skipped_pairs
 
 
@@ -513,8 +532,8 @@ def ref_fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None =
 
     Starts from K = K0 with zero duals and slacks at the thresholds, then
     sweeps the constraints cyclically (in an order shuffled once from the
-    seed) until the dual change over a sweep falls below ``cfg.tol`` or the
-    sweep cap is reached.
+    seed) until no constrained distance moves by more than ``cfg.tol``
+    (relative) over a sweep, or the sweep cap is reached.
     """
     cfg = cfg or SolverConfig()
     K0 = symmetrize(np.asarray(K0, dtype=float))
@@ -535,7 +554,14 @@ def ref_fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None =
         return ref_project_constraint_kernel(K, i, j, kinds[c], lam_c, xi_c, cfg.gamma,
                                          work=work)
 
-    dual, done, sweeps, skipped = ref_run_sweeps(project_one, m, cs.initial_slacks(), cfg)
+    def distance_one(c):
+        i, j = pairs[c]
+        v = K[:, i] - K[:, j]
+        return float(v[i] - v[j])
+
+    dual, done, sweeps, skipped = ref_run_sweeps(
+        project_one, m, cs.initial_slacks(), cfg, distance_one,
+        lambda: P_MIN_RTOL * float(np.trace(K)) / n)
     if not np.all(np.isfinite(K)):
         raise NumericalError("non-finite entries in the learned kernel")
     _warn_skipped(skipped, cs)
@@ -564,7 +590,13 @@ def ref_fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = 
         return ref_project_constraint_linear(W, diffs[:, c], kinds[c], lam_c, xi_c, cfg.gamma,
                                          work=work)
 
-    dual, done, sweeps, skipped = ref_run_sweeps(project_one, m, cs.initial_slacks(), cfg)
+    def distance_one(c):
+        g = diffs[:, c]
+        return float(g @ (W @ g))
+
+    dual, done, sweeps, skipped = ref_run_sweeps(
+        project_one, m, cs.initial_slacks(), cfg, distance_one,
+        lambda: P_MIN_RTOL * float(np.trace(W)) / d)
     if not np.all(np.isfinite(W)):
         raise NumericalError("non-finite entries in the learned metric")
     _warn_skipped(skipped, cs)
@@ -643,26 +675,39 @@ class TestMatchesReferenceLoop:
 
     def test_zero_slack_of_a_dissimilar_pair_is_carried(self):
         # gamma * xi underflows to 0: the slack becomes exactly zero, and
-        # the next projection divides by it
+        # the next projection divides by it; the similar pair moves its
+        # distance by 3e-10, which keeps the run going past sweep 1
         cs = ConstraintSet([Constraint(0, 1, SIMILAR), Constraint(2, 3, DISSIMILAR)],
-                           Thresholds(1.0, 1.0), xi0=np.array([0.5, 1e-15]))
-        cfg = SolverConfig(gamma=1e-310, tol=5e-324, max_sweeps=3)
-        with np.errstate(divide="ignore"):
+                           Thresholds(1.0, 1.0), xi0=np.array([0.5, 1e-315]))
+        cfg = SolverConfig(gamma=1e-10, tol=5e-324, max_sweeps=3)
+        with np.errstate(divide="ignore", over="ignore"):
             old = ref_fit_kernel(np.eye(4), cs, cfg)
         new = fit_kernel(np.eye(4), cs, cfg)
         assert new.dual.xi[1] == 0.0 and new.sweeps_used >= 2
         assert_same_fit(new, old)
 
-    def test_zero_slack_of_a_similar_pair_is_a_numerical_error(self):
+    def test_zero_slack_of_a_similar_pair_is_a_numerical_error(self, monkeypatch):
         # the satisfied pair (0, 1) keeps alpha = 0 and gamma * xi underflows
-        # to 0; the violated pair (2, 3) keeps the run going, and projecting
-        # onto the zero slack makes the duals non-finite
+        # to 0.  Every update to K underflows too, so no distance moves and
+        # the fit stops after one sweep with the zero slack unused.
         cs = ConstraintSet([Constraint(0, 1, SIMILAR), Constraint(2, 3, SIMILAR)],
                            Thresholds(1.0, 1.0), xi0=np.array([1e-15, 1e-21]))
         cfg = SolverConfig(gamma=1e-310, tol=5e-324, max_sweeps=3)
         K0 = 1e-20 * np.eye(4)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
-            ref_fit_kernel(K0, cs, cfg)
+        with np.errstate(all="ignore"):
+            old = ref_fit_kernel(K0, cs, cfg)
+            new = fit_kernel(K0, cs, cfg)
+        assert new.dual.xi[0] == 0.0 and new.sweeps_used == 1 and new.converged
+        assert_same_fit(new, old)
+        # projecting onto the zero slack makes the dual non-finite ...
+        with np.errstate(all="ignore"):
+            lam, _, _ = project_constraint_kernel(new.K, 0, 1, SIMILAR, new.dual.lam[0],
+                                                  new.dual.xi[0], cfg.gamma)
+        assert not math.isfinite(lam)
+        # ... which a fit that projects onto it reports as a numerical error
+        monkeypatch.setattr(solver, "project_constraint_kernel",
+                            lambda K, i, j, kind, lam, xi, *rest:
+                            project_constraint_kernel(K, i, j, kind, lam, 0.0, *rest))
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
             fit_kernel(K0, cs, cfg)
 
@@ -705,3 +750,123 @@ def test_fits_call_the_projection_through_the_module(monkeypatch, rng, name, fit
     model = solver.fit_linear(X, cs, cfg) if fit == "linear" else solver.fit_kernel(X.T @ X, cs, cfg)
     assert model.sweeps_used == 7
     assert len(calls) == len(cs) * model.sweeps_used
+
+
+# -- the stopping rule: constrained distances at the end of each sweep --------------
+
+class TestStoppingRule:
+    def test_a_sweep_that_changes_nothing_stops_at_sweep_1(self, rng):
+        K0 = random_pd(rng, 4)
+        cs = ConstraintSet([Constraint(0, 1, SIMILAR)], Thresholds(1.0, 1.0),
+                           xi0=np.array([2 * pair_distance_kernel(K0, 0, 1)]))
+        model = fit_kernel(K0, cs, SolverConfig(tol=5e-324))
+        assert model.converged and model.sweeps_used == 1
+        assert model.trace[0].distance_change == 0.0 and model.trace[0].noops == 1
+
+    def test_change_just_above_and_at_tol(self):
+        before = np.array([4.0, 1.0])
+        assert max_relative_change(before, np.array([5.0, 1.0])) == 0.25
+        assert converged(before, np.array([5.0, 1.0]), 0.25)
+        assert converged(before, np.array([3.0, 1.0]), 0.25)
+        assert not converged(before, np.array([np.nextafter(5.0, 6.0), 1.0]), 0.25)
+        assert not converged(before, np.array([np.nextafter(3.0, 2.0), 1.0]), 0.25)
+
+    def test_pairs_at_or_below_the_floor_are_left_out(self):
+        before = np.array([1.0, 1e-20, 0.0])
+        after = np.array([1.01, 5e-20, 1e-18])
+        assert max_relative_change(before, after, p_min=1e-18) == pytest.approx(0.01)
+        assert converged(before, after, 0.02, p_min=1e-18)
+        # above the floor a pair counts, and one that rises from zero moved by inf
+        assert max_relative_change(before, after, p_min=1e-20) == math.inf
+        assert max_relative_change(np.ones(2), np.zeros(2)) == 0.0
+
+    def test_skipped_pair_does_not_enter_the_max(self, rng):
+        X = rng.standard_normal((3, 8))
+        X[:, 5] = X[:, 2]
+        cs = mixed_constraint_set(X, seed=4)
+        cs = ConstraintSet(cs.constraints + [Constraint(2, 5, DISSIMILAR)], cs.thresholds)
+        with pytest.warns(SolverWarning):
+            model = fit_kernel(X.T @ X, cs, SolverConfig(max_sweeps=200))
+        assert model.skipped == 1 and model.converged
+        assert all(e.skipped == 1 for e in model.trace)
+        assert math.isfinite(model.trace[-1].distance_change)
+
+    @pytest.mark.parametrize("fit", ["kernel", "linear"])
+    def test_the_stop_follows_tol_exactly(self, rng, fit):
+        X, labels = make_blobs(rng, d=6, n=60, nuisance=2)
+        cs = ConstraintSet(generate_from_labels(labels, per_class=15, seed=0),
+                           compute_thresholds(euclidean_distance_pool(X)))
+        data, run = (X.T @ X, fit_kernel) if fit == "kernel" else (X, fit_linear)
+        full = run(data, cs, SolverConfig(tol=5e-324, max_sweeps=30))
+        changes = [e.distance_change for e in full.trace]
+        # the first sweep whose change is below every earlier one, after sweep 1
+        s = next(i for i in range(1, len(changes)) if changes[i] < min(changes[:i]))
+        for tol, stop in [(changes[s], s + 1),
+                          (np.nextafter(changes[s], 0.0),
+                           next(i + 1 for i, c in enumerate(changes) if c < changes[s]))]:
+            model = run(data, cs, SolverConfig(tol=tol, max_sweeps=30))
+            assert model.converged and model.sweeps_used == stop
+            capped = run(data, cs, SolverConfig(tol=5e-324, max_sweeps=stop))
+            assert _same_bits(getattr(model, "K" if fit == "kernel" else "W"),
+                              getattr(capped, "K" if fit == "kernel" else "W"))
+
+    @pytest.mark.parametrize("fit", ["kernel", "linear"])
+    def test_one_trace_entry_per_sweep(self, rng, fit):
+        X, labels = make_blobs(rng, d=6, n=90, nuisance=2)
+        cs = ConstraintSet(generate_from_labels(labels, per_class=20, seed=0),
+                           compute_thresholds(euclidean_distance_pool(X)))
+        cfg = SolverConfig()
+        model = fit_kernel(X.T @ X, cs, cfg) if fit == "kernel" else fit_linear(X, cs, cfg)
+        trace = model.trace
+        assert len(trace) == model.sweeps_used > 1
+        # the last entry decided the stop: every earlier change was above tol
+        assert model.converged and trace[-1].distance_change <= cfg.tol
+        assert all(e.distance_change > cfg.tol for e in trace[:-1])
+        assert trace[-1].active == np.count_nonzero(model.dual.lam)
+        for e in trace:
+            assert e.lam_to_zero + e.noops + e.skipped <= len(cs)
+            assert e.dual_change >= 0 and e.wall_s >= 0
+        assert trace[0].dual_change > 0
+
+    def test_the_cap_ends_a_fit_that_still_moves(self, rng):
+        X = rng.standard_normal((4, 12))
+        cs = mixed_constraint_set(X, seed=1)
+        model = fit_linear(X, cs, SolverConfig(max_sweeps=1))
+        assert not model.converged and model.sweeps_used == len(model.trace) == 1
+        assert model.trace[0].distance_change > DEFAULT_TOL
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from logdetml import evaluation, solver
+X, y, K0 = (np.load(path) for path in sys.argv[1:])
+cfg = solver.SolverConfig(max_sweeps=40)
+for fit, learned in [
+        (solver.fit_kernel(K0, evaluation.label_constraints(y, 40, 0, K0=K0), cfg), "K"),
+        (solver.fit_linear(X, evaluation.label_constraints(y, 100, 0, X=X), cfg), "W")]:
+    digest = hashlib.sha256(getattr(fit, learned).tobytes()).hexdigest()
+    print(fit.sweeps_used, fit.converged, digest,
+          [e.distance_change.hex() for e in fit.trace])
+"""
+
+
+def test_same_stop_and_bits_on_one_and_two_blas_threads(tmp_path):
+    # K0 is built here once: the Gram's own dgemm may round differently on
+    # another thread count, and the fit must not
+    X, y = load_points_csv(Path(__file__).parent / "data" / "ionosphere.csv", label_col="last")
+    inputs = {"X": X, "y": y, "K0": gram(X, KernelSpec.gaussian(median_pairwise_distance(X)))}
+    paths = []
+    for name, array in inputs.items():
+        paths.append(str(tmp_path / f"{name}.npy"))
+        np.save(paths[-1], array)
+    src = str(Path(logdetml.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, *paths], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert [line.split()[1] for line in outputs[0].splitlines()] == ["True", "True"]
