@@ -1,20 +1,25 @@
 """Command-line surface: train models, query distances, run evaluations.
 
-``train`` fits the LogDet loss: a Mahalanobis matrix (linear space), a
-learned kernel, or, with ``--basis``, an identity-plus-low-rank model.  It
-logs why the fit stopped (``stop_reason``: ``rule`` when no constrained
-distance moved by more than ``--tol`` over the last sweep, ``cap`` when the
-sweep cap ended it, with a WARNING line).  ``eval --mode knn`` resolves
-``--space`` and ``--kernel`` exactly as ``train`` does and scores the same
-fit; ``eval --loss`` compares it with the Euclidean and inverse-covariance
-baselines.  ``eval --mode cluster`` learns a linear-space LogDet metric only,
-and rejects ``--space kernel``, a non-linear ``--kernel``, a baseline
-``--loss`` and ``--gamma cv`` with exit 4.
+One path runs from flags to a served model.  ``train`` fits the LogDet loss
+through ``evaluation.fit_model`` -- a Mahalanobis matrix (linear space), a
+learned kernel, or, with ``--basis``, an identity-plus-low-rank model -- and
+saves the model file it returns; ``distance`` answers from that file through
+``evaluation.serve``.  ``eval --mode knn`` and ``--gamma cv`` score the same
+fit on each training fold (``evaluation.logdet_learner``; ``eval`` has no
+``--basis`` or ``--max-sweeps``), and ``eval --loss`` compares it with the
+Euclidean and inverse-covariance baselines.  ``eval --mode cluster`` fits a
+linear-space metric to ``--constraints`` random pairs, and rejects
+``--space kernel``, a non-linear ``--kernel``, a baseline ``--loss``,
+``--gamma cv`` and ``--per-class`` with exit 4.  ``train`` logs why the fit
+stopped: ``rule`` when no constrained distance moved by more than ``--tol``
+over the last sweep, ``cap`` when the sweep cap ended it (with a WARNING).
 
 Exit codes: 0 success, 2 malformed data, 3 numerical failure,
-4 bad flags.  Every run logs its full effective configuration to stderr so
-an output is reproducible from the log alone, and stdout carries only data;
-all randomness flows from --seed.
+4 bad flags.  Every run logs its full effective configuration to stderr,
+stdout carries only data, and all randomness flows from --seed.  The log
+and the seed fix an output only for one BLAS thread count: the bits of a
+kernel Gram, and so of a kernel-space model file, depend on it
+(``OPENBLAS_NUM_THREADS``).
 
 ``distance`` writes a CSV with the header ``i,j,sq_distance`` and one row
 per pair, each value formatted ``.12g``.  With ``--points`` the rows are
@@ -34,13 +39,14 @@ import time
 
 import numpy as np
 
-from . import evaluation, lowrank, solver
+from . import evaluation, solver
+from .constraints import DEFAULT_PER_CLASS
 from .datasets import load_kernel_csv, load_labels_file, load_points_csv
 from .errors import InvalidArgumentError, NumericalError
-from .learned_kernel import from_kernel_fit, training_pair_distance
+from .learned_kernel import training_pair_distance
 from .linalg import KernelSpec, gram
-from .modelfile import ModelFile, load_model, save_model
-from .solver import SolverConfig, max_violation
+from .modelfile import load_model, save_model
+from .solver import SolverConfig
 
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
@@ -157,13 +163,12 @@ def _log_effective(args, space, spec):
 
 
 def _logdet_learner(args, space, spec, gamma):
-    """A two-fold CV learner that fits what ``train`` fits for these flags;
-    ``eval --gamma cv`` tunes gamma with the outer ``--k``."""
-    opts = dict(per_class=args.per_class, gamma=gamma, tol=args.tol,
-                max_sweeps=getattr(args, "max_sweeps", None), k=getattr(args, "k", 10))
-    if space == "linear":
-        return evaluation.logdet_linear_learner(**opts)
-    return evaluation.logdet_kernel_learner(spec, **opts)
+    """The learner for these flags: it fits what ``train`` fits (``eval`` has
+    no ``--basis`` or ``--max-sweeps``), and ``eval --gamma cv`` tunes gamma
+    with the outer ``--k``."""
+    per_class = DEFAULT_PER_CLASS if args.per_class is None else args.per_class
+    return evaluation.logdet_learner(space, spec, per_class, gamma, args.tol, args.max_sweeps,
+                                     getattr(args, "k", 10), args.basis)
 
 
 def cmd_train(args) -> int:
@@ -176,7 +181,6 @@ def cmd_train(args) -> int:
         _log(args, key, getattr(args, key, None))
     _log_effective(args, space, spec)
 
-    basis_name, basis_k = args.basis
     if K0 is None and space == "kernel":
         K0 = gram(X, spec)
     cs = evaluation.label_constraints(labels, args.per_class, args.seed, X=X, K0=K0)
@@ -191,24 +195,11 @@ def cmd_train(args) -> int:
         _log(args, "gamma_selected", gamma)
 
     cfg = SolverConfig(gamma=gamma, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed)
-
-    if basis_name is not None:
-        fit, payload = _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k)
-    elif space == "linear":
-        fit = solver.fit_linear(X, cs, cfg)
-        _log_fit(args, fit)
-        payload = dict(kind="linear", kernel_spec=None, W=fit.W)
-    else:
-        fit = solver.fit_kernel(K0, cs, cfg)
-        _log_fit(args, fit)
-        _log(args, "max_violation", f"{max_violation(fit.K, cs, fit.dual):.6g}")
-        model = from_kernel_fit(fit, X, spec)
-        _log(args, "dropped_rank", model.dropped_rank)
-        payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=model.M,
-                       constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi)
-    save_model(args.out, ModelFile(thresholds=cs.thresholds, gamma=gamma, seed=args.seed,
-                                   converged=fit.converged, sweeps_used=fit.sweeps_used,
-                                   **payload))
+    mf, fit, facts = evaluation.fit_model(X, K0, cs, spec, space, cfg, args.basis, labels)
+    _log_fit(args, fit)
+    for key, value in facts.items():
+        _log(args, key, f"{value:.6g}" if isinstance(value, float) else value)
+    save_model(args.out, mf)
     _log(args, "wall_time_s", f"{time.perf_counter() - t0:.3f}")
     _log(args, "model_written", args.out)
     return 0
@@ -226,37 +217,9 @@ def _log_fit(args, fit):
              f"sweep, above --tol {args.tol:g}")
 
 
-def _train_lowrank(args, X, K0, spec, cs, cfg, labels, basis_name, basis_k):
-    """Fit with ``--basis``; returns the inner fit and the model file payload."""
-    if basis_name in ("topk", "classmeans"):
-        if X is None or spec.kind != "linear":
-            raise InvalidArgumentError(f"--basis {basis_name} requires explicit points and a linear kernel")
-        method = "topk-svd" if basis_name == "topk" else "class-means"
-        basis = lowrank.select_basis_feature(X, method, basis_k, seed=args.seed, labels=labels)
-        model = lowrank.fit_low_rank(X, basis, cs, cfg)
-    else:
-        if K0 is None:
-            K0 = gram(X, spec)
-        method = {"random": "random-J", "subset": "subset", "kmeans": "kernel-kmeans"}[basis_name]
-        basis = lowrank.select_basis_kernel(K0, method, basis_k, seed=args.seed)
-        model = lowrank.fit_low_rank(K0, basis, cs, cfg)
-    _log_fit(args, model.inner)
-    # the dual state covers only the constraints the basis can reach
-    _log(args, "dropped", len(cs) - len(model.inner.dual.lam))
-    _log(args, "basis_k", basis.k)
-    return model.inner, dict(
-        kind="iplr", kernel_spec=spec if basis.mode == lowrank.COEFFICIENT else None,
-        X=X, K0=model.K0, basis_mode=basis.mode, basis_matrix=basis.matrix, F=model.F,
-    )
-
-
 def cmd_distance(args) -> int:
-    mf = load_model(args.model)
-    if mf.kind == "linear" or (mf.kind == "iplr" and mf.basis_mode == lowrank.EXPLICIT):
-        model, oracle = None, evaluation.MahalanobisOracle(mf.to_mahalanobis())
-    else:
-        model = mf.to_learned_kernel()
-        oracle = evaluation.LearnedKernelOracle(model)
+    oracle = evaluation.serve(load_model(args.model))
+    model = getattr(oracle, "model", None)  # the learned kernel; None for a d x d metric
     if args.pairs:
         pairs, _ = load_points_csv(args.pairs)
         if pairs.shape[0] != 2:
@@ -299,7 +262,8 @@ def _eval_learner(args, space, spec):
 
 def _cluster_flag_error(args):
     """The first flag cluster mode cannot honour, or None: it fits a
-    linear-space LogDet metric at a fixed gamma whatever the flags say."""
+    linear-space LogDet metric at a fixed gamma to ``--constraints`` random
+    pairs whatever the flags say."""
     if args.space == "kernel":
         return "--space kernel"
     if args.kernel != "linear":
@@ -308,6 +272,8 @@ def _cluster_flag_error(args):
         return f"--loss {args.loss}"
     if args.gamma == "cv":
         return "--gamma cv"
+    if args.per_class is not None:
+        return "--per-class"
     return None
 
 
@@ -320,26 +286,21 @@ def cmd_eval(args) -> int:
     if X is None:
         raise InvalidArgumentError("eval requires explicit points")
     space, spec = _resolve(args, X)
-    dataset = os.path.basename(args.data)
-    gamma_txt = args.gamma if isinstance(args.gamma, str) else f"{args.gamma:.12g}"
-    rows = []
     if args.mode == "knn":
         learner = _eval_learner(args, space, spec)
         report = evaluation.two_fold_cv(X, labels, learner, k=args.k, seed=args.seed)
-        for fold, acc in enumerate(report.fold_accuracies):
-            rows.append([dataset, "knn", "accuracy", f"{acc:.12g}", str(fold),
-                         str(args.seed), gamma_txt, "0"])
-        rows.append([dataset, "knn", "accuracy", f"{report.accuracy:.12g}", "mean",
-                     str(args.seed), gamma_txt, "0"])
+        results = [("accuracy", acc, str(fold)) for fold, acc in enumerate(report.fold_accuracies)]
+        results.append(("accuracy", report.accuracy, "mean"))
     else:
         unsup, learned = evaluation.clustering_protocol(
             X, labels, n_constraints=args.constraints, gamma=args.gamma,
             tol=args.tol, seed=args.seed,
         )
-        rows.append([dataset, "cluster", "error_unsupervised", f"{unsup:.12g}",
-                     "mean", str(args.seed), gamma_txt, "0"])
-        rows.append([dataset, "cluster", "error_logdet", f"{learned:.12g}",
-                     "mean", str(args.seed), gamma_txt, "0"])
+        results = [("error_unsupervised", unsup, "mean"), ("error_logdet", learned, "mean")]
+    dataset = os.path.basename(args.data)
+    gamma_txt = args.gamma if isinstance(args.gamma, str) else f"{args.gamma:.12g}"
+    rows = [[dataset, args.mode, metric, f"{value:.12g}", fold, str(args.seed), gamma_txt, "0"]
+            for metric, value, fold in results]
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
@@ -352,15 +313,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_label_flags(parser) -> None:
+def _add_fit_flags(parser, per_class) -> None:
+    """The flags ``train`` and ``eval`` share: the data, its labels and the fit."""
+    parser.add_argument("--data", required=True)
     # labels come from a file or from the data's last column, never both
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--labels")
     group.add_argument("--label-col", choices=["last"], dest="label_col")
-
-
-_TOL_HELP = ("stop a fit once no constrained-pair distance moved by more than this "
-             "fraction over a sweep (default %(default)g)")
+    parser.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
+    parser.add_argument("--kernel", type=_kernel_arg, default="linear",
+                        help="linear | gaussian[:sigma] | precomputed")
+    parser.add_argument("--gamma", type=_parse_gamma, default=1.0,
+                        help="slack tradeoff, a float, 'inf', or 'cv'")
+    parser.add_argument("--per-class", type=_positive_int, default=per_class, dest="per_class",
+                        help=f"similar and dissimilar pairs per class (default {DEFAULT_PER_CLASS})")
+    parser.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
+                        help="stop a fit once no constrained-pair distance moved by more "
+                             "than this fraction over a sweep (default %(default)g)")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:
@@ -369,20 +339,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="learn a metric/kernel model under the LogDet loss")
-    train.add_argument("--data", required=True)
-    _add_label_flags(train)
-    train.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
-    train.add_argument("--kernel", type=_kernel_arg, default="linear",
-                       help="linear | gaussian[:sigma] | precomputed")
-    train.add_argument("--gamma", type=_parse_gamma, default=1.0,
-                       help="slack tradeoff, a float, 'inf', or 'cv'")
-    train.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
+    _add_fit_flags(train, per_class=DEFAULT_PER_CLASS)
     train.add_argument("--basis", type=_basis_arg, default=(None, 0),
                        help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
-    train.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
-                       help=_TOL_HELP)
     train.add_argument("--max-sweeps", type=_positive_int, default=None, dest="max_sweeps")
-    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 
@@ -395,22 +355,16 @@ def build_parser() -> _Parser:
     dist.set_defaults(func=cmd_distance)
 
     ev = sub.add_parser("eval", help="k-NN or clustering evaluation")
-    ev.add_argument("--data", required=True)
-    _add_label_flags(ev)
+    # --per-class unset, not the default, so cluster mode can reject an explicit value
+    _add_fit_flags(ev, per_class=None)
     ev.add_argument("--mode", choices=["knn", "cluster"], required=True)
     ev.add_argument("--loss", choices=["logdet", "euclidean", "inverse-covariance"],
                     default="logdet", help="the learned metric or a baseline")
-    ev.add_argument("--space", choices=["auto", "linear", "kernel"], default="auto")
-    ev.add_argument("--kernel", type=_kernel_arg, default="linear")
-    ev.add_argument("--gamma", type=_parse_gamma, default=1.0)
     ev.add_argument("--k", type=_positive_int, default=10)
     ev.add_argument("--constraints", type=_positive_int, default=50)
-    ev.add_argument("--per-class", type=_positive_int, default=100, dest="per_class")
-    ev.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
-                    help=_TOL_HELP)
-    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out")
-    ev.set_defaults(func=cmd_eval)
+    # eval fits what train fits with no --basis and no --max-sweeps
+    ev.set_defaults(func=cmd_eval, basis=(None, 0), max_sweeps=None)
     return parser
 
 

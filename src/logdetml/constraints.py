@@ -24,6 +24,10 @@ DISSIMILAR = "dissimilar"
 FULL_POOL_MAX_N = 2000
 SAMPLED_PAIRS = 200_000
 
+# Similar and dissimilar pairs drawn per class when no count is given
+# (``train --per-class``, ``eval --per-class`` and the learners).
+DEFAULT_PER_CLASS = 100
+
 
 class ConstraintGenerationWarning(UserWarning):
     pass
@@ -108,7 +112,7 @@ def _draw_pair(rng, first_pool, second_pool, seen, retries: int = 10):
     return i, j
 
 
-def generate_from_labels(labels, per_class: int = 100, seed: int = 0) -> list[Constraint]:
+def generate_from_labels(labels, per_class: int = DEFAULT_PER_CLASS, seed: int = 0) -> list[Constraint]:
     """Sample ``per_class`` similar and ``per_class`` dissimilar constraints
     for each class.
 

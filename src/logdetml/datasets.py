@@ -1,7 +1,7 @@
 """CSV ingestion for point datasets and precomputed kernels.
 
-No header inference: the first line is data unless ``header=True`` is
-passed, and the final column is treated as labels only on request.
+No header inference: the first line is data, and the final column is
+treated as labels only on request.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .errors import InvalidArgumentError
 from .linalg import is_psd, symmetrize
 
 
-def load_points_csv(path, label_col: str | None = None, header: bool = False):
+def load_points_csv(path, label_col: str | None = None):
     """Read a numeric CSV (one row per point) into a (d, n) matrix.
 
     Every value must parse as a finite float; NaN, infinities, non-numeric
@@ -32,8 +32,6 @@ def load_points_csv(path, label_col: str | None = None, header: bool = False):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if header and lineno == 1:
-                    continue
                 if not row:
                     continue
                 if label_col == "last":

@@ -1,5 +1,12 @@
-"""Evaluation protocol: k-NN under learned distances, two-fold CV, slack
-cross-validation, and semi-supervised k-means clustering error.
+"""The one fit path and the evaluation protocol: k-NN under learned
+distances, two-fold CV, slack cross-validation, and semi-supervised k-means
+clustering error.
+
+``fit_model`` takes points or K0, constraints and fit options to a model
+file, and ``serve`` takes any model file to a distance oracle.  ``train``
+saves what ``fit_model`` returns; the k-NN learner (``logdet_learner``,
+which ``--gamma cv`` also tunes) and ``clustering_protocol`` fit through it
+and score what ``serve`` returns.
 
 Distance oracles wrap the different metric sources behind one pairwise
 interface.  Tie policy for k-NN (distance ties and vote ties) is: smallest
@@ -8,13 +15,14 @@ training index wins, which keeps every run deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import lowrank, solver
 from .clustering import kmeans, matching_error
 from .constraints import (
+    DEFAULT_PER_CLASS,
     ConstraintSet,
     compute_thresholds,
     euclidean_distance_pool,
@@ -25,6 +33,7 @@ from .constraints import (
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel, from_kernel_fit, learned_sq_distances
 from .linalg import KernelSpec, gram, inv_psd, pairwise_sq_dists, sqrt_psd
+from .modelfile import ModelFile
 
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -103,7 +112,6 @@ class EvalReport:
     accuracy: float
     error: float
     fold_accuracies: list[float]
-    config: dict = field(default_factory=dict)
 
 
 def two_fold_cv(X, labels, learner, k: int = 10, seed: int = 0) -> EvalReport:
@@ -123,8 +131,7 @@ def two_fold_cv(X, labels, learner, k: int = 10, seed: int = 0) -> EvalReport:
         pred = knn_classify(oracle, X[:, tr], labels[tr], X[:, te], k)
         accs.append(float(np.mean(pred == labels[te])))
     acc = float(np.mean(accs))
-    return EvalReport(accuracy=acc, error=1.0 - acc, fold_accuracies=accs,
-                      config={"k": k, "seed": seed})
+    return EvalReport(accuracy=acc, error=1.0 - acc, fold_accuracies=accs)
 
 
 def crossvalidate_gamma(X, labels, learner_factory, grid=GAMMA_GRID,
@@ -132,16 +139,12 @@ def crossvalidate_gamma(X, labels, learner_factory, grid=GAMMA_GRID,
     """Pick gamma by an inner two-fold CV on the given (training) data.
 
     ``learner_factory(gamma)`` returns a learner; ties go to the smaller
-    gamma (the grid is scanned in ascending order with strict improvement).
+    gamma (``max`` keeps the first best of the ascending grid).
     """
     if len(grid) == 0:
         raise InvalidArgumentError("empty gamma grid")
-    best_gamma, best_acc = None, -1.0
-    for gamma in sorted(grid):
-        report = two_fold_cv(X, labels, learner_factory(gamma), k=k, seed=seed)
-        if report.accuracy > best_acc:
-            best_gamma, best_acc = gamma, report.accuracy
-    return best_gamma
+    return max(sorted(grid), key=lambda gamma: two_fold_cv(
+        X, labels, learner_factory(gamma), k=k, seed=seed).accuracy)
 
 
 def inverse_covariance_baseline(X: np.ndarray) -> np.ndarray:
@@ -194,50 +197,98 @@ def label_constraints(labels, per_class: int, seed: int, X=None, K0=None) -> Con
     return ConstraintSet(cons, compute_thresholds(pool))
 
 
-def logdet_linear_learner(per_class: int = 100, gamma: float | str = 1.0,
-                          tol: float = solver.DEFAULT_TOL, max_sweeps: int | None = None,
-                          k: int = 10):
-    """LogDet metric learning in input space; ``gamma='cv'`` tunes the slack
-    parameter on the training fold, by an inner CV of k-NN with this k."""
+# train's --basis names -> lowrank's basis methods
+FEATURE_BASES = {"topk": "topk-svd", "classmeans": "class-means"}
+KERNEL_BASES = {"random": "random-J", "subset": "subset", "kmeans": "kernel-kmeans"}
+
+
+def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
+              cfg: solver.SolverConfig, basis=(None, 0), labels=None):
+    """The one LogDet fit from (points or K0, constraints, fit options) to a
+    model: ``train`` saves what it returns and ``serve`` answers queries.
+
+    ``space`` is ``linear`` or ``kernel``; ``basis`` is ``(name, k)`` with a
+    ``--basis`` name, or ``(None, 0)`` for a full-rank fit.  K0 is built
+    from X and ``spec`` when a kernel-space or coefficient-basis fit needs it
+    and none is given.  Returns ``(ModelFile, fit, facts)``: the solver's
+    fit (dual, sweeps, trace), and what ``train`` logs about this path
+    (``max_violation`` and ``dropped_rank``, or ``dropped`` and ``basis_k``).
+    """
+    name, k = basis
+    facts: dict = {}
+    if name is None and space == "linear":
+        fit = solver.fit_linear(X, cs, cfg)
+        payload = dict(kind="linear", kernel_spec=None, W=fit.W)
+    elif name in FEATURE_BASES:
+        if spec.kind != "linear":  # X is None only with a precomputed kernel
+            raise InvalidArgumentError(f"--basis {name} requires explicit points and a linear kernel")
+        b = lowrank.select_basis_feature(X, FEATURE_BASES[name], k, seed=cfg.seed, labels=labels)
+        low = lowrank.fit_low_rank(X, b, cs, cfg)
+    else:
+        K0 = gram(X, spec) if K0 is None else K0
+        if name is None:
+            fit = solver.fit_kernel(K0, cs, cfg)
+            facts["max_violation"] = solver.max_violation(fit.K, cs, fit.dual)
+            model = from_kernel_fit(fit, X, spec)
+            facts["dropped_rank"] = model.dropped_rank
+            payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=model.M,
+                           constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi)
+        else:
+            b = lowrank.select_basis_kernel(K0, KERNEL_BASES[name], k, seed=cfg.seed)
+            low = lowrank.fit_low_rank(K0, b, cs, cfg)
+    if name is not None:
+        fit = low.inner
+        # the dual state covers only the constraints the basis can reach
+        facts.update(dropped=len(cs) - len(fit.dual.lam), basis_k=b.k)
+        payload = dict(kind="iplr", kernel_spec=spec if b.mode == lowrank.COEFFICIENT else None,
+                       X=X, K0=low.K0, basis_mode=b.mode, basis_matrix=b.matrix, F=low.F)
+    mf = ModelFile(thresholds=cs.thresholds, gamma=cfg.gamma, seed=cfg.seed,
+                   converged=fit.converged, sweeps_used=fit.sweeps_used, **payload)
+    return mf, fit, facts
+
+
+def serve(mf: ModelFile):
+    """The distance oracle of a model file: a d x d metric for the linear
+    kind and an explicit basis, the learned kernel otherwise."""
+    if mf.kind == "linear" or mf.basis_mode == lowrank.EXPLICIT:
+        return MahalanobisOracle(mf.to_mahalanobis())
+    return LearnedKernelOracle(mf.to_learned_kernel())
+
+
+def logdet_learner(space: str, spec: KernelSpec | None, per_class: int = DEFAULT_PER_CLASS,
+                   gamma: float | str = 1.0, tol: float = solver.DEFAULT_TOL,
+                   max_sweeps: int | None = None, k: int = 10, basis=(None, 0)):
+    """A learner that fits what ``train`` fits for these options
+    (``fit_model``) on the training set it is given, and serves it.
+    ``spec=None`` uses a gaussian kernel at the training set's
+    median-distance width; ``gamma='cv'`` tunes the slack on the training
+    set by an inner CV of k-NN with this k."""
 
     def learn(X, labels, seed):
+        name, size = basis
+        if size > X.shape[1]:
+            raise InvalidArgumentError(f"--basis {name}:{size} is larger than a CV fold "
+                                       f"({X.shape[1]} training points)")
         g = gamma
         if g == "cv":
             g = crossvalidate_gamma(
                 X, labels,
-                lambda gg: logdet_linear_learner(per_class, gg, tol, max_sweeps),
-                k=k, seed=seed,
-            )
-        cs = label_constraints(labels, per_class, seed, X=X)
-        cfg = solver.SolverConfig(gamma=g, tol=tol, max_sweeps=max_sweeps, seed=seed)
-        return MahalanobisOracle(solver.fit_linear(X, cs, cfg).W)
-
-    return learn
-
-
-def logdet_kernel_learner(spec: KernelSpec | None = None, per_class: int = 100,
-                          gamma: float | str = 1.0, tol: float = solver.DEFAULT_TOL,
-                          max_sweeps: int | None = None, k: int = 10):
-    """LogDet learning in kernel space with out-of-sample extension;
-    ``spec=None`` uses a gaussian kernel at the median-distance width, and
-    ``gamma='cv'`` is tuned by an inner CV of k-NN with this k."""
-
-    def learn(X, labels, seed):
-        g = gamma
-        if g == "cv":
-            g = crossvalidate_gamma(
-                X, labels,
-                lambda gg: logdet_kernel_learner(spec, per_class, gg, tol, max_sweeps),
+                lambda gg: logdet_learner(space, spec, per_class, gg, tol, max_sweeps, k, basis),
                 k=k, seed=seed,
             )
         sp = spec or KernelSpec.gaussian(median_pairwise_distance(X))
-        K0 = gram(X, sp)
-        cs = label_constraints(labels, per_class, seed, K0=K0)
+        K0 = gram(X, sp) if space == "kernel" else None
+        cs = label_constraints(labels, per_class, seed, X=X, K0=K0)
         cfg = solver.SolverConfig(gamma=g, tol=tol, max_sweeps=max_sweeps, seed=seed)
-        km = solver.fit_kernel(K0, cs, cfg)
-        return LearnedKernelOracle(from_kernel_fit(km, X, sp))
+        return serve(fit_model(X, K0, cs, sp, space, cfg, basis, labels)[0])
 
     return learn
+
+
+def logdet_kernel_learner(spec: KernelSpec | None = None, **opts):
+    """``logdet_learner`` in kernel space (a gaussian kernel at each
+    training set's median width by default)."""
+    return logdet_learner("kernel", spec, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +339,6 @@ def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
         pool = euclidean_distance_pool(X[:, tr], seed=seed)
         cs = ConstraintSet(cons, compute_thresholds(pool))
         cfg = solver.SolverConfig(gamma=gamma, tol=tol, seed=seed)
-        model = solver.fit_linear(X, cs, cfg)
-        learned.append(semisup_kmeans(MahalanobisOracle(model.W), X, labels, te, c, seed=seed))
+        mf, _, _ = fit_model(X, None, cs, KernelSpec.linear(), "linear", cfg)
+        learned.append(semisup_kmeans(serve(mf), X, labels, te, c, seed=seed))
     return float(np.mean(unsup)), float(np.mean(learned))

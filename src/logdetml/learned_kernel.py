@@ -121,7 +121,6 @@ class LearnedKernelModel:
     m_factor: np.ndarray | None = None
     m_core: np.ndarray | None = None
     dropped_rank: int = 0
-    converged: bool = True
 
     def __post_init__(self):
         dense = self.M is not None
@@ -167,23 +166,23 @@ def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec) -> LearnedKernel
         K=km.K,
         M=M,
         dropped_rank=dropped_rank,
-        converged=km.converged,
     )
 
 
-def _as_column(z, d: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float).ravel()
-    if z.shape[0] != d:
-        raise InvalidArgumentError(f"point has dimension {z.shape[0]}, expected {d}")
-    return z[:, None]
+def _pair_columns(model: LearnedKernelModel, z1, z2) -> np.ndarray:
+    """Query points z1 and z2 as the two columns of one array."""
+    if model.X is None:
+        raise InvalidArgumentError("model lacks training points; use training-index queries")
+    cols = [np.asarray(z, dtype=float).ravel() for z in (z1, z2)]
+    for z in cols:
+        if z.shape[0] != model.X.shape[0]:
+            raise InvalidArgumentError(f"point has dimension {z.shape[0]}, expected {model.X.shape[0]}")
+    return np.stack(cols, axis=1)
 
 
 def learned_inner_product(model: LearnedKernelModel, z1, z2) -> float:
     """Learned inner product <z1, z2>_W via input-kernel evaluations only."""
-    d = model.X.shape[0] if model.X is not None else None
-    if d is None:
-        raise InvalidArgumentError("model lacks training points; use training-index queries")
-    Z = np.concatenate([_as_column(z1, d), _as_column(z2, d)], axis=1)
+    Z = _pair_columns(model, z1, z2)
     kv = model.kernel_vectors(Z)
     base = float(cross_gram(Z[:, :1], Z[:, 1:], model.kernel_spec)[0, 0])
     return base + float(kv[:, 0] @ model.apply_M(kv[:, 1:2])[:, 0])
@@ -192,10 +191,7 @@ def learned_inner_product(model: LearnedKernelModel, z1, z2) -> float:
 def learned_distance(model: LearnedKernelModel, z1, z2) -> float:
     """Learned squared distance, expanded from three learned inner products;
     round-off negatives within tolerance are clamped to zero."""
-    d = model.X.shape[0] if model.X is not None else None
-    if d is None:
-        raise InvalidArgumentError("model lacks training points; use training-index queries")
-    Z = np.concatenate([_as_column(z1, d), _as_column(z2, d)], axis=1)
+    Z = _pair_columns(model, z1, z2)
     G = learned_gram(model, Z)
     # average the two cross terms so the distance is exactly symmetric in
     # its arguments despite floating-point non-commutativity

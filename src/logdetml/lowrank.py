@@ -60,7 +60,6 @@ class Basis:
 class LowRankModel:
     basis: Basis
     F: np.ndarray           # k x k learned factor (I + L)
-    Xproj: np.ndarray       # k x n reduced points
     K0: np.ndarray | None   # kernel mode only
     inner: LinearModel      # reduced-problem solve (dual state, convergence)
 
@@ -252,15 +251,13 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
     return LowRankModel(
         basis=basis,
         F=inner.W,
-        Xproj=Xp,
         K0=data if basis.mode == COEFFICIENT else None,
         inner=inner,
     )
 
 
 def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
-           X: np.ndarray | None = None, kernel_spec: KernelSpec | None = None,
-           converged: bool = True):
+           X: np.ndarray | None = None, kernel_spec: KernelSpec | None = None):
     """The full form of a solved k x k factor F.
 
     Explicit basis: the d x d matrix W = I + U (F - I) U^T.
@@ -282,7 +279,6 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
         K0=K0,
         m_factor=J @ T,
         m_core=core,
-        converged=converged,
     )
 
 
@@ -296,5 +292,4 @@ def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
     if model.basis.mode == EXPLICIT:
         d = model.basis.matrix.shape[0]
         return replace(model.inner, W=expand(model.basis, model.F), W0=np.eye(d))
-    return expand(model.basis, model.F, model.K0, X=X, kernel_spec=kernel_spec,
-                  converged=model.inner.converged)
+    return expand(model.basis, model.F, model.K0, X=X, kernel_spec=kernel_spec)

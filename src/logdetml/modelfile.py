@@ -93,11 +93,9 @@ class ModelFile:
                 X=self.X,
                 K0=self._K0,
                 M=self.M,
-                converged=self.converged,
             )
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
-            return expand(self._basis(), self.F, self._K0, X=self.X,
-                          kernel_spec=self.kernel_spec, converged=self.converged)
+            return expand(self._basis(), self.F, self._K0, X=self.X, kernel_spec=self.kernel_spec)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no kernel form")
 
     def to_mahalanobis(self) -> np.ndarray:

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logdetml import evaluation, lowrank, solver
+from logdetml import cli, evaluation, lowrank, solver
 from logdetml.cli import EXIT_DATA, EXIT_FLAGS, EXIT_NUMERIC, build_parser, main
-from logdetml.constraints import ConstraintGenerationWarning, generate_from_labels
+from logdetml.constraints import (DEFAULT_PER_CLASS, ConstraintGenerationWarning,
+                                  generate_from_labels)
 from logdetml.datasets import load_points_csv
 from logdetml.linalg import KernelSpec, gram
 
@@ -416,10 +417,9 @@ def test_every_default_tol_is_the_solver_default():
         parser.parse_args(["train", "--data", "d.csv", "--out", "m.txt"]).tol,
         parser.parse_args(["eval", "--data", "d.csv", "--mode", "knn"]).tol,
         *(inspect.signature(f).parameters["tol"].default
-          for f in (evaluation.logdet_linear_learner, evaluation.logdet_kernel_learner,
-                    evaluation.clustering_protocol)),
+          for f in (evaluation.logdet_learner, evaluation.clustering_protocol)),
     ]
-    assert defaults == [solver.DEFAULT_TOL] * 6
+    assert defaults == [solver.DEFAULT_TOL] * 5
 
 
 @pytest.mark.parametrize("flags, reason", [(["--max-sweeps", "1"], "cap"), ([], "rule")])
@@ -446,6 +446,7 @@ def test_train_logs_why_the_fit_stopped(ionosphere_every4, tmp_path, capsys, fla
     (["--kernel", "gaussian"], "--kernel gaussian"),
     (["--loss", "euclidean"], "--loss euclidean"),
     (["--kernel", "gaussian", "--space", "kernel", "--loss", "euclidean"], "--space kernel"),
+    (["--per-class", "5"], "--per-class"),  # cluster mode draws --constraints random pairs
 ])
 def test_cluster_mode_rejects_flags_it_cannot_honour(tmp_path, capsys, flags, named):
     # the data file does not exist: the flags are rejected before any read
@@ -468,3 +469,84 @@ def test_cluster_mode_runs_with_linear_flags(ionosphere_every4, capsys):
     assert outputs[0] == outputs[1]
     assert [row.split(",")[2] for row in outputs[0].splitlines()[1:]] == \
         ["error_unsupervised", "error_logdet"]
+
+
+def test_every_default_per_class_is_the_constraints_default(ionosphere_every12, capsys):
+    parser = build_parser()
+    assert parser.parse_args(["train", "--data", "d.csv", "--out", "m.txt"]).per_class == \
+        DEFAULT_PER_CLASS
+    for f in (generate_from_labels, evaluation.logdet_learner):
+        assert inspect.signature(f).parameters["per_class"].default == DEFAULT_PER_CLASS
+    # eval leaves it unset, so that cluster mode can tell an explicit value
+    # apart; k-NN mode reads the unset value as the default
+    assert parser.parse_args(["eval", "--data", "d.csv", "--mode", "knn"]).per_class is None
+    outputs = []
+    for flags in ([], ["--per-class", str(DEFAULT_PER_CLASS)]):
+        capsys.readouterr()
+        assert main(["eval", "--data", str(ionosphere_every12), "--label-col", "last",
+                     "--mode", "knn", *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+# -- one fit path: the CV learner fits and serves what train saves ---------------------
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("flags", [
+    ["--space", "linear"],
+    ["--kernel", "gaussian"],
+    ["--kernel", "gaussian", "--basis", "random:8"],
+    ["--basis", "topk:5"],
+], ids=["space-linear", "kernel-gaussian", "basis-random8", "basis-topk5"])
+def test_cv_learner_serves_what_distance_prints(ionosphere_every4, tmp_path, capsys, flags):
+    argv = ["train", "--data", str(ionosphere_every4), "--label-col", "last",
+            "--per-class", "20", "--seed", "3", *flags, "--out", str(tmp_path / "model.txt")]
+    assert main(argv) == 0
+    X, labels = load_points_csv(ionosphere_every4, label_col="last")
+    points = tmp_path / "points.csv"
+    points.write_text("".join(",".join(f"{v:.17g}" for v in x) + "\n" for x in X[:, ::4].T))
+    capsys.readouterr()
+    assert main(["distance", str(tmp_path / "model.txt"), "--points", str(points)]) == 0
+    printed = [float(row.split(",")[2]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+    args = build_parser().parse_args(argv)
+    space, spec = cli._resolve(args, X)
+    oracle = cli._logdet_learner(args, space, spec, args.gamma)(X, labels, args.seed)
+    Z, _ = load_points_csv(points)
+    I, J = np.triu_indices(Z.shape[1])
+    served = oracle.pairwise(Z, Z)[I, J]
+    served[I == J] = 0.0
+    # the file holds X row-major, which moves the last bits of its kernel
+    # values: a Gaussian model's distances move by up to 6e-12 (relative) on
+    # these points, and the CSV rounds them to 12 digits
+    np.testing.assert_allclose(served, printed, rtol=5e-11, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_gamma_cv_with_a_basis_tunes_the_low_rank_fit(ionosphere_every4, tmp_path, monkeypatch):
+    calls = {"fit_kernel": 0, "fit_low_rank": 0}
+    for module, name in ((solver, "fit_kernel"), (lowrank, "fit_low_rank")):
+        def counted(*a, _fit=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fit(*a, **kw)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["train", "--data", str(ionosphere_every4), "--label-col", "last",
+                 "--kernel", "gaussian", "--basis", "random:8", "--gamma", "cv",
+                 "--per-class", "10", "--out", str(tmp_path / "model.txt")]) == 0
+    # two folds for each of the six gammas, then the fit train saves
+    assert calls == {"fit_kernel": 0, "fit_low_rank": 2 * len(evaluation.GAMMA_GRID) + 1}
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_basis_larger_than_a_cv_fold_exits_2(ionosphere_every12, tmp_path, capsys):
+    # 30 points hold a 20-vector basis; neither two-fold half does
+    argv = ["train", "--data", str(ionosphere_every12), "--label-col", "last",
+            "--kernel", "gaussian", "--basis", "random:20", "--per-class", "5",
+            "--out", str(tmp_path / "model.txt")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--gamma", "cv"]) == EXIT_DATA
+    _, labels = load_points_csv(ionosphere_every12, label_col="last")
+    first_fold = len(evaluation.stratified_split(labels, seed=0)[0])
+    assert f"error: --basis random:20 is larger than a CV fold ({first_fold} training " \
+        "points)\n" in capsys.readouterr().err

@@ -190,8 +190,7 @@ class TestFitAndReconstruct:
         inner = LinearModel(W=np.array([[2.0]]), W0=np.eye(1),
                             dual=DualState(np.zeros(1), np.ones(1)),
                             converged=True, sweeps_used=1)
-        model = LowRankModel(basis=basis, F=np.array([[2.0]]),
-                             Xproj=np.zeros((1, 2)), K0=None, inner=inner)
+        model = LowRankModel(basis=basis, F=np.array([[2.0]]), K0=None, inner=inner)
         rebuilt = reconstruct(model)
         assert np.allclose(rebuilt.W, np.diag([2.0, 1.0, 1.0]))
 
