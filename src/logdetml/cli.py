@@ -134,17 +134,22 @@ def _load_dataset(args, need_labels: bool):
 def _resolve(args, X):
     """``(space, spec)`` for the ``--space`` and ``--kernel`` flags: a
     non-linear kernel forces kernel space, and ``auto`` picks linear space
-    when d <= n.  ``train`` and ``eval`` both resolve here."""
+    when d <= n.  ``train`` and ``eval`` both resolve here.  A gaussian
+    kernel with no width takes the median distance of the points it trains
+    on: all of them for ``train``; for ``eval`` the spec is None, and each
+    training fold takes its own (``evaluation.logdet_learner``), so no fold's
+    kernel depends on its held-out points."""
     if args.kernel == "precomputed":
         spec = KernelSpec.precomputed()
     elif args.kernel == "linear":
         spec = KernelSpec.linear()
     elif args.kernel == "gaussian":
-        spec = KernelSpec.gaussian(evaluation.median_pairwise_distance(X))
+        spec = None if args.command == "eval" else KernelSpec.gaussian(
+            evaluation.median_pairwise_distance(X))
     else:
         spec = KernelSpec.gaussian(float(args.kernel.split(":", 1)[1]))
     space = args.space
-    if spec.kind != "linear":
+    if spec is None or spec.kind != "linear":
         space = "kernel"
     elif space == "auto":
         space = "linear" if X.shape[0] <= X.shape[1] else "kernel"
@@ -158,8 +163,11 @@ def _log(args, key, value):
 
 def _log_effective(args, space, spec):
     _log(args, "effective_space", space)
-    _log(args, "effective_kernel",
-         f"{spec.kind}" + (f":{spec.sigma:.6g}" if spec.kind == "gaussian" else ""))
+    if spec is None:
+        _log(args, "effective_kernel", "gaussian:fold-median")
+    else:
+        _log(args, "effective_kernel",
+             f"{spec.kind}" + (f":{spec.sigma:.6g}" if spec.kind == "gaussian" else ""))
 
 
 def _logdet_learner(args, space, spec, gamma):

@@ -67,8 +67,32 @@ class LearnedKernelOracle:
         return learned_sq_distances(self.model, A, B)
 
 
+def _k_nearest(D: np.ndarray, k: int) -> np.ndarray:
+    """Indices (q, k) of the k nearest of each row of distances D (q, n),
+    in ascending index order: the set the first k of a stable argsort keep.
+
+    ``np.partition`` finds each row's k-th smallest distance; the row keeps
+    every index strictly below it, then fills up with the lowest indices
+    tied at it.  NaN sorts after every number, as in ``np.argsort``: a row
+    with fewer than k numbers keeps them all and its lowest-index NaNs.
+    """
+    D = np.asarray(D, dtype=float)
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1:k].copy()
+    below = D < kth
+    tied = D == kth
+    nan_kth = np.isnan(kth)
+    if nan_kth.any():
+        nan = np.isnan(D)
+        below |= nan_kth & ~nan
+        tied |= nan_kth & nan
+    need = k - np.count_nonzero(below, axis=1, keepdims=True)
+    below |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
+    return np.nonzero(below)[1].reshape(D.shape[0], k)
+
+
 def knn_classify(oracle, train_X, train_labels, test_X, k: int):
-    """Majority vote over the k nearest training points per test point."""
+    """Majority vote over the k nearest training points per test point
+    (``_k_nearest``: equal distances go to the smallest training index)."""
     train_labels = np.asarray(train_labels)
     n_train = train_X.shape[1]
     if n_train == 0:
@@ -76,10 +100,8 @@ def knn_classify(oracle, train_X, train_labels, test_X, k: int):
     if not 1 <= k <= n_train:
         raise InvalidArgumentError(f"k must be in [1, {n_train}], got {k}")
     D = oracle.pairwise(test_X, train_X)
-    # stable sort so equal distances resolve to the smallest training index
-    order = np.argsort(D, axis=1, kind="stable")[:, :k]
     out = []
-    for row in order:
+    for row in _k_nearest(D, k):
         votes: dict = {}
         for idx in row:
             lab = train_labels[idx]

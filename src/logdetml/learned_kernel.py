@@ -9,13 +9,22 @@ kernel evaluations:
     k_i = [kappa(z_i, x_1), ..., kappa(z_i, x_n)]^T
 
 so distances extend to unseen data.  M is materialized once when the model
-is finalized; low-rank models keep M in factored form B C B^T instead and
-never build the n x n matrix.
+is finalized, and a dense model is served in n dimensions: the core C = M
+acts on the kernel vectors P = k.  A low-rank model keeps M factored,
+M = J' C J'^T with C = m_core (k x k) and J' = m_factor (n x k), and is
+served in its k-dimensional factor space: a query point's coordinates are
+P = J'^T k, and <z1, z2>_W = kappa(z1, z2) + p1^T C p2.  That costs O(nk)
+per query point (its kernel vector projected once, then C applied in
+O(k^2)) and O(k) per pair, where applying M to the kernel vectors costs
+O(nk) per point and O(n) per pair; the n x n matrix M is never built.
+Every query -- a batch, one pair, a training-index pair -- goes through the
+same terms (``_coordinates`` and ``_core``), so each model has one formula.
 
 K0^+ is a pseudo-inverse (see ``compute_M``): Gaussian Grams are often
 singular in floating point, and an inverse would amplify their round-off.
-A batch query evaluates each point set once -- kernel vectors, M applied to
-them, self products -- and shares them when both sides are the same set.
+A batch query evaluates each point set once -- coordinates, the core
+applied to them, self products -- and shares them when both sides are the
+same set.
 
 Memory: a model that holds its training points and a rebuildable kernel
 need not hold the n x n input Gram K0; it is rebuilt on first read (see
@@ -51,9 +60,10 @@ def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     built it.
 
     Training builds K0 from the column-major (Fortran-order) X that
-    ``datasets.load_points_csv`` returns, while a model file reads X back
-    row-major.  BLAS sums ``X.T @ X`` in a layout-dependent order, so the
-    Gram is built from a Fortran-order copy.
+    ``datasets.load_points_csv`` returns, and ``load_model`` reads X back
+    in that layout.  BLAS sums ``X.T @ X`` in a layout-dependent order, so
+    X in any other layout (points built in memory) is copied to Fortran
+    order first.
     """
     return gram(np.asfortranarray(X), spec)
 
@@ -141,12 +151,6 @@ class LearnedKernelModel:
             self.K = symmetrize(self.K0 + self.K0 @ self.M @ self.K0)
         return self.K
 
-    def apply_M(self, V: np.ndarray) -> np.ndarray:
-        """M @ V without materializing M in the factored case."""
-        if self.M is not None:
-            return self.M @ V
-        return self.m_factor @ (self.m_core @ (self.m_factor.T @ V))
-
     def kernel_vectors(self, Z: np.ndarray) -> np.ndarray:
         """Input-kernel values (n_train, n_query) against the training points."""
         if self.X is None:
@@ -183,9 +187,9 @@ def _pair_columns(model: LearnedKernelModel, z1, z2) -> np.ndarray:
 def learned_inner_product(model: LearnedKernelModel, z1, z2) -> float:
     """Learned inner product <z1, z2>_W via input-kernel evaluations only."""
     Z = _pair_columns(model, z1, z2)
-    kv = model.kernel_vectors(Z)
+    P = _coordinates(model, model.kernel_vectors(Z))
     base = float(cross_gram(Z[:, :1], Z[:, 1:], model.kernel_spec)[0, 0])
-    return base + float(kv[:, 0] @ model.apply_M(kv[:, 1:2])[:, 0])
+    return base + float(P[:, 0] @ (_core(model) @ P[:, 1:2])[:, 0])
 
 
 def learned_distance(model: LearnedKernelModel, z1, z2) -> float:
@@ -205,12 +209,13 @@ def learned_distance(model: LearnedKernelModel, z1, z2) -> float:
 def learned_gram(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray | None = None) -> np.ndarray:
     """Matrix of learned inner products between two point sets (columns)."""
     Z1 = np.asarray(Z1, dtype=float)
-    Z2same = Z2 is None
-    Z2 = Z1 if Z2same else np.asarray(Z2, dtype=float)
-    K1 = model.kernel_vectors(Z1)
-    K2 = K1 if Z2same else model.kernel_vectors(Z2)
-    base = cross_gram(Z1, Z2, model.kernel_spec)
-    return base + K1.T @ model.apply_M(K2)
+    P1 = _coordinates(model, model.kernel_vectors(Z1))
+    if Z2 is None:
+        Z2, P2 = Z1, P1
+    else:
+        Z2 = np.asarray(Z2, dtype=float)
+        P2 = _coordinates(model, model.kernel_vectors(Z2))
+    return cross_gram(Z1, Z2, model.kernel_spec) + P1.T @ (_core(model) @ P2)
 
 
 def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -220,20 +225,20 @@ def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarr
     pass the same object twice for the distances within one set.  A
     different Z2 is evaluated COLUMN_BLOCK columns at a time, each block's
     kernel terms dropped once its columns of G12 and g2 are written."""
-    K1, MK1 = _kernel_terms(model, Z1)
+    P1, CP1 = _kernel_terms(model, Z1)
     if Z2 is Z1:
-        G12 = cross_gram(Z1, Z1, model.kernel_spec) + K1.T @ MK1
-        g1 = g2 = _self_products(model, Z1, K1, MK1)
+        G12 = cross_gram(Z1, Z1, model.kernel_spec) + P1.T @ CP1
+        g1 = g2 = _self_products(model, Z1, P1, CP1)
     else:
         Z2 = np.asarray(Z2, dtype=float)
-        G12 = np.empty((K1.shape[1], Z2.shape[1]))
+        G12 = np.empty((P1.shape[1], Z2.shape[1]))
         g2 = np.empty(Z2.shape[1])
         for cols in _column_blocks(Z2.shape[1]):
-            K2, MK2 = _kernel_terms(model, Z2[:, cols])
-            G12[:, cols] = cross_gram(Z1, Z2[:, cols], model.kernel_spec) + K1.T @ MK2
-            g2[cols] = _self_products(model, Z2[:, cols], K2, MK2)
-            del K2, MK2  # before the next block's are built
-        g1 = _self_products(model, Z1, K1, MK1)
+            P2, CP2 = _kernel_terms(model, Z2[:, cols])
+            G12[:, cols] = cross_gram(Z1, Z2[:, cols], model.kernel_spec) + P1.T @ CP2
+            g2[cols] = _self_products(model, Z2[:, cols], P2, CP2)
+            del P2, CP2  # before the next block's are built
+        g1 = _self_products(model, Z1, P1, CP1)
     return sq_dists_from_products(g1, g2, G12)
 
 
@@ -244,22 +249,33 @@ def _column_blocks(n: int):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _coordinates(model: LearnedKernelModel, K: np.ndarray) -> np.ndarray:
+    """Kernel vectors K (n x q) in the coordinates the model's core acts on:
+    K itself for a dense model, P = m_factor^T K (k x q) for a factored one."""
+    return K if model.M is not None else model.m_factor.T @ K
+
+
+def _core(model: LearnedKernelModel) -> np.ndarray:
+    """C in <z1, z2>_W = kappa(z1, z2) + p1^T C p2: M, or the k x k m_core."""
+    return model.M if model.M is not None else model.m_core
+
+
 def _kernel_terms(model: LearnedKernelModel, Z) -> tuple[np.ndarray, np.ndarray]:
-    """``(K, M K)``: the kernel vectors of the columns of Z and M applied to them."""
-    K = model.kernel_vectors(Z)
-    return K, model.apply_M(K)
+    """``(P, C P)``: the coordinates of the columns of Z and the core applied to them."""
+    P = _coordinates(model, model.kernel_vectors(Z))
+    return P, _core(model) @ P
 
 
-def _self_products(model: LearnedKernelModel, Z, K: np.ndarray, MK: np.ndarray) -> np.ndarray:
+def _self_products(model: LearnedKernelModel, Z, P: np.ndarray, CP: np.ndarray) -> np.ndarray:
     """Learned self products ``<z, z>_W`` of the columns of Z from their
-    kernel terms; MK is spent (overwritten with K * MK) to spare an
-    n x q temporary."""
+    kernel terms; CP is spent (overwritten with P * CP) to spare a
+    temporary of its size."""
     Z = np.asarray(Z, dtype=float)
     if model.kernel_spec.kind == "gaussian":
         base = np.ones(Z.shape[1])
     else:
         base = np.sum(Z * Z, axis=0)
-    return base + np.sum(np.multiply(K, MK, out=MK), axis=0)
+    return base + np.sum(np.multiply(P, CP, out=CP), axis=0)
 
 
 def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
@@ -276,6 +292,6 @@ def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
     K = model.learned_K()
     if K is not None:
         return float(K[a, a] + K[b, b] - 2.0 * K[a, b])
-    kv = model.K0[:, [a, b]]
-    G = model.K0[np.ix_([a, b], [a, b])] + kv.T @ model.apply_M(kv)
+    P = _coordinates(model, model.K0[:, [a, b]])
+    G = model.K0[np.ix_([a, b], [a, b])] + P.T @ (_core(model) @ P)
     return max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))

@@ -262,10 +262,12 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
 
     Explicit basis: the d x d matrix W = I + U (F - I) U^T.
     Coefficient basis: a LearnedKernelModel whose mixing matrix is kept
-    factored, M = J' (F - I) J'^T with J' = J (J^T K0 J)^(-1/2), so no
-    n x n matrix is ever materialized.  With ``K0=None`` the Gram is rebuilt
-    from X and the kernel only to form J', and the model rebuilds it again
-    if a query needs it.
+    factored, M = J' (F - I) J'^T with J' = J (J^T K0 J)^(-1/2).  Queries are
+    served in the k-dimensional factor space, the core F - I acting on the
+    projected points x' = J'^T k(x) (``learned_kernel``), so no n x n
+    matrix is ever materialized.  With ``K0=None`` the Gram is rebuilt from X and the
+    kernel only to form J', and the model rebuilds it again if a query
+    needs it.
     """
     core = F - np.eye(F.shape[0])
     if basis.mode == EXPLICIT:

@@ -23,9 +23,10 @@ is used as written.  Saving a loaded model always writes version 2.  Both
 versions carry an ``identity_coeff`` line, always ``1`` for a LogDet model;
 ``load_model`` rejects any other value.
 
-``ModelFile.X`` keeps the layout it was read in (row-major), because
-out-of-sample queries depend on its bits; ``learned_kernel.training_gram``
-explains why the rebuilt ``K0`` comes from a Fortran-order copy instead.
+``load_model`` holds ``ModelFile.X`` column-major (Fortran order), the
+layout training holds it in (``datasets.load_points_csv``): BLAS sums the
+kernel products in a layout-dependent order, so a model served from its
+file gives the bits of the same model served in memory.
 """
 
 from __future__ import annotations
@@ -268,6 +269,8 @@ def load_model(path) -> ModelFile:
         matrices[name] = data
 
     X = matrices.get("X")
+    if X is not None:
+        X = np.asfortranarray(X)  # training's layout (see the module docstring)
     K0 = matrices.get("K0")
     if K0 is None and rebuildable(X, spec) and X.shape[1] < 1:
         fail("matrix X holds no points to rebuild K0 from")

@@ -187,6 +187,17 @@ def test_eval_kernel_space_linear_kernel_fits_the_linear_kernel(ionosphere_every
     assert served != _eval_mean(ionosphere_every4, capsys, *flags, "--kernel", "gaussian")
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_eval_gaussian_takes_each_training_folds_median_width(ionosphere_every4, capsys, seed):
+    # each fold's kernel width comes from its training half alone, as with
+    # logdet_kernel_learner(); a width from both halves scored 0.864 and 0.773
+    served = _eval_mean(ionosphere_every4, capsys, "--kernel", "gaussian",
+                        "--per-class", "20", "--seed", str(seed))
+    X, y = load_points_csv(ionosphere_every4, label_col="last")
+    learner = evaluation.logdet_kernel_learner(per_class=20)
+    assert served == f"{evaluation.two_fold_cv(X, y, learner, seed=seed).accuracy:.12g}"
+
+
 @pytest.fixture(scope="module")
 def wide_rows(tmp_path_factory):
     """16 points in 20 dimensions (d > n), two classes."""
@@ -213,8 +224,13 @@ def test_train_and_eval_resolve_space_and_kernel_alike(ionosphere_rows, wide_row
     trained = capsys.readouterr().err
     assert main(["eval", *flags, "--mode", "knn", "--k", "3"]) == 0
     evaluated = capsys.readouterr().err
-    for key in ("effective_space", "effective_kernel"):
-        assert _logged(evaluated, "eval", key) == _logged(trained, "train", key)
+    assert _logged(evaluated, "eval", "effective_space") == _logged(trained, "train", "effective_space")
+    if kernel == "gaussian":
+        # train takes the median width of all its points, eval that of each training fold
+        assert _logged(trained, "train", "effective_kernel").startswith("gaussian:")
+        assert _logged(evaluated, "eval", "effective_kernel") == "gaussian:fold-median"
+    else:
+        assert _logged(evaluated, "eval", "effective_kernel") == _logged(trained, "train", "effective_kernel")
     if dataset == "wide" and kernel == "linear" and space != "linear":
         assert _logged(trained, "train", "effective_space") == "kernel"
 
@@ -507,7 +523,7 @@ def test_cv_learner_serves_what_distance_prints(ionosphere_every4, tmp_path, cap
     points.write_text("".join(",".join(f"{v:.17g}" for v in x) + "\n" for x in X[:, ::4].T))
     capsys.readouterr()
     assert main(["distance", str(tmp_path / "model.txt"), "--points", str(points)]) == 0
-    printed = [float(row.split(",")[2]) for row in capsys.readouterr().out.splitlines()[1:]]
+    printed = [row.split(",")[2] for row in capsys.readouterr().out.splitlines()[1:]]
 
     args = build_parser().parse_args(argv)
     space, spec = cli._resolve(args, X)
@@ -516,10 +532,9 @@ def test_cv_learner_serves_what_distance_prints(ionosphere_every4, tmp_path, cap
     I, J = np.triu_indices(Z.shape[1])
     served = oracle.pairwise(Z, Z)[I, J]
     served[I == J] = 0.0
-    # the file holds X row-major, which moves the last bits of its kernel
-    # values: a Gaussian model's distances move by up to 6e-12 (relative) on
-    # these points, and the CSV rounds them to 12 digits
-    np.testing.assert_allclose(served, printed, rtol=5e-11, atol=0)
+    # the file serves X in training's layout, so the bits, and the 12-digit
+    # strings, are those of the model in memory
+    assert ["%.12g" % v for v in served] == printed
 
 
 @pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")

@@ -7,9 +7,11 @@ from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.evaluation import (
     EuclideanOracle,
+    _k_nearest,
     clustering_protocol,
     crossvalidate_gamma,
     euclidean_learner,
+    knn_classify,
     logdet_kernel_learner,
     two_fold_cv,
 )
@@ -126,3 +128,49 @@ def test_learned_kernel_beats_euclidean_on_ionosphere():
             - two_fold_cv(X, labels, euclidean_learner(), k=10, seed=seed).accuracy
             for seed in range(4)]
     assert np.mean(gaps) >= 0.05
+
+
+# -- the k nearest by partition keep the set a stable argsort keeps ----------------
+
+def stable_argsort_sets(D, k):
+    """The first k of a stable argsort of each row, in ascending index order."""
+    return np.sort(np.argsort(D, axis=1, kind="stable")[:, :k], axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_k_nearest_is_the_stable_argsort_set(k):
+    nan = np.nan
+    D = np.array([
+        [3.0, 1.0, 2.0, 2.0, 2.0, 0.5],   # a tie over places 3 to 5, straddling k = 3, 4
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],   # an all-equal row
+        [nan, 1.0, 0.0, nan, 4.0, 1.0],   # NaN sorts last, its ties by index
+        [nan, nan, nan, 7.0, nan, nan],   # fewer numbers than most k
+        [1.0, -np.inf, np.inf, 1.0, 0.0, -1.0],
+        [nan, nan, nan, nan, nan, nan],
+    ])
+    assert np.array_equal(_k_nearest(D, k), stable_argsort_sets(D, k))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_k_nearest_on_rounded_random_distances(seed):
+    # few distinct values, so most rows have ties at the k-th distance
+    rng = np.random.default_rng(seed)
+    D = np.round(rng.uniform(0, 3, size=(40, 30)))
+    D[rng.uniform(size=D.shape) < 0.05] = np.nan
+    for k in (1, 7, 10, 29, 30):
+        assert np.array_equal(_k_nearest(D, k), stable_argsort_sets(D, k))
+
+
+def test_knn_classify_ties_go_to_the_smallest_training_index():
+    class Fixed:
+        def pairwise(self, A, B):
+            return np.array([[1.0, 0.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
+
+    train_labels = np.array(["a", "b", "c", "c"])
+    X = np.zeros((1, 4))
+    # k=2: row 0 keeps b and, of the three tied at 1.0, a (index 0); row 1 keeps
+    # indices 0 and 1; each vote ties, and goes to the class of the smaller index
+    assert knn_classify(Fixed(), X, train_labels, np.zeros((1, 2)), 2).tolist() == ["a", "a"]
+    # k=3 keeps a, b, c in both rows; k=4 gives c two votes
+    assert knn_classify(Fixed(), X, train_labels, np.zeros((1, 2)), 3).tolist() == ["a", "a"]
+    assert knn_classify(Fixed(), X, train_labels, np.zeros((1, 2)), 4).tolist() == ["c", "c"]

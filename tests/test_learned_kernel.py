@@ -229,6 +229,17 @@ def test_dropped_rank_of_a_singular_K0():
 
 
 # -- the one-pass query equals the three-pass code it replaced -----------------
+#
+# The reference writes each form out longhand: k1^T M k2 for a dense model,
+# and for a factored one its k-dimensional coordinates p = m_factor^T k with
+# p1^T C p2, C = m_core.
+
+def _reference_terms(model, K):
+    if model.M is not None:
+        return K, model.M @ K
+    P = model.m_factor.T @ K
+    return P, model.m_core @ P
+
 
 def reference_learned_gram(model, Z1, Z2=None):
     Z1 = np.asarray(Z1, dtype=float)
@@ -237,7 +248,9 @@ def reference_learned_gram(model, Z1, Z2=None):
     K1 = model.kernel_vectors(Z1)
     K2 = K1 if Z2same else model.kernel_vectors(Z2)
     base = cross_gram(Z1, Z2, model.kernel_spec)
-    return base + K1.T @ model.apply_M(K2)
+    P1, _ = _reference_terms(model, K1)
+    _, CP2 = _reference_terms(model, K2)
+    return base + P1.T @ CP2
 
 
 def reference_learned_sq_distances(model, Z1, Z2):
@@ -249,12 +262,29 @@ def reference_learned_sq_distances(model, Z1, Z2):
 
 
 def _reference_learned_self_products(model, Z):
-    KZ = model.kernel_vectors(Z)
+    P, CP = _reference_terms(model, model.kernel_vectors(Z))
     if model.kernel_spec.kind == "gaussian":
         base = np.ones(Z.shape[1])
     else:
         base = np.sum(Z * Z, axis=0)
-    return base + np.sum(KZ * model.apply_M(KZ), axis=0)
+    return base + np.sum(P * CP, axis=0)
+
+
+def n_space_sq_distances(model, Z1, Z2):
+    """A factored model's distances in n dimensions, with M applied to the
+    kernel vectors as m_factor (m_core (m_factor^T k)): the form a factored
+    model was served in before it was served in its factor space."""
+    def apply_M(K):
+        return model.m_factor @ (model.m_core @ (model.m_factor.T @ K))
+
+    def self_products(Z, K):
+        base = np.ones(Z.shape[1]) if model.kernel_spec.kind == "gaussian" else np.sum(Z * Z, axis=0)
+        return base + np.sum(K * apply_M(K), axis=0)
+
+    K1, K2 = model.kernel_vectors(Z1), model.kernel_vectors(Z2)
+    G12 = cross_gram(Z1, Z2, model.kernel_spec) + K1.T @ apply_M(K2)
+    D = self_products(Z1, K1)[:, None] + self_products(Z2, K2)[None, :] - 2.0 * G12
+    return np.clip(D, 0.0, None)
 
 
 def _query_model(rng, spec, form, n=12, d=4):
@@ -282,6 +312,52 @@ def test_learned_sq_distances_is_bitwise_reference(seed, spec, form):
     for A, B in cases:
         assert np.array_equal(learned_sq_distances(model, A, B),
                               reference_learned_sq_distances(model, A, B))
+
+
+def _ionosphere_lowrank_model(basis, k):
+    from logdetml import lowrank
+
+    X, labels = load_points_csv(IONOSPHERE, label_col="last")
+    X, labels = X[:, ::2], labels[::2]
+    spec = KernelSpec.gaussian(evaluation.median_pairwise_distance(X))
+    K0 = gram(X, spec)
+    cs = ConstraintSet(generate_from_labels(labels, per_class=40, seed=0),
+                       compute_thresholds(kernel_distance_pool(K0, seed=0)))
+    b = lowrank.select_basis_kernel(K0, basis, k, seed=0)
+    low = lowrank.fit_low_rank(K0, b, cs, SolverConfig(gamma=1.0, max_sweeps=20, seed=0))
+    return lowrank.reconstruct(low, X=X, kernel_spec=spec)
+
+
+def _cross_formula_cases():
+    for seed in range(4):
+        for spec in (KernelSpec.gaussian(1.7), KernelSpec.linear()):
+            rng = np.random.default_rng(seed)
+            model = _query_model(rng, spec, "factored", n=60)
+            yield model, rng.standard_normal((model.X.shape[0], 25))
+    for basis, k in (("random-J", 8), ("kernel-kmeans", 20)):
+        model = _ionosphere_lowrank_model(basis, k)
+        yield model, model.X[:, ::3] + 0.01
+    rng = np.random.default_rng(12)
+    n, k = 2000, 50
+    model = LearnedKernelModel(kernel_spec=KernelSpec.gaussian(2.1),
+                               X=rng.standard_normal((20, n)),
+                               m_factor=rng.standard_normal((n, k)),
+                               m_core=np.diag(rng.uniform(-0.2, 0.3, k)))
+    yield model, rng.standard_normal((20, 100))
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_factor_space_distances_match_the_n_space_form():
+    # The two formulas sum in different orders.  A same-set query is held to
+    # an exact-zero diagonal: its reference diagonal is 0, not the n-space
+    # form's own round-off, and the served self pair must be within the bound.
+    for model, Z in _cross_formula_cases():
+        for A, B in ((Z, Z), (model.X, model.X), (Z, model.X)):
+            served = learned_sq_distances(model, A, B)
+            ref = n_space_sq_distances(model, A, B)
+            if A is B:
+                np.fill_diagonal(ref, 0.0)
+            assert np.max(np.abs(served - ref)) <= 1e-12 * np.median(ref)
 
 
 def test_learned_K_is_derived_once_for_dense_models(rng):

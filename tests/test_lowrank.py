@@ -205,7 +205,7 @@ class TestFitAndReconstruct:
         model = reconstruct(low, X=X, kernel_spec=KernelSpec.linear())
         full = fit_kernel(K0, cs, cfg)
         # K* = K0 + K0 M K0 with factored M
-        MK = model.apply_M(K0)
+        MK = model.m_factor @ (model.m_core @ (model.m_factor.T @ K0))
         K_low = K0 + K0 @ MK
         rel = np.linalg.norm(K_low - full.K) / np.linalg.norm(full.K)
         assert rel <= 1e-4

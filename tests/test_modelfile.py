@@ -364,7 +364,7 @@ def test_non_utf8_points_exit_2(gaussian_model, tmp_path, capsys):
 def reference_distance_csv(model_path, query):
     """The CSV the nested-loop, per-row ``csv.writer`` code wrote, with the
     learned K formed on load as that code did."""
-    from test_learned_kernel import reference_learned_sq_distances
+    from test_learned_kernel import _reference_terms, reference_learned_sq_distances
 
     mf = load_model(model_path)
     model = mf.to_learned_kernel()
@@ -378,8 +378,8 @@ def reference_distance_csv(model_path, query):
             if model.K is not None:
                 d = float(model.K[i, i] + model.K[j, j] - 2.0 * model.K[i, j])
             else:
-                kv = model.K0[:, [i, j]]
-                G = model.K0[np.ix_([i, j], [i, j])] + kv.T @ model.apply_M(kv)
+                P, CP = _reference_terms(model, model.K0[:, [i, j]])
+                G = model.K0[np.ix_([i, j], [i, j])] + P.T @ CP
                 d = max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))
             rows.append((i, j, d))
     else:
@@ -463,3 +463,44 @@ def test_coefficient_model_serves_pairs_as_with_K0_built_on_load(small_ionospher
         G = K0[np.ix_([i, j], [i, j])] + kv.T @ (P @ (core @ (P.T @ kv)))
         lines.append("%d,%d,%.12g" % (i, j, max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))))
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+# -- a model served from its file is the model served in memory -------------------
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kernel", "gaussian"],
+        pytest.param(["--kernel", "gaussian", "--basis", "random:8"],
+                     marks=pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")),
+        ["--space", "kernel", "--kernel", "linear"],
+    ],
+    ids=["kernel", "iplr-coefficient", "kernel-linear"],
+)
+def test_loaded_model_serves_the_bits_of_the_fitted_model(small_ionosphere, query_points,
+                                                           tmp_path, flags):
+    from logdetml import cli, evaluation
+    from logdetml.learned_kernel import learned_sq_distances
+    from logdetml.solver import SolverConfig
+
+    X, labels = load_points_csv(small_ionosphere, label_col="last")
+    args = cli.build_parser().parse_args(["train", "--data", str(small_ionosphere),
+                                          "--out", "unused", *flags])
+    space, spec = cli._resolve(args, X)
+    K0 = gram(X, spec)
+    cs = evaluation.label_constraints(labels, 10, 0, X=X, K0=K0)
+    mf, _, _ = evaluation.fit_model(X, K0, cs, spec, space, SolverConfig(max_sweeps=5),
+                                    args.basis, labels)
+    save_model(tmp_path / "model.txt", mf)
+    loaded = load_model(tmp_path / "model.txt")
+    # training's column-major layout, in which BLAS sums the kernel products
+    assert loaded.X.flags.f_contiguous and np.array_equal(loaded.X, X)
+    Z, _ = load_points_csv(query_points)
+    served, fitted = loaded.to_learned_kernel(), mf.to_learned_kernel()
+    # the same queries: both sets fresh, or scored against each model's own
+    # training points (whose products with themselves BLAS may sum otherwise)
+    for B in (Z, np.asfortranarray(X.copy())):
+        assert np.array_equal(learned_sq_distances(served, Z, B),
+                              learned_sq_distances(fitted, Z, B))
+    assert np.array_equal(learned_sq_distances(served, Z, served.X),
+                          learned_sq_distances(fitted, Z, fitted.X))
