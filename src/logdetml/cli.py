@@ -1,13 +1,13 @@
 """Command-line surface: train models, query distances, run evaluations.
 
 One path runs from flags to a served model.  ``train`` fits the LogDet loss
-through ``evaluation.fit_model`` -- a Mahalanobis matrix (linear space), a
+through ``evaluation.fit_labeled`` -- a Mahalanobis matrix (linear space), a
 learned kernel, or, with ``--basis``, an identity-plus-low-rank model -- and
 saves the model file it returns; ``distance`` answers from that file through
 ``evaluation.serve``.  ``eval --mode knn`` and ``--gamma cv`` score the same
-fit on each training fold (``evaluation.logdet_learner``; ``eval`` has no
-``--basis`` or ``--max-sweeps``), and ``eval --loss`` compares it with the
-Euclidean and inverse-covariance baselines.  ``eval --mode cluster`` fits a
+fit, ``fit_labeled`` on each training fold (``evaluation.logdet_learner``;
+``eval`` has no ``--basis`` or ``--max-sweeps``), and ``eval --loss``
+compares it with the Euclidean and inverse-covariance baselines.  ``eval --mode cluster`` fits a
 linear-space metric to ``--constraints`` random pairs, and rejects
 ``--space kernel``, a non-linear ``--kernel``, a baseline ``--loss``,
 ``--gamma cv`` and ``--per-class`` with exit 4.  ``train`` logs why the fit
@@ -31,6 +31,7 @@ index pairs in file order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -44,9 +45,8 @@ from .constraints import DEFAULT_PER_CLASS
 from .datasets import load_kernel_csv, load_labels_file, load_points_csv
 from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import training_pair_distance
-from .linalg import KernelSpec, gram
+from .linalg import KernelSpec
 from .modelfile import load_model, save_model
-from .solver import SolverConfig
 
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
@@ -170,15 +170,6 @@ def _log_effective(args, space, spec):
              f"{spec.kind}" + (f":{spec.sigma:.6g}" if spec.kind == "gaussian" else ""))
 
 
-def _logdet_learner(args, space, spec, gamma):
-    """The learner for these flags: it fits what ``train`` fits (``eval`` has
-    no ``--basis`` or ``--max-sweeps``), and ``eval --gamma cv`` tunes gamma
-    with the outer ``--k``."""
-    per_class = DEFAULT_PER_CLASS if args.per_class is None else args.per_class
-    return evaluation.logdet_learner(space, spec, per_class, gamma, args.tol, args.max_sweeps,
-                                     getattr(args, "k", 10), args.basis)
-
-
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     X, K0, labels = _load_dataset(args, need_labels=True)
@@ -189,21 +180,11 @@ def cmd_train(args) -> int:
         _log(args, key, getattr(args, key, None))
     _log_effective(args, space, spec)
 
-    if K0 is None and space == "kernel":
-        K0 = gram(X, spec)
-    cs = evaluation.label_constraints(labels, args.per_class, args.seed, X=X, K0=K0)
-    _log(args, "thresholds", f"u={cs.thresholds.u:.6g} l={cs.thresholds.l:.6g}")
-
-    gamma = args.gamma
-    if gamma == "cv":
-        if spec.kind == "precomputed":
-            raise InvalidArgumentError("--gamma cv needs explicit points")
-        gamma = evaluation.crossvalidate_gamma(
-            X, labels, lambda g: _logdet_learner(args, space, spec, g), seed=args.seed)
-        _log(args, "gamma_selected", gamma)
-
-    cfg = SolverConfig(gamma=gamma, tol=args.tol, max_sweeps=args.max_sweeps, seed=args.seed)
-    mf, fit, facts = evaluation.fit_model(X, K0, cs, spec, space, cfg, args.basis, labels)
+    mf, fit, facts = evaluation.fit_labeled(X, K0, labels, args.seed, space, spec, args.per_class,
+                                            args.gamma, args.tol, args.max_sweeps, basis=args.basis)
+    _log(args, "thresholds", f"u={mf.thresholds.u:.6g} l={mf.thresholds.l:.6g}")
+    if args.gamma == "cv":
+        _log(args, "gamma_selected", mf.gamma)
     _log_fit(args, fit)
     for key, value in facts.items():
         _log(args, key, f"{value:.6g}" if isinstance(value, float) else value)
@@ -249,14 +230,15 @@ def cmd_distance(args) -> int:
         vals = oracle.pairwise(Z, Z)[I, J]
         vals[I == J] = 0.0
         rows = zip(I.tolist(), J.tolist(), vals.tolist())
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
+    with _output(args.out) as out:
         out.write("i,j,sq_distance\n")
         out.writelines("%d,%d,%.12g\n" % row for row in rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
+
+
+def _output(path):
+    """Where ``distance`` and ``eval`` write their CSV: ``--out``, else stdout."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def _eval_learner(args, space, spec):
@@ -265,7 +247,10 @@ def _eval_learner(args, space, spec):
     if args.loss == "inverse-covariance":
         return evaluation.inverse_covariance_learner()
     _log_effective(args, space, spec)
-    return _logdet_learner(args, space, spec, args.gamma)
+    # eval --gamma cv tunes gamma with the outer --k
+    per_class = DEFAULT_PER_CLASS if args.per_class is None else args.per_class
+    return evaluation.logdet_learner(space, spec, per_class, args.gamma, args.tol,
+                                     args.max_sweeps, args.k, args.basis)
 
 
 def _cluster_flag_error(args):
@@ -309,15 +294,11 @@ def cmd_eval(args) -> int:
     gamma_txt = args.gamma if isinstance(args.gamma, str) else f"{args.gamma:.12g}"
     rows = [[dataset, args.mode, metric, f"{value:.12g}", fold, str(args.seed), gamma_txt, "0"]
             for metric, value, fold in results]
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["dataset", "mode", "metric", "value", "fold", "seed",
                          "gamma", "basis_k"])
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

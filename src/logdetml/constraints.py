@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import percentile
+from .linalg import pair_distance_kernel, percentile
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -74,6 +74,13 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.constraints)
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(I, J, similar)``: the constrained index pairs as two integer
+        arrays and a boolean mask of the similar ones, in constraint order."""
+        I = np.array([c.i for c in self.constraints], dtype=int)
+        J = np.array([c.j for c in self.constraints], dtype=int)
+        return I, J, np.array([c.kind == SIMILAR for c in self.constraints], dtype=bool)
+
     def initial_slacks(self) -> np.ndarray:
         if self.xi0 is not None:
             xi0 = np.asarray(self.xi0, dtype=float)
@@ -82,20 +89,13 @@ class ConstraintSet:
                     f"xi0 has length {xi0.shape}, expected {len(self.constraints)}"
                 )
             return xi0.copy()
-        return np.array(
-            [
-                self.thresholds.u if c.kind == SIMILAR else self.thresholds.l
-                for c in self.constraints
-            ],
-            dtype=float,
-        )
+        return np.where(self.pairs()[2], float(self.thresholds.u), float(self.thresholds.l))
 
     def validate_indices(self, n: int) -> None:
-        for c in self.constraints:
-            if not (0 <= c.i < n and 0 <= c.j < n):
-                raise InvalidArgumentError(
-                    f"constraint ({c.i}, {c.j}) out of range for n={n}"
-                )
+        I, J, _ = self.pairs()
+        bad = np.flatnonzero((I < 0) | (I >= n) | (J < 0) | (J >= n))
+        if bad.size:
+            raise InvalidArgumentError(f"constraint ({I[bad[0]]}, {J[bad[0]]}) out of range for n={n}")
 
 
 def _draw_pair(rng, first_pool, second_pool, seen, retries: int = 10):
@@ -229,13 +229,7 @@ def kernel_distance_pool(K: np.ndarray, seed: int = 0) -> np.ndarray:
         raise InvalidArgumentError("need at least 2 points for a distance pool")
     if n <= FULL_POOL_MAX_N:
         return _upper_triangle_sq_dists(np.diag(K), K)
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=SAMPLED_PAIRS)
-    j = rng.integers(0, n, size=SAMPLED_PAIRS)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    d = K[i, i] + K[j, j] - 2.0 * K[i, j]
-    return np.clip(d, 0.0, None)
+    return np.clip(pair_distance_kernel(K, *_sampled_pairs(n, seed)), 0.0, None)
 
 
 def euclidean_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -250,10 +244,15 @@ def euclidean_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
         raise InvalidArgumentError("need at least 2 points for a distance pool")
     if n <= FULL_POOL_MAX_N:
         return _upper_triangle_sq_dists(np.sum(X * X, axis=0), X.T @ X)
+    i, j = _sampled_pairs(n, seed)
+    diff = X[:, i] - X[:, j]
+    return np.sum(diff * diff, axis=0)
+
+
+def _sampled_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """SAMPLED_PAIRS seeded uniform draws of (i, j), those with i == j left out."""
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=SAMPLED_PAIRS)
     j = rng.integers(0, n, size=SAMPLED_PAIRS)
     keep = i != j
-    i, j = i[keep], j[keep]
-    diff = X[:, i] - X[:, j]
-    return np.sum(diff * diff, axis=0)
+    return i[keep], j[keep]

@@ -4,9 +4,9 @@ clustering error.
 
 ``fit_model`` takes points or K0, constraints and fit options to a model
 file, and ``serve`` takes any model file to a distance oracle.  ``train``
-saves what ``fit_model`` returns; the k-NN learner (``logdet_learner``,
-which ``--gamma cv`` also tunes) and ``clustering_protocol`` fit through it
-and score what ``serve`` returns.
+and ``eval`` share ``fit_labeled``, labelled points and fit flags to
+``fit_model``: ``train`` saves what it returns, the k-NN learner
+(``logdet_learner``) serves it on each training fold.
 
 Distance oracles wrap the different metric sources behind one pairwise
 interface.  Tie policy for k-NN (distance ties and vote ties) is: smallest
@@ -54,6 +54,9 @@ class MahalanobisOracle:
         self.G = sqrt_psd(self.W)
 
     def pairwise(self, A, B):
+        for Z in (A, B):
+            if Z.shape[0] != self.G.shape[0]:
+                raise InvalidArgumentError(f"point dimension mismatch: {len(self.G)} vs {len(Z)}")
         return pairwise_sq_dists(self.G @ A, self.G @ B)
 
 
@@ -99,18 +102,15 @@ def knn_classify(oracle, train_X, train_labels, test_X, k: int):
         raise InvalidArgumentError("empty training set")
     if not 1 <= k <= n_train:
         raise InvalidArgumentError(f"k must be in [1, {n_train}], got {k}")
-    D = oracle.pairwise(test_X, train_X)
-    out = []
-    for row in _k_nearest(D, k):
-        votes: dict = {}
-        for idx in row:
-            lab = train_labels[idx]
-            cnt, first = votes.get(lab, (0, idx))
-            votes[lab] = (cnt + 1, min(first, idx))
-        # ties between classes go to the class holding the smallest index
-        best = max(votes.items(), key=lambda kv: (kv[1][0], -kv[1][1]))
-        out.append(best[0])
-    return np.array(out)
+    nearest = _k_nearest(oracle.pairwise(test_X, train_X), k)
+    codes = np.unique(train_labels, return_inverse=True)[1].ravel()[nearest]
+    rows = np.arange(len(nearest))[:, None]
+    votes = np.zeros((len(nearest), codes.max(initial=0) + 1), dtype=int)
+    np.add.at(votes, (rows, codes), 1)
+    # rows ascend by index: a vote tie goes to the class of the first top-voted one
+    votes = votes[rows, codes]
+    first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
+    return train_labels[nearest[rows[:, 0], first]]
 
 
 def stratified_split(labels, seed: int = 0):
@@ -277,32 +277,39 @@ def serve(mf: ModelFile):
     return LearnedKernelOracle(mf.to_learned_kernel())
 
 
+def fit_labeled(X, K0, labels, seed: int, space: str, spec: KernelSpec | None,
+                per_class: int = DEFAULT_PER_CLASS, gamma: float | str = 1.0,
+                tol: float = solver.DEFAULT_TOL, max_sweeps: int | None = None,
+                k: int = 10, basis=(None, 0)):
+    """``fit_model`` from labelled points (or K0) and fit options: ``gamma='cv'``
+    tunes the slack by an inner CV of k-NN with this k, ``spec=None`` takes a
+    gaussian kernel at the points' median-distance width."""
+    if gamma == "cv":
+        if X is None:
+            raise InvalidArgumentError("--gamma cv needs explicit points")
+        gamma = crossvalidate_gamma(X, labels, lambda g: logdet_learner(
+            space, spec, per_class, g, tol, max_sweeps, k, basis), k=k, seed=seed)
+    spec = spec or KernelSpec.gaussian(median_pairwise_distance(X))
+    if K0 is None and space == "kernel":
+        K0 = gram(X, spec)
+    cs = label_constraints(labels, per_class, seed, X=X, K0=K0)
+    cfg = solver.SolverConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps, seed=seed)
+    return fit_model(X, K0, cs, spec, space, cfg, basis, labels)
+
+
 def logdet_learner(space: str, spec: KernelSpec | None, per_class: int = DEFAULT_PER_CLASS,
                    gamma: float | str = 1.0, tol: float = solver.DEFAULT_TOL,
                    max_sweeps: int | None = None, k: int = 10, basis=(None, 0)):
     """A learner that fits what ``train`` fits for these options
-    (``fit_model``) on the training set it is given, and serves it.
-    ``spec=None`` uses a gaussian kernel at the training set's
-    median-distance width; ``gamma='cv'`` tunes the slack on the training
-    set by an inner CV of k-NN with this k."""
+    (``fit_labeled``) on the training set it is given, and serves it."""
 
     def learn(X, labels, seed):
         name, size = basis
         if size > X.shape[1]:
             raise InvalidArgumentError(f"--basis {name}:{size} is larger than a CV fold "
                                        f"({X.shape[1]} training points)")
-        g = gamma
-        if g == "cv":
-            g = crossvalidate_gamma(
-                X, labels,
-                lambda gg: logdet_learner(space, spec, per_class, gg, tol, max_sweeps, k, basis),
-                k=k, seed=seed,
-            )
-        sp = spec or KernelSpec.gaussian(median_pairwise_distance(X))
-        K0 = gram(X, sp) if space == "kernel" else None
-        cs = label_constraints(labels, per_class, seed, X=X, K0=K0)
-        cfg = solver.SolverConfig(gamma=g, tol=tol, max_sweeps=max_sweeps, seed=seed)
-        return serve(fit_model(X, K0, cs, sp, space, cfg, basis, labels)[0])
+        return serve(fit_labeled(X, None, labels, seed, space, spec, per_class, gamma, tol,
+                                 max_sweeps, k, basis)[0])
 
     return learn
 
@@ -317,26 +324,14 @@ def logdet_kernel_learner(spec: KernelSpec | None = None, **opts):
 # semi-supervised clustering
 
 
-def semisup_kmeans(oracle, X, labels, test_idx, c: int, seed: int = 0) -> float:
-    """Cluster the whole dataset with k-means in the oracle's geometry and
-    report the matching error on the test subset only.
-
-    A Mahalanobis oracle clusters the G-transformed points, a Euclidean one
-    the points themselves.  Empty clusters are reseeded at the farthest
-    point.
-    """
+def semisup_kmeans(points, labels, test_idx, c: int, seed: int = 0) -> float:
+    """k-means on all the points (columns: X for the Euclidean geometry, G X for
+    a learned metric W = G^T G), scored by the matching error on the test
+    subset only.  Empty clusters are reseeded at the farthest point."""
     if c < 2:
         raise InvalidArgumentError("need at least 2 clusters")
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    test_idx = np.asarray(test_idx)
-    if isinstance(oracle, MahalanobisOracle):
-        pred, _ = kmeans(oracle.G @ X, c, seed=seed)
-    elif isinstance(oracle, EuclideanOracle):
-        pred, _ = kmeans(X, c, seed=seed)
-    else:
-        raise InvalidArgumentError(f"unsupported oracle type: {type(oracle).__name__}")
-    return matching_error(pred[test_idx], labels[test_idx])
+    pred, _ = kmeans(points, c, seed=seed)
+    return matching_error(pred[test_idx], np.asarray(labels)[test_idx])
 
 
 def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
@@ -354,7 +349,7 @@ def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
     idx_a, idx_b = stratified_split(labels, seed)
     unsup, learned = [], []
     for tr, te in ((idx_a, idx_b), (idx_b, idx_a)):
-        unsup.append(semisup_kmeans(EuclideanOracle(), X, labels, te, c, seed=seed))
+        unsup.append(semisup_kmeans(X, labels, te, c, seed=seed))
         cons = generate_pairs_random(labels[tr], n_constraints, seed=seed)
         # map fold-local indices back to the full dataset
         cons = [type(con)(int(tr[con.i]), int(tr[con.j]), con.kind) for con in cons]
@@ -362,5 +357,5 @@ def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
         cs = ConstraintSet(cons, compute_thresholds(pool))
         cfg = solver.SolverConfig(gamma=gamma, tol=tol, seed=seed)
         mf, _, _ = fit_model(X, None, cs, KernelSpec.linear(), "linear", cfg)
-        learned.append(semisup_kmeans(serve(mf), X, labels, te, c, seed=seed))
+        learned.append(semisup_kmeans(serve(mf).G @ X, labels, te, c, seed=seed))
     return float(np.mean(unsup)), float(np.mean(learned))

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import KernelSpec, cross_gram, gram, sq_dists_from_products, symmetrize
+from .linalg import (KernelSpec, cross_gram, gram, pair_distance_kernel, sq_dists_from_products,
+                     symmetrize)
 
 # Columns of the second point set a query evaluates at once.  Whether a
 # block's BLAS products carry the bits of the whole-matrix products is up to
@@ -291,7 +292,7 @@ def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
         raise InvalidArgumentError(f"training index out of range for n={n}")
     K = model.learned_K()
     if K is not None:
-        return float(K[a, a] + K[b, b] - 2.0 * K[a, b])
+        return pair_distance_kernel(K, a, b)
     P = _coordinates(model, model.K0[:, [a, b]])
     G = model.K0[np.ix_([a, b], [a, b])] + P.T @ (_core(model) @ P)
-    return max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))
+    return max(0.0, pair_distance_kernel(G, 0, 1))

@@ -213,14 +213,15 @@ def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return _gaussian_in_place(pairwise_sq_dists(X, Z), spec.sigma)
 
 
-def pair_distance_kernel(K: np.ndarray, i: int, j: int) -> float:
-    """Squared distance between points i and j read off a kernel matrix:
-    K[i,i] + K[j,j] - 2 K[i,j]."""
+def pair_distance_kernel(K: np.ndarray, i, j):
+    """Squared distance K[i,i] + K[j,j] - 2 K[i,j] between points i and j
+    read off a kernel matrix: a float for two indices, an array, element by
+    element, for two index arrays."""
     K = _check_square(K, "K")
-    n = K.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidArgumentError(f"index out of range for n={n}: ({i}, {j})")
-    return float(K[i, i] + K[j, j] - 2.0 * K[i, j])
+    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= len(K))):
+        raise InvalidArgumentError(f"index out of range for n={len(K)}: ({i}, {j})")
+    d = K[i, i] + K[j, j] - 2.0 * K[i, j]
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def inv_sqrt(A: np.ndarray, jitter: float = 0.0) -> np.ndarray:

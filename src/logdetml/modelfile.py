@@ -242,7 +242,7 @@ def load_model(path) -> ModelFile:
         lam.append(number(parts[3]))
         xi.append(number(parts[4]))
 
-    basis_mode = None
+    basis_mode, basis_k = None, None
     matrices: dict[str, np.ndarray] = {}
     while True:
         line = take()
@@ -250,7 +250,7 @@ def load_model(path) -> ModelFile:
             break
         parts = line.split()
         if parts[:1] == ["basis"] and len(parts) == 3:
-            basis_mode = parts[1]
+            basis_mode, basis_k = parts[1], number(parts[2], int)
             continue
         if parts[:1] != ["matrix"] or len(parts) != 4:
             fail(f"unexpected line {line!r}")
@@ -276,6 +276,20 @@ def load_model(path) -> ModelFile:
         fail("matrix X holds no points to rebuild K0 from")
     if K0 is None and not rebuildable(X, spec) and (kind == "kernel" or basis_mode == COEFFICIENT):
         fail(f"{kind} model has no K0 block and no points and kernel to rebuild it from")
+    d, n = X.shape if X is not None else (None, None if K0 is None else K0.shape[0])
+    W, M, B, F = (matrices.get(name) for name in "WMBF")
+    if kind == "linear" and (W is None or W.shape[0] != W.shape[1]):
+        fail("a linear model needs a square matrix W")
+    if kind == "kernel" and (M is None or M.shape != (n, n)):
+        fail(f"a kernel model needs a {n} x {n} matrix M for its {n} points")
+    if kind == "iplr":
+        if basis_mode not in (EXPLICIT, COEFFICIENT):
+            fail(f"an iplr model needs a 'basis {EXPLICIT}|{COEFFICIENT} k' line")
+        rows = n if basis_mode == COEFFICIENT else d
+        if B is None or B.shape[1] != basis_k or rows not in (None, B.shape[0]):
+            fail(f"an iplr model needs a matrix B with {rows or 'd'} rows and {basis_k} columns")
+        if F is None or F.shape != (basis_k, basis_k):
+            fail(f"an iplr model needs a {basis_k} x {basis_k} matrix F")
 
     return ModelFile(
         kind=kind,
@@ -285,14 +299,14 @@ def load_model(path) -> ModelFile:
         seed=seed,
         converged=conv,
         sweeps_used=sweeps,
-        W=matrices.get("W"),
+        W=W,
         X=X,
         K0=K0,
-        M=matrices.get("M"),
+        M=M,
         constraints=cons,
         lam=np.array(lam) if cons else None,
         xi=np.array(xi) if cons else None,
         basis_mode=basis_mode,
-        basis_matrix=matrices.get("B"),
-        F=matrices.get("F"),
+        basis_matrix=B,
+        F=F,
     )

@@ -17,7 +17,8 @@ matrix; ``gamma = inf`` disables slack (the factor gamma/(gamma+1) becomes 1
 and xi stays fixed), so projections land exactly on the constraint boundary.
 
 The same update runs in input space on a d x d matrix W with the pair
-difference vector ``x_i - x_j`` in place of ``e_i - e_j``.
+difference vector g = x_i - x_j in place of e_i - e_j: each space computes
+only v = A g and p = g^T v, and one helper (``_project``) does the rest.
 
 A fit sweeps the m constraints in a fixed order and stops on primal
 evidence: at the end of each sweep every constrained-pair distance p_c is
@@ -40,7 +41,8 @@ import numpy as np
 
 from .constraints import SIMILAR, ConstraintSet
 from .errors import InvalidArgumentError, NumericalError
-from .linalg import is_psd, min_eigenvalue, psd_tolerance, sqrt_psd, symmetrize
+from .linalg import (is_psd, min_eigenvalue, pair_distance_kernel, psd_tolerance, sqrt_psd,
+                     symmetrize)
 
 # Constraints whose current squared distance falls below
 # P_MIN_RTOL * trace(K)/n are skipped: the pair has (numerically) collapsed
@@ -219,17 +221,8 @@ def project_constraint_kernel(
     ``None`` allocates one per call; a fit passes one buffer to all its
     projections.
     """
-    if p_min is None:
-        p_min = _p_min(K.diagonal(), K.shape[0])
     v = K[:, i] - K[:, j]
-    p = float(v[i] - v[j])
-    if p <= p_min:
-        return lam, xi, _SKIPPED
-    delta = 1.0 if kind == SIMILAR else -1.0
-    alpha, beta, xi_new, lam_new, clipped = _projection_scalars(p, xi, lam, delta, gamma)
-    if beta != 0.0:
-        _add_outer(K, beta, v, np.empty(K.shape) if work is None else work)
-    return lam_new, xi_new, ProjectionInfo(alpha, clipped, False)
+    return _project(K, v, float(v[i] - v[j]), kind, lam, xi, gamma, p_min, work)
 
 
 def project_constraint_linear(
@@ -249,16 +242,21 @@ def project_constraint_linear(
     array of W's shape, overwritten by the call, which must not alias ``W``.
     ``None`` allocates one per call.
     """
-    if p_min is None:
-        p_min = _p_min(W.diagonal(), W.shape[0])
     v = W.dot(g)
-    p = float(g.dot(v))
+    return _project(W, v, float(g.dot(v)), kind, lam, xi, gamma, p_min, work)
+
+
+def _project(A, v, p, kind, lam, xi, gamma, p_min, work):
+    """The update of both spaces from the pair's image v = A g and distance
+    p = g^T v: skip at the floor, else the scalars and A += beta v v^T."""
+    if p_min is None:
+        p_min = _p_min(A.diagonal(), A.shape[0])
     if p <= p_min:
         return lam, xi, _SKIPPED
     delta = 1.0 if kind == SIMILAR else -1.0
     alpha, beta, xi_new, lam_new, clipped = _projection_scalars(p, xi, lam, delta, gamma)
     if beta != 0.0:
-        _add_outer(W, beta, v, np.empty(W.shape) if work is None else work)
+        _add_outer(A, beta, v, np.empty(A.shape) if work is None else work)
     return lam_new, xi_new, ProjectionInfo(alpha, clipped, False)
 
 
@@ -284,15 +282,18 @@ def converged(p_before: np.ndarray, p_after: np.ndarray, tol: float,
     return max_relative_change(p_before, p_after, p_min) <= tol
 
 
-def _run_sweeps(project, A: np.ndarray, operands: list[tuple], xi0: np.ndarray,
+def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet,
                 cfg: SolverConfig, distances):
     """Shared sweep loop: seed-shuffled fixed order, cyclic passes, stopping
-    rule on the constrained distances.  Constraint c is projected by
+    rule on the constrained distances.  Constraint c of ``cs`` is projected by
     ``project(A, *operands[c], lam_c, xi_c, gamma, p_min, work)``, which
     updates A in place and returns (lam, xi, info); ``distances(A)`` gives
-    every constrained-pair distance by the projections' own arithmetic."""
+    every constrained-pair distance by the projections' own arithmetic.
+    Returns (dual, converged, sweeps, skipped count, trace)."""
     m = len(operands)
-    xi0 = xi0.astype(float)
+    if m == 0:
+        raise InvalidArgumentError("constraint set is empty")
+    xi0 = cs.initial_slacks()
     if np.any(xi0 <= 0):
         raise InvalidArgumentError("initial slacks must be positive")
     # the duals live in lists between sweeps: Python float arithmetic is the
@@ -327,15 +328,19 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], xi0: np.ndarray,
         if not np.all(np.isfinite(lam_after)) or not np.all(np.isfinite(xi_after)):
             raise NumericalError("non-finite dual variables encountered")
         p_after = distances(A)
-        change = max_relative_change(p_before, p_after, _p_min(diag, n))
+        p_min = _p_min(diag, n)
+        change = max_relative_change(p_before, p_after, p_min)
         dual_change = float(np.max(np.abs(lam_after - lam_before) / (1.0 + lam_after)))
         trace.append(SweepStats(change, dual_change, int(np.count_nonzero(lam_after)),
                                 lam_to_zero, noops, skipped, time.perf_counter() - t0))
-        if change <= cfg.tol:
+        if converged(p_before, p_after, cfg.tol, p_min):
             done = True
             break
         p_before = p_after
-    return DualState(lam=lam_after, xi=xi_after), done, sweeps, skipped_pairs, trace
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("non-finite entries in the learned matrix")
+    _warn_skipped(skipped_pairs, cs)
+    return DualState(lam=lam_after, xi=xi_after), done, sweeps, len(skipped_pairs), trace
 
 
 def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> KernelModel:
@@ -351,25 +356,19 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
     K0 = symmetrize(np.asarray(K0, dtype=float))
     if not is_psd(K0):
         raise InvalidArgumentError("K0 must be positive semidefinite")
-    if len(cs) == 0:
-        raise InvalidArgumentError("constraint set is empty")
     cs.validate_indices(K0.shape[0])
     K = K0.copy()
     operands = [(c.i, c.j, c.kind) for c in cs.constraints]
-    I = np.array([c.i for c in cs.constraints])
-    J = np.array([c.j for c in cs.constraints])
+    I, J, _ = cs.pairs()
 
     def distances(K):
         # p = v[i] - v[j] with v = K[:, i] - K[:, j], element by element
         return (K[I, I] - K[I, J]) - (K[J, I] - K[J, J])
 
     dual, done, sweeps, skipped, trace = _run_sweeps(
-        project_constraint_kernel, K, operands, cs.initial_slacks(), cfg, distances)
-    if not np.all(np.isfinite(K)):
-        raise NumericalError("non-finite entries in the learned kernel")
-    _warn_skipped(skipped, cs)
+        project_constraint_kernel, K, operands, cs, cfg, distances)
     return KernelModel(K=K, K0=K0, dual=dual, converged=done,
-                       sweeps_used=sweeps, skipped=len(skipped), trace=trace)
+                       sweeps_used=sweeps, skipped=skipped, trace=trace)
 
 
 def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> LinearModel:
@@ -380,11 +379,11 @@ def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
     if X.ndim != 2:
         raise InvalidArgumentError("X must be a (d, n) matrix")
     d, n = X.shape
-    if len(cs) == 0:
-        raise InvalidArgumentError("constraint set is empty")
     cs.validate_indices(n)
     W = np.eye(d)
-    diffs = np.stack([X[:, c.i] - X[:, c.j] for c in cs.constraints], axis=1)
+    I, J, _ = cs.pairs()
+    # C order, as np.stack made it: W.dot(g) on a strided column keeps its BLAS path and bits
+    diffs = np.ascontiguousarray(X[:, I] - X[:, J])
     operands = [(diffs[:, c], con.kind) for c, con in enumerate(cs.constraints)]
 
     def distances(W):
@@ -392,12 +391,9 @@ def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
         return np.array([g.dot(W.dot(g)) for g, _ in operands])
 
     dual, done, sweeps, skipped, trace = _run_sweeps(
-        project_constraint_linear, W, operands, cs.initial_slacks(), cfg, distances)
-    if not np.all(np.isfinite(W)):
-        raise NumericalError("non-finite entries in the learned metric")
-    _warn_skipped(skipped, cs)
+        project_constraint_linear, W, operands, cs, cfg, distances)
     return LinearModel(W=symmetrize(W), W0=np.eye(d), dual=dual, converged=done,
-                       sweeps_used=sweeps, skipped=len(skipped), trace=trace)
+                       sweeps_used=sweeps, skipped=skipped, trace=trace)
 
 
 def fit_linear_with_prior(
@@ -437,9 +433,6 @@ def _warn_skipped(skipped: set[int], cs: ConstraintSet) -> None:
 def max_violation(K: np.ndarray, cs: ConstraintSet, dual: DualState) -> float:
     """Largest violation of the slack-adjusted constraints by a learned kernel
     (diagnostic; 0 means every pair distance is on the right side of its xi)."""
-    worst = 0.0
-    for c, con in enumerate(cs.constraints):
-        d = K[con.i, con.i] + K[con.j, con.j] - 2.0 * K[con.i, con.j]
-        gap = d - dual.xi[c] if con.kind == SIMILAR else dual.xi[c] - d
-        worst = max(worst, gap)
-    return worst
+    I, J, similar = cs.pairs()
+    d = pair_distance_kernel(K, I, J)
+    return float(np.max(np.where(similar, d - dual.xi, dual.xi - d), initial=0.0))

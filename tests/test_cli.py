@@ -527,7 +527,9 @@ def test_cv_learner_serves_what_distance_prints(ionosphere_every4, tmp_path, cap
 
     args = build_parser().parse_args(argv)
     space, spec = cli._resolve(args, X)
-    oracle = cli._logdet_learner(args, space, spec, args.gamma)(X, labels, args.seed)
+    learner = evaluation.logdet_learner(space, spec, args.per_class, args.gamma, args.tol,
+                                        args.max_sweeps, basis=args.basis)
+    oracle = learner(X, labels, args.seed)
     Z, _ = load_points_csv(points)
     I, J = np.triu_indices(Z.shape[1])
     served = oracle.pairwise(Z, Z)[I, J]

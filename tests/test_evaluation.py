@@ -3,6 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logdetml.cli import main
+from logdetml.constraints import (SIMILAR, ConstraintSet, compute_thresholds,
+                                  euclidean_distance_pool, generate_from_labels)
 from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.evaluation import (
@@ -11,11 +14,15 @@ from logdetml.evaluation import (
     clustering_protocol,
     crossvalidate_gamma,
     euclidean_learner,
+    fit_labeled,
     knn_classify,
     logdet_kernel_learner,
+    median_pairwise_distance,
     two_fold_cv,
 )
-from logdetml.linalg import pairwise_sq_dists
+from logdetml.linalg import KernelSpec, pair_distance_kernel, pairwise_sq_dists
+from logdetml.modelfile import save_model
+from logdetml.solver import SolverConfig, fit_kernel, max_violation
 
 from conftest import make_blobs
 
@@ -174,3 +181,79 @@ def test_knn_classify_ties_go_to_the_smallest_training_index():
     # k=3 keeps a, b, c in both rows; k=4 gives c two votes
     assert knn_classify(Fixed(), X, train_labels, np.zeros((1, 2)), 3).tolist() == ["a", "a"]
     assert knn_classify(Fixed(), X, train_labels, np.zeros((1, 2)), 4).tolist() == ["c", "c"]
+
+
+def reference_knn_votes(D, train_labels, k):
+    """The per-row vote with a dict: the most votes win, then the class
+    holding the smallest index among the k nearest."""
+    out = []
+    for row in _k_nearest(D, k):
+        votes = {}
+        for idx in row:
+            cnt, first = votes.get(train_labels[idx], (0, idx))
+            votes[train_labels[idx]] = (cnt + 1, min(first, idx))
+        out.append(max(votes.items(), key=lambda kv: (kv[1][0], -kv[1][1]))[0])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_classify_votes_as_the_per_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    D = np.round(rng.uniform(0, 3, size=(40, 30)))  # ties at the k-th distance
+
+    class Fixed:
+        def pairwise(self, A, B):
+            return D
+
+    train_labels = rng.choice(np.array(["x", "y", "z", "w"]), 30)
+    for k in (1, 2, 4, 7, 30):
+        assert (knn_classify(Fixed(), np.zeros((1, 30)), train_labels, np.zeros((1, 40)), k)
+                .tolist() == reference_knn_votes(D, train_labels, k))
+
+
+# -- one labelled-fit recipe: train writes the model fit_labeled returns -----------
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("flags, space, basis", [
+    (["--space", "linear"], "linear", (None, 0)),
+    (["--kernel", "gaussian"], "kernel", (None, 0)),
+    (["--kernel", "gaussian", "--basis", "kmeans:8"], "kernel", ("kmeans", 8)),
+], ids=["space-linear", "kernel-gaussian", "basis-kmeans8"])
+def test_train_writes_the_model_fit_labeled_returns(tmp_path, flags, space, basis):
+    data = tmp_path / "every6.csv"
+    data.write_text("\n".join(IONOSPHERE.read_text().splitlines()[::6]) + "\n")
+    trained = tmp_path / "trained.model"
+    assert main(["train", "--data", str(data), "--label-col", "last", "--per-class", "10",
+                 "--seed", "3", *flags, "--out", str(trained)]) == 0
+    X, labels = load_points_csv(data, label_col="last")
+    spec = (KernelSpec.linear() if space == "linear"
+            else KernelSpec.gaussian(median_pairwise_distance(X)))
+    mf, _, _ = fit_labeled(X, None, labels, 3, space, spec, per_class=10, basis=basis)
+    saved = tmp_path / "fit_labeled.model"
+    save_model(saved, mf)
+    assert saved.read_bytes() == trained.read_bytes()
+
+
+# -- one Gram pair distance -----------------------------------------------------------
+
+def test_pair_distance_kernel_on_index_arrays_is_the_scalar_calls():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((7, 9))
+    K = A @ A.T
+    I, J = rng.integers(0, 7, size=60), rng.integers(0, 7, size=60)
+    scalar = np.array([pair_distance_kernel(K, int(i), int(j)) for i, j in zip(I, J)])
+    assert pair_distance_kernel(K, I, J).tobytes() == scalar.tobytes()
+
+
+def test_max_violation_is_the_per_constraint_loop():
+    X, y = make_blobs(np.random.default_rng(2), d=5, n=45, classes=3, nuisance=1)
+    cs = ConstraintSet(generate_from_labels(y, per_class=8, seed=1),
+                       compute_thresholds(euclidean_distance_pool(X)))
+    fit = fit_kernel(X.T @ X, cs, SolverConfig(max_sweeps=2))
+    K, xi = fit.K, fit.dual.xi
+    worst = 0.0
+    for c, con in enumerate(cs.constraints):
+        d = K[con.i, con.i] + K[con.j, con.j] - 2.0 * K[con.i, con.j]
+        worst = max(worst, d - xi[c] if con.kind == SIMILAR else xi[c] - d)
+    assert worst > 0.0  # two sweeps leave some constraint violated
+    assert max_violation(K, cs, fit.dual) == worst

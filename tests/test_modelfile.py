@@ -239,6 +239,58 @@ def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, ca
     assert fragment in captured.err
 
 
+def _swap_matrix(text, name, A):
+    """The file text with matrix ``name`` replaced by A."""
+    lines = _drop_matrix(text, name).splitlines()
+    end = lines.index("end")
+    lines[end:end] = [f"matrix {name} {A.shape[0]} {A.shape[1]}",
+                      *(" ".join(map(str, row)) for row in A)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("flags, edit, fragment", [
+    (["--space", "linear"], lambda t: _swap_matrix(t, "W", np.ones((2, 3))), "square matrix W"),
+    (["--kernel", "gaussian"], lambda t: _swap_matrix(t, "M", np.eye(3)),
+     "59 x 59 matrix M for its 59 points"),
+    (["--kernel", "gaussian", "--basis", "kmeans:8"], lambda t: _drop_matrix(t, "B"),
+     "matrix B with 59 rows and 8 columns"),
+    (["--kernel", "gaussian", "--basis", "kmeans:8"], lambda t: _drop_matrix(t, "F"),
+     "8 x 8 matrix F"),
+], ids=["linear-W-not-square", "kernel-M-wrong-size", "iplr-no-B", "iplr-no-F"])
+def test_model_payload_missing_or_of_the_wrong_size_exits_2(small_ionosphere, query_points,
+                                                            tmp_path, capsys, flags, edit,
+                                                            fragment):
+    trained = tmp_path / "trained.model"
+    assert _train(small_ionosphere, trained, *flags) == 0
+    broken = tmp_path / "broken.model"
+    broken.write_text(edit(trained.read_text()))
+    capsys.readouterr()
+    code = main(["distance", str(broken), "--points", str(query_points)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{broken}: line {len(broken.read_text().splitlines())}:" in captured.err
+    assert fragment in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("flags", [["--space", "linear"], ["--basis", "topk:5"]],
+                         ids=["linear", "iplr-topk"])
+def test_distance_on_points_of_another_dimension_exits_2(small_ionosphere, tmp_path, capsys,
+                                                        flags):
+    model = tmp_path / "trained.model"
+    assert _train(small_ionosphere, model, *flags) == 0
+    points = tmp_path / "points.csv"
+    points.write_text("1,2\n3,4\n")
+    capsys.readouterr()
+    code = main(["distance", str(model), "--points", str(points)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: point dimension mismatch: 34 vs 2" in captured.err
+
+
 def test_binary_model_file_exits_2(query_points, tmp_path, capsys):
     broken = tmp_path / "binary.model"
     broken.write_bytes(b"\xff\xfe\x00version 2\n")

@@ -792,6 +792,18 @@ class TestStoppingRule:
         assert math.isfinite(model.trace[-1].distance_change)
 
     @pytest.mark.parametrize("fit", ["kernel", "linear"])
+    def test_the_fits_decide_through_converged(self, rng, fit, monkeypatch):
+        X, labels = make_blobs(rng, d=6, n=60, nuisance=2)
+        cs = ConstraintSet(generate_from_labels(labels, per_class=15, seed=0),
+                           compute_thresholds(euclidean_distance_pool(X)))
+        calls = []
+        monkeypatch.setattr(solver, "converged", lambda *args: calls.append(args) or False)
+        data, run = (X.T @ X, fit_kernel) if fit == "kernel" else (X, fit_linear)
+        model = run(data, cs, SolverConfig(tol=1e300, max_sweeps=4))
+        assert not model.converged and model.sweeps_used == 4 and len(calls) == 4
+        assert all(tol == 1e300 for _, _, tol, _ in calls)
+
+    @pytest.mark.parametrize("fit", ["kernel", "linear"])
     def test_the_stop_follows_tol_exactly(self, rng, fit):
         X, labels = make_blobs(rng, d=6, n=60, nuisance=2)
         cs = ConstraintSet(generate_from_labels(labels, per_class=15, seed=0),
