@@ -5,12 +5,15 @@ through ``evaluation.fit_labeled`` -- a Mahalanobis matrix (linear space), a
 learned kernel, or, with ``--basis``, an identity-plus-low-rank model -- and
 saves the model file it returns; ``distance`` answers from that file through
 ``evaluation.serve``.  ``eval --mode knn`` and ``--gamma cv`` score the same
-fit, ``fit_labeled`` on each training fold (``evaluation.logdet_learner``;
-``eval`` has no ``--basis`` or ``--max-sweeps``), and ``eval --loss``
-compares it with the Euclidean and inverse-covariance baselines.  ``eval --mode cluster`` fits a
-linear-space metric to ``--constraints`` random pairs, and rejects
-``--space kernel``, a non-linear ``--kernel``, a baseline ``--loss``,
-``--gamma cv`` and ``--per-class`` with exit 4.  ``train`` logs why the fit
+fit, ``fit_labeled`` on each training fold (``evaluation.logdet_learner``),
+with the same ``--basis`` and ``--max-sweeps`` flags as ``train``; the
+output's ``basis_k`` column is the ``--basis`` size (0 for none).  ``eval
+--loss`` compares the fit with the Euclidean and inverse-covariance
+baselines, which fit nothing and reject ``--basis`` and ``--max-sweeps``
+with exit 4.  ``eval --mode cluster`` fits a linear-space metric to
+``--constraints`` random pairs, and rejects ``--space kernel``, a non-linear
+``--kernel``, a baseline ``--loss``, ``--gamma cv``, ``--per-class``,
+``--basis`` and ``--max-sweeps`` with exit 4.  ``train`` logs why the fit
 stopped: ``rule`` when no constrained distance moved by more than ``--tol``
 over the last sweep, ``cap`` when the sweep cap ended it (with a WARNING).
 
@@ -253,27 +256,29 @@ def _eval_learner(args, space, spec):
                                      args.max_sweeps, args.k, args.basis)
 
 
-def _cluster_flag_error(args):
-    """The first flag cluster mode cannot honour, or None: it fits a
+def _eval_flag_error(args):
+    """Why ``eval`` cannot honour its flags, or None.  Cluster mode fits a
     linear-space LogDet metric at a fixed gamma to ``--constraints`` random
-    pairs whatever the flags say."""
-    if args.space == "kernel":
-        return "--space kernel"
-    if args.kernel != "linear":
-        return f"--kernel {args.kernel}"
-    if args.loss != "logdet":
-        return f"--loss {args.loss}"
-    if args.gamma == "cv":
-        return "--gamma cv"
-    if args.per_class is not None:
-        return "--per-class"
-    return None
+    pairs whatever the flags say; a baseline ``--loss`` fits nothing."""
+    fit_flags = {"--basis": args.basis != (None, 0), "--max-sweeps": args.max_sweeps is not None}
+    if args.mode == "cluster":
+        given = {"--space kernel": args.space == "kernel",
+                 f"--kernel {args.kernel}": args.kernel != "linear",
+                 f"--loss {args.loss}": args.loss != "logdet",
+                 "--gamma cv": args.gamma == "cv",
+                 "--per-class": args.per_class is not None, **fit_flags}
+        why = "in cluster mode (it learns a linear-space LogDet metric)"
+    elif args.loss != "logdet":
+        given, why = fit_flags, f"with --loss {args.loss} (a baseline fits nothing)"
+    else:
+        return None
+    bad = next((flag for flag, on in given.items() if on), None)
+    return None if bad is None else f"{bad} is not supported {why}"
 
 
 def cmd_eval(args) -> int:
-    if args.mode == "cluster" and (bad := _cluster_flag_error(args)):
-        print(f"error: {bad} is not supported in cluster mode "
-              "(it learns a linear-space LogDet metric)", file=sys.stderr)
+    if bad := _eval_flag_error(args):
+        print(f"error: {bad}", file=sys.stderr)
         return EXIT_FLAGS
     X, K0, labels = _load_dataset(args, need_labels=True)
     if X is None:
@@ -292,7 +297,8 @@ def cmd_eval(args) -> int:
         results = [("error_unsupervised", unsup, "mean"), ("error_logdet", learned, "mean")]
     dataset = os.path.basename(args.data)
     gamma_txt = args.gamma if isinstance(args.gamma, str) else f"{args.gamma:.12g}"
-    rows = [[dataset, args.mode, metric, f"{value:.12g}", fold, str(args.seed), gamma_txt, "0"]
+    rows = [[dataset, args.mode, metric, f"{value:.12g}", fold, str(args.seed), gamma_txt,
+             str(args.basis[1])]
             for metric, value, fold in results]
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -319,6 +325,9 @@ def _add_fit_flags(parser, per_class) -> None:
     parser.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
                         help="stop a fit once no constrained-pair distance moved by more "
                              "than this fraction over a sweep (default %(default)g)")
+    parser.add_argument("--basis", type=_basis_arg, default=(None, 0),
+                        help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
+    parser.add_argument("--max-sweeps", type=_positive_int, default=None, dest="max_sweeps")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -329,9 +338,6 @@ def build_parser() -> _Parser:
 
     train = sub.add_parser("train", help="learn a metric/kernel model under the LogDet loss")
     _add_fit_flags(train, per_class=DEFAULT_PER_CLASS)
-    train.add_argument("--basis", type=_basis_arg, default=(None, 0),
-                       help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
-    train.add_argument("--max-sweeps", type=_positive_int, default=None, dest="max_sweeps")
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 
@@ -352,8 +358,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--k", type=_positive_int, default=10)
     ev.add_argument("--constraints", type=_positive_int, default=50)
     ev.add_argument("--out")
-    # eval fits what train fits with no --basis and no --max-sweeps
-    ev.set_defaults(func=cmd_eval, basis=(None, 0), max_sweeps=None)
+    ev.set_defaults(func=cmd_eval)
     return parser
 
 

@@ -324,14 +324,15 @@ def logdet_kernel_learner(spec: KernelSpec | None = None, **opts):
 # semi-supervised clustering
 
 
-def semisup_kmeans(points, labels, test_idx, c: int, seed: int = 0) -> float:
+def semisup_kmeans(points, labels, test_sets, c: int, seed: int = 0) -> list[float]:
     """k-means on all the points (columns: X for the Euclidean geometry, G X for
-    a learned metric W = G^T G), scored by the matching error on the test
-    subset only.  Empty clusters are reseeded at the farthest point."""
+    a learned metric W = G^T G), scored by the matching error on each test
+    subset.  Empty clusters are reseeded at the farthest point."""
     if c < 2:
         raise InvalidArgumentError("need at least 2 clusters")
     pred, _ = kmeans(points, c, seed=seed)
-    return matching_error(pred[test_idx], np.asarray(labels)[test_idx])
+    labels = np.asarray(labels)
+    return [matching_error(pred[te], labels[te]) for te in test_sets]
 
 
 def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
@@ -341,15 +342,18 @@ def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
     For each fold: learn a LogDet metric from ``n_constraints`` random pairs
     inside the training half (thresholds from that half's distance profile),
     cluster the entire dataset in the learned geometry, and score the test
-    half.  Returns (mean unsupervised error, mean learned-metric error).
+    half.  The unsupervised baseline uses no fold: one clustering of X scores
+    both test halves.  Returns (mean unsupervised error, mean learned-metric
+    error).
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     c = len(set(labels.tolist()))
     idx_a, idx_b = stratified_split(labels, seed)
-    unsup, learned = [], []
-    for tr, te in ((idx_a, idx_b), (idx_b, idx_a)):
-        unsup.append(semisup_kmeans(X, labels, te, c, seed=seed))
+    folds = ((idx_a, idx_b), (idx_b, idx_a))
+    unsup = semisup_kmeans(X, labels, [te for _, te in folds], c, seed=seed)
+    learned = []
+    for tr, te in folds:
         cons = generate_pairs_random(labels[tr], n_constraints, seed=seed)
         # map fold-local indices back to the full dataset
         cons = [type(con)(int(tr[con.i]), int(tr[con.j]), con.kind) for con in cons]
@@ -357,5 +361,5 @@ def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
         cs = ConstraintSet(cons, compute_thresholds(pool))
         cfg = solver.SolverConfig(gamma=gamma, tol=tol, seed=seed)
         mf, _, _ = fit_model(X, None, cs, KernelSpec.linear(), "linear", cfg)
-        learned.append(semisup_kmeans(serve(mf).G @ X, labels, te, c, seed=seed))
+        learned += semisup_kmeans(serve(mf).G @ X, labels, [te], c, seed=seed)
     return float(np.mean(unsup)), float(np.mean(learned))

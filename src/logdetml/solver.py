@@ -20,6 +20,32 @@ The same update runs in input space on a d x d matrix W with the pair
 difference vector g = x_i - x_j in place of e_i - e_j: each space computes
 only v = A g and p = g^T v, and one helper (``_project``) does the rest.
 
+A kernel fit delays its rank-one updates (the delayed-update idea of
+Schreiber & Van Loan's compact WY form, 1989).  The fit's kernel is held as
+A + U diag(beta) U^T with up to ``KERNEL_BLOCK`` pending terms, so each
+projection costs O(n t) for t pending terms instead of a full n x n pass:
+v = A[:, i] - A[:, j] + U^T (beta * (U[:, i] - U[:, j])) over U's t rows,
+and p and the scalars come from v as above.  The skip floor counts the
+pending terms, trace(A) + sum beta_s ||u_s||^2.  The block is added into A
+when it is full and at the end of every sweep, before the distances the
+stopping rule reads, so every sweep ends on a flushed matrix:
+
+* in tiles of A's upper triangle of at most ``FLUSH_MADDS`` multiply-adds
+  per ``np.dot``, written into the fit's one n x n ``work`` buffer.  A dgemm
+  that small stays under OpenBLAS's single-thread size threshold, so the
+  flush's bits do not depend on the BLAS thread count; that threshold is an
+  OpenBLAS internal, which ``test_same_stop_and_bits_on_one_and_two_blas_threads``
+  guards;
+* mirrored: the upper triangle is copied onto the lower one, because the
+  entries (a, b) and (b, a) of the product round differently and the
+  projections read columns of an exactly symmetric K;
+* a block of one term is added by the eager update A += beta v v^T, so with
+  ``KERNEL_BLOCK = 1`` a kernel fit is the eager loop, bit for bit.
+
+The delayed fit sums in another order than the eager one: its K agrees
+with the eager K to round-off (about 1e-13 of max|K|), not in bits.
+Input-space fits (d x d, Python-bound at small d) stay eager.
+
 A fit sweeps the m constraints in a fixed order and stops on primal
 evidence: at the end of each sweep every constrained-pair distance p_c is
 computed afresh, and the fit stops once no p_c has moved by more than
@@ -35,6 +61,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +82,14 @@ DENOM_TOL = 1e-12
 # moved by more than 5% of its value over the last sweep.  Every default
 # ``tol`` in the package (the CLI's flags, the learners) reads this one.
 DEFAULT_TOL = 5e-2
+
+# A kernel fit adds its projections to K this many at a time (chosen from
+# paired runs of the ionosphere Gaussian fit, n = 351 and 176).
+KERNEL_BLOCK = 32
+
+# The most multiply-adds one ``np.dot`` of a flush does: OpenBLAS runs a
+# dgemm with M*N*K <= 65536 * 4 on one thread.
+FLUSH_MADDS = 200_000
 
 
 class SolverWarning(UserWarning):
@@ -174,10 +209,11 @@ def _projection_scalars(p: float, xi: float, lam: float, delta: float, gamma: fl
     return alpha, beta, xi_new, lam - alpha, clipped
 
 
-def _p_min(diag: np.ndarray, n: int) -> float:
-    """Skip floor P_MIN_RTOL * trace / n from A's diagonal.  ``np.add.reduce``
-    is the reduction ``ndarray.trace`` runs, without its call overhead."""
-    return P_MIN_RTOL * float(np.add.reduce(diag)) / n
+def _p_min(diag: np.ndarray, n: int, pending: float = 0.0) -> float:
+    """Skip floor P_MIN_RTOL * trace / n from A's diagonal and the trace of
+    the pending terms.  ``np.add.reduce`` is the reduction ``ndarray.trace``
+    runs, without its call overhead."""
+    return P_MIN_RTOL * (float(np.add.reduce(diag)) + pending) / n
 
 
 def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> None:
@@ -199,6 +235,73 @@ def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> N
     np.add(A, work, out=A)
 
 
+def _flush_tiles(n: int, t: int):
+    """Tiles (r0, r1, c0, c1) of an n x n matrix's upper triangle, strip by
+    strip of rows r0:r1 from column r0 on, each with at most
+    ``FLUSH_MADDS`` multiply-adds for t pending terms."""
+    area = FLUSH_MADDS // t
+    h = max(1, min(n, area // n))
+    w = area // h
+    for r0 in range(0, n, h):
+        r1 = min(n, r0 + h)
+        for c0 in range(r0, n, w):
+            yield r0, r1, c0, min(n, c0 + w)
+
+
+class _Pending:
+    """A kernel fit's projections not yet added to its matrix A: the fit's
+    kernel is A + sum_s beta_s u_s u_s^T over the ``t`` rows u_s of ``U``.
+    ``work`` is the fit's n x n scratch buffer."""
+
+    def __init__(self, A: np.ndarray, size: int, work: np.ndarray):
+        n = A.shape[0]
+        self.U, self.beta, self.t = np.empty((size, n)), np.empty(size), 0
+        self.trace = 0.0  # sum beta_s ||u_s||^2: the pending part of trace(K)
+        self.diag, self.work = A.diagonal(), work
+
+    def floor(self) -> float:
+        return _p_min(self.diag, len(self.diag), self.trace)
+
+    def image(self, A: np.ndarray, i: int, j: int) -> np.ndarray:
+        """K[:, i] - K[:, j] for the fit's kernel K."""
+        v = A[:, i] - A[:, j]
+        if t := self.t:
+            U = self.U[:t]
+            v += (self.beta[:t] * (U[:, i] - U[:, j])) @ U
+        return v
+
+    def push(self, A: np.ndarray, beta: float, v: np.ndarray) -> None:
+        t = self.t
+        self.U[t], self.beta[t] = v, beta
+        self.trace += beta * float(v.dot(v))
+        self.t = t + 1
+        if self.t == len(self.beta):
+            self.flush(A)
+
+    def flush(self, A: np.ndarray) -> None:
+        """Add the pending terms into A and empty the block."""
+        t, self.t, self.trace = self.t, 0, 0.0
+        if t == 1:
+            _add_outer(A, float(self.beta[0]), self.U[0], self.work)
+        elif t:
+            n, U = len(self.diag), self.U[:t]
+            # the terms beta_s u_s as columns, C-ordered: a small dgemm's bits
+            # depend on its operands' layout
+            left = np.ascontiguousarray(U.T) * self.beta[:t]
+            out = self.work.reshape(-1)
+            lower = None  # strictly lower triangle of a strip's diagonal block
+            for r0, r1, c0, c1 in _flush_tiles(n, t):
+                tile = out[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                np.dot(left[r0:r1], U[:, c0:c1], out=tile)
+                A[r0:r1, c0:c1] += tile
+                if c1 == n:  # the strip is done: mirror its lower part
+                    if lower is None:
+                        lower = np.tri(r1 - r0, k=-1, dtype=bool)
+                    A[r0:r1, :r0] = A[:r0, r0:r1].T
+                    block = A[r0:r1, r0:r1]
+                    np.copyto(block, block.T, where=lower[:r1 - r0, :r1 - r0])
+
+
 def project_constraint_kernel(
     K: np.ndarray,
     i: int,
@@ -218,10 +321,11 @@ def project_constraint_kernel(
 
     ``work`` is scratch space for the rank-one update: a C-contiguous float64
     array of K's shape, overwritten by the call, which must not alias ``K``.
-    ``None`` allocates one per call; a fit passes one buffer to all its
-    projections.
+    ``None`` allocates one per call.  A fit passes its pending block instead
+    (``_Pending``): the kernel is then K plus the pending terms, and the
+    update joins the block.
     """
-    v = K[:, i] - K[:, j]
+    v = work.image(K, i, j) if isinstance(work, _Pending) else K[:, i] - K[:, j]
     return _project(K, v, float(v[i] - v[j]), kind, lam, xi, gamma, p_min, work)
 
 
@@ -248,7 +352,8 @@ def project_constraint_linear(
 
 def _project(A, v, p, kind, lam, xi, gamma, p_min, work):
     """The update of both spaces from the pair's image v = A g and distance
-    p = g^T v: skip at the floor, else the scalars and A += beta v v^T."""
+    p = g^T v: skip at the floor, else the scalars and A += beta v v^T (or
+    the term joins the pending block ``work``)."""
     if p_min is None:
         p_min = _p_min(A.diagonal(), A.shape[0])
     if p <= p_min:
@@ -256,7 +361,10 @@ def _project(A, v, p, kind, lam, xi, gamma, p_min, work):
     delta = 1.0 if kind == SIMILAR else -1.0
     alpha, beta, xi_new, lam_new, clipped = _projection_scalars(p, xi, lam, delta, gamma)
     if beta != 0.0:
-        _add_outer(A, beta, v, np.empty(A.shape) if work is None else work)
+        if isinstance(work, _Pending):
+            work.push(A, beta, v)
+        else:
+            _add_outer(A, beta, v, np.empty(A.shape) if work is None else work)
     return lam_new, xi_new, ProjectionInfo(alpha, clipped, False)
 
 
@@ -283,12 +391,14 @@ def converged(p_before: np.ndarray, p_after: np.ndarray, tol: float,
 
 
 def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet,
-                cfg: SolverConfig, distances):
+                cfg: SolverConfig, distances, block: int = 0):
     """Shared sweep loop: seed-shuffled fixed order, cyclic passes, stopping
     rule on the constrained distances.  Constraint c of ``cs`` is projected by
     ``project(A, *operands[c], lam_c, xi_c, gamma, p_min, work)``, which
     updates A in place and returns (lam, xi, info); ``distances(A)`` gives
     every constrained-pair distance by the projections' own arithmetic.
+    With ``block`` > 0, ``work`` is a pending block of that size, flushed
+    into A at the end of each sweep.
     Returns (dual, converged, sweeps, skipped count, trace)."""
     m = len(operands)
     if m == 0:
@@ -305,6 +415,11 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet
     n = A.shape[0]
     diag = A.diagonal()  # a view: it follows the updates to A
     work = np.empty(A.shape)
+    if block:
+        work = _Pending(A, block, work)
+        floor = work.floor
+    else:
+        floor = partial(_p_min, diag, n)
     skipped_pairs: set[int] = set()
     trace: list[SweepStats] = []
     p_before = distances(A)
@@ -315,7 +430,7 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet
         lam_to_zero = noops = skipped = 0
         for c in order:
             lam[c], xi[c], info = project(A, *operands[c], lam[c], xi[c], gamma,
-                                          _p_min(diag, n), work)
+                                          floor(), work)
             if info.skipped:
                 skipped_pairs.add(c)
                 skipped += 1
@@ -323,6 +438,8 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet
                 noops += 1
             elif info.clipped:
                 lam_to_zero += 1
+        if block:
+            work.flush(A)
         lam_before = lam_after
         lam_after, xi_after = np.array(lam), np.array(xi)
         if not np.all(np.isfinite(lam_after)) or not np.all(np.isfinite(xi_after)):
@@ -351,6 +468,12 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
     sweeps the constraints cyclically (in an order shuffled once from the
     seed) until no constrained distance moves by more than ``cfg.tol``
     (relative) over a sweep, or the sweep cap is reached.
+
+    The updates are delayed (see the module docstring): up to
+    ``KERNEL_BLOCK`` projections wait as a block U diag(beta) U^T, which is
+    added into K in thread-independent tiles and mirrored onto K's lower
+    triangle, so K stays exactly symmetric.  A block of one is the eager
+    update; the learned K agrees with the eager loop's to round-off.
     """
     cfg = cfg or SolverConfig()
     K0 = symmetrize(np.asarray(K0, dtype=float))
@@ -366,7 +489,7 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
         return (K[I, I] - K[I, J]) - (K[J, I] - K[J, J])
 
     dual, done, sweeps, skipped, trace = _run_sweeps(
-        project_constraint_kernel, K, operands, cs, cfg, distances)
+        project_constraint_kernel, K, operands, cs, cfg, distances, KERNEL_BLOCK)
     return KernelModel(K=K, K0=K0, dual=dual, converged=done,
                        sweeps_used=sweeps, skipped=skipped, trace=trace)
 

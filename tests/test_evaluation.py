@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logdetml import evaluation
 from logdetml.cli import main
 from logdetml.constraints import (SIMILAR, ConstraintSet, compute_thresholds,
                                   euclidean_distance_pool, generate_from_labels)
@@ -119,6 +120,18 @@ class TestClusteringProtocol:
         assert first == second
         for err in first:
             assert 0.0 <= err <= 1.0
+
+    def test_the_unsupervised_clustering_runs_once(self, monkeypatch):
+        # it uses no fold: one k-means of X scores both test halves
+        X, y = make_blobs(np.random.default_rng(1), d=6, n=45, classes=3, nuisance=2)
+        expected = clustering_protocol(X, y, n_constraints=20, seed=4)
+        calls = []
+        original = evaluation.kmeans
+        monkeypatch.setattr(evaluation, "kmeans",
+                            lambda points, *a, **kw: calls.append(points) or original(points, *a, **kw))
+        assert clustering_protocol(X, y, n_constraints=20, seed=4) == expected
+        assert sum(np.array_equal(points, X) for points in calls) == 1
+        assert len(calls) == 3
 
 
 # -- the paper's central claim: the learned kernel beats the Euclidean metric --

@@ -619,6 +619,14 @@ def assert_same_fit(new, ref):
         (ref.sweeps_used, ref.converged, ref.skipped)
 
 
+@pytest.fixture
+def eager_kernel_updates(monkeypatch):
+    """Kernel fits add each projection to K at once (a pending block of one
+    term), the summation order of the reference loop."""
+    monkeypatch.setattr(solver, "KERNEL_BLOCK", 1)
+
+
+@pytest.mark.usefixtures("eager_kernel_updates")
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("gamma", [1.0, 0.3, math.inf])
@@ -710,6 +718,181 @@ class TestMatchesReferenceLoop:
                             project_constraint_kernel(K, i, j, kind, lam, 0.0, *rest))
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
             fit_kernel(K0, cs, cfg)
+
+
+# -- reference: the delayed kernel updates written out longhand.  At the default
+# block a kernel fit reproduces it bit for bit, and the eager loop to round-off.
+
+class RefPending:
+    def __init__(self):
+        self.U, self.beta, self.trace = [], [], 0.0
+
+
+def ref_flush(K: np.ndarray, pend: RefPending) -> None:
+    """K += sum_s beta_s u_s u_s^T: one term by the eager update; more in
+    tiles of the upper triangle of at most FLUSH_MADDS multiply-adds each,
+    strip by strip, then the upper triangle copied onto the lower one.  The
+    left factor is C-ordered, as the fit forms it: the bits of a small dgemm
+    depend on its operands' layout."""
+    t, n = len(pend.U), K.shape[0]
+    if t == 1:
+        ref_add_outer(K, pend.beta[0], pend.U[0], np.empty_like(K))
+    elif t > 1:
+        U, beta = np.array(pend.U), np.array(pend.beta)
+        left = np.ascontiguousarray(U.T) * beta
+        area = solver.FLUSH_MADDS // t
+        h = max(1, min(n, area // n))
+        w = max(1, area // h)
+        for r0 in range(0, n, h):
+            for c0 in range(r0, n, w):
+                r1, c1 = min(n, r0 + h), min(n, c0 + w)
+                K[r0:r1, c0:c1] += left[r0:r1] @ U[:, c0:c1]
+        lower = np.tril_indices(n, -1)
+        K[lower] = K.T[lower]
+    pend.U, pend.beta, pend.trace = [], [], 0.0
+
+
+def ref_delayed_project(K, pend, i, j, kind, lam, xi, gamma, block):
+    """One kernel projection against K plus the pending terms."""
+    n = K.shape[0]
+    p_min = P_MIN_RTOL * (float(np.trace(K)) + pend.trace) / n
+    v = K[:, i] - K[:, j]
+    if pend.U:
+        U, beta = np.array(pend.U), np.array(pend.beta)
+        v += (beta * (U[:, i] - U[:, j])) @ U
+    p = float(v[i] - v[j])
+    if p <= p_min:
+        return lam, xi, RefProjectionInfo(0.0, False, True)
+    delta = 1.0 if kind == SIMILAR else -1.0
+    alpha, beta, xi_new, lam_new, clipped = ref_projection_scalars(p, xi, lam, delta, gamma)
+    if beta != 0.0:
+        pend.U.append(v)
+        pend.beta.append(beta)
+        pend.trace += beta * float(v @ v)
+        if len(pend.U) == block:
+            ref_flush(K, pend)
+    return lam_new, xi_new, RefProjectionInfo(alpha, clipped, False)
+
+
+def ref_fit_kernel_delayed(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig,
+                           block: int) -> KernelModel:
+    """``ref_fit_kernel`` with the projections pending in blocks of ``block``."""
+    K = symmetrize(np.asarray(K0, dtype=float))
+    K0 = K.copy()
+    n = K.shape[0]
+    pairs = [(c.i, c.j, c.kind) for c in cs.constraints]
+    pend = RefPending()
+
+    def project_one(c, lam_c, xi_c):
+        return ref_delayed_project(K, pend, *pairs[c], lam_c, xi_c, cfg.gamma, block)
+
+    def distance_one(c):
+        ref_flush(K, pend)  # a sweep ends on a flushed K; a no-op after the first pair
+        i, j, _ = pairs[c]
+        v = K[:, i] - K[:, j]
+        return float(v[i] - v[j])
+
+    dual, done, sweeps, skipped = ref_run_sweeps(
+        project_one, len(pairs), cs.initial_slacks(), cfg, distance_one,
+        lambda: P_MIN_RTOL * float(np.trace(K)) / n)
+    return KernelModel(K=K, K0=K0, dual=dual, converged=done,
+                       sweeps_used=sweeps, skipped=len(skipped))
+
+
+def assert_close_kernel_fit(new, ref):
+    """Round-off agreement of a delayed fit with the eager reference."""
+    assert np.max(np.abs(new.K - ref.K)) <= 1e-12 * np.max(np.abs(ref.K))
+    assert (new.sweeps_used, new.converged, new.skipped) == \
+        (ref.sweeps_used, ref.converged, ref.skipped)
+    assert np.array_equal(new.K, new.K.T)
+
+
+class TestDelayedUpdates:
+    """Kernel fits at the default block size."""
+
+    def check(self, K0, cs, cfg):
+        new = fit_kernel(K0, cs, cfg)
+        assert_same_fit(new, ref_fit_kernel_delayed(K0, cs, cfg, solver.KERNEL_BLOCK))
+        assert_close_kernel_fit(new, ref_fit_kernel(K0, cs, cfg))
+        return new
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("gamma", [1.0, 0.3, math.inf])
+    def test_kernel_fit(self, seed, gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((int(rng.integers(3, 30)), int(rng.integers(10, 60))))
+        K0 = X.T @ X if seed % 2 else gram(X, KernelSpec.gaussian(2.0))
+        cs = mixed_constraint_set(X, n_sim=8, n_dis=8, seed=seed)
+        self.check(K0, cs, SolverConfig(gamma=gamma, max_sweeps=30, seed=seed))
+
+    def test_many_points_and_blocks_that_do_not_divide_the_sweep(self, rng):
+        X = rng.standard_normal((5, 420))
+        b = solver.KERNEL_BLOCK
+        cs = mixed_constraint_set(X, n_sim=b, n_dis=b + 5)
+        assert len(cs) % b != 0
+        self.check(gram(X, KernelSpec.gaussian(2.0)), cs, SolverConfig(max_sweeps=3))
+
+    def test_converged_fit(self, rng):
+        X, labels = make_blobs(rng, d=4, n=60, nuisance=1)
+        cs = ConstraintSet(generate_from_labels(labels, per_class=15, seed=0),
+                           compute_thresholds(euclidean_distance_pool(X)))
+        assert len(cs) > solver.KERNEL_BLOCK and len(cs) % solver.KERNEL_BLOCK != 0
+        assert self.check(X.T @ X, cs, SolverConfig(gamma=1.0, tol=1e-6)).converged
+
+    def test_a_sweep_that_ends_with_one_pending_term(self, rng, monkeypatch):
+        # b + 1 similar pairs, each above the threshold: every projection
+        # moves K, so each sweep fills one block and ends with one term
+        # pending, which the eager update adds
+        X = rng.standard_normal((60, 50))
+        pairs = set()
+        while len(pairs) < solver.KERNEL_BLOCK + 1:
+            i, j = sorted(int(t) for t in rng.choice(50, size=2, replace=False))
+            pairs.add((i, j))
+        K0 = X.T @ X
+        u = 0.5 * min(pair_distance_kernel(K0, i, j) for i, j in pairs)
+        cs = ConstraintSet([Constraint(i, j, SIMILAR) for i, j in sorted(pairs)],
+                           Thresholds(u, 2 * u))
+        calls = []
+        add_outer = solver._add_outer
+        monkeypatch.setattr(solver, "_add_outer", lambda *a: calls.append(1) or add_outer(*a))
+        model = self.check(K0, cs, SolverConfig(max_sweeps=3))
+        assert all(e.noops == e.skipped == 0 for e in model.trace)
+        assert len(calls) == model.sweeps_used
+
+    def test_pending_terms_enter_the_image_and_the_floor(self, rng):
+        n = 40
+        A = random_pd(rng, n)
+        pending = solver._Pending(A, solver.KERNEL_BLOCK, np.empty((n, n)))
+        A0, K = A.copy(), A.copy()
+        for _ in range(5):
+            v, beta = rng.standard_normal(n), float(rng.uniform(0.01, 0.1))
+            pending.push(A, beta, v)
+            K += beta * np.outer(v, v)
+        assert pending.t == 5 and np.array_equal(A, A0)
+        assert np.allclose(pending.image(A, 3, 7), K[:, 3] - K[:, 7], rtol=0, atol=1e-13)
+        assert pending.floor() == pytest.approx(P_MIN_RTOL * np.trace(K) / n, rel=1e-13, abs=0)
+        assert pending.floor() > 1.1 * P_MIN_RTOL * np.trace(A) / n
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 351, 2000])
+    @pytest.mark.parametrize("t", [2, 3, solver.KERNEL_BLOCK])
+    def test_every_flush_product_stays_under_the_limit(self, n, t, monkeypatch):
+        # a dgemm this small runs on one BLAS thread, so its bits do not
+        # depend on the thread count
+        rng = np.random.default_rng(n)
+        A = symmetrize(rng.standard_normal((n, n)))
+        U, beta = rng.standard_normal((t, n)), rng.standard_normal(t)
+        expected = A + (beta[:, None] * U).T @ U
+        pending = solver._Pending(A, t, np.empty((n, n)))
+        pending.U[:], pending.beta[:], pending.t = U, beta, t
+        madds = []
+        dot = np.dot
+        monkeypatch.setattr(np, "dot", lambda a, b, out: madds.append(
+            a.shape[0] * a.shape[1] * b.shape[1]) or dot(a, b, out=out))
+        pending.flush(A)
+        assert madds and max(madds) <= solver.FLUSH_MADDS
+        assert pending.t == 0 and pending.trace == 0.0
+        assert np.array_equal(A, A.T)
+        assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("project", ["kernel", "linear"])
