@@ -6,14 +6,13 @@ learned kernel, or, with ``--basis``, an identity-plus-low-rank model -- and
 saves the model file it returns; ``distance`` answers from that file through
 ``evaluation.serve``.  ``eval --mode knn`` and ``--gamma cv`` score the same
 fit, ``fit_labeled`` on each training fold (``evaluation.logdet_learner``),
-with the same ``--basis`` and ``--max-sweeps`` flags as ``train``; the
-output's ``basis_k`` column is the ``--basis`` size (0 for none).  ``eval
---loss`` compares the fit with the Euclidean and inverse-covariance
-baselines, which fit nothing and reject ``--basis`` and ``--max-sweeps``
-with exit 4.  ``eval --mode cluster`` fits a linear-space metric to
-``--constraints`` random pairs, and rejects ``--space kernel``, a non-linear
-``--kernel``, a baseline ``--loss``, ``--gamma cv``, ``--per-class``,
-``--basis`` and ``--max-sweeps`` with exit 4.  ``train`` logs why the fit
+with the same ``--max-sweeps`` flag as ``train`` but no ``--basis`` (the
+output's ``basis_k`` column is 0).  ``eval --loss`` compares the fit with
+the Euclidean and inverse-covariance baselines, which fit nothing and reject
+``--max-sweeps`` with exit 4.  ``eval --mode cluster`` fits a linear-space
+metric to ``--constraints`` random pairs, and rejects ``--space kernel``, a
+non-linear ``--kernel``, a baseline ``--loss``, ``--gamma cv``,
+``--per-class`` and ``--max-sweeps`` with exit 4.  ``train`` logs why the fit
 stopped: ``rule`` when no constrained distance moved by more than ``--tol``
 over the last sweep, ``cap`` when the sweep cap ended it (with a WARNING).
 
@@ -260,20 +259,19 @@ def _eval_flag_error(args):
     """Why ``eval`` cannot honour its flags, or None.  Cluster mode fits a
     linear-space LogDet metric at a fixed gamma to ``--constraints`` random
     pairs whatever the flags say; a baseline ``--loss`` fits nothing."""
-    fit_flags = {"--basis": args.basis != (None, 0), "--max-sweeps": args.max_sweeps is not None}
     if args.mode == "cluster":
         given = {"--space kernel": args.space == "kernel",
                  f"--kernel {args.kernel}": args.kernel != "linear",
                  f"--loss {args.loss}": args.loss != "logdet",
                  "--gamma cv": args.gamma == "cv",
-                 "--per-class": args.per_class is not None, **fit_flags}
-        why = "in cluster mode (it learns a linear-space LogDet metric)"
-    elif args.loss != "logdet":
-        given, why = fit_flags, f"with --loss {args.loss} (a baseline fits nothing)"
-    else:
-        return None
-    bad = next((flag for flag, on in given.items() if on), None)
-    return None if bad is None else f"{bad} is not supported {why}"
+                 "--per-class": args.per_class is not None,
+                 "--max-sweeps": args.max_sweeps is not None}
+        bad = next((flag for flag, on in given.items() if on), None)
+        return bad and f"{bad} is not supported in cluster mode " \
+            "(it learns a linear-space LogDet metric)"
+    if args.loss != "logdet" and args.max_sweeps is not None:
+        return f"--max-sweeps is not supported with --loss {args.loss} (a baseline fits nothing)"
+    return None
 
 
 def cmd_eval(args) -> int:
@@ -297,8 +295,7 @@ def cmd_eval(args) -> int:
         results = [("error_unsupervised", unsup, "mean"), ("error_logdet", learned, "mean")]
     dataset = os.path.basename(args.data)
     gamma_txt = args.gamma if isinstance(args.gamma, str) else f"{args.gamma:.12g}"
-    rows = [[dataset, args.mode, metric, f"{value:.12g}", fold, str(args.seed), gamma_txt,
-             str(args.basis[1])]
+    rows = [[dataset, args.mode, metric, f"{value:.12g}", fold, str(args.seed), gamma_txt, "0"]
             for metric, value, fold in results]
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -325,8 +322,6 @@ def _add_fit_flags(parser, per_class) -> None:
     parser.add_argument("--tol", type=_positive_float, default=solver.DEFAULT_TOL,
                         help="stop a fit once no constrained-pair distance moved by more "
                              "than this fraction over a sweep (default %(default)g)")
-    parser.add_argument("--basis", type=_basis_arg, default=(None, 0),
-                        help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
     parser.add_argument("--max-sweeps", type=_positive_int, default=None, dest="max_sweeps")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -338,6 +333,8 @@ def build_parser() -> _Parser:
 
     train = sub.add_parser("train", help="learn a metric/kernel model under the LogDet loss")
     _add_fit_flags(train, per_class=DEFAULT_PER_CLASS)
+    train.add_argument("--basis", type=_basis_arg, default=(None, 0),
+                       help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 
@@ -358,7 +355,8 @@ def build_parser() -> _Parser:
     ev.add_argument("--k", type=_positive_int, default=10)
     ev.add_argument("--constraints", type=_positive_int, default=50)
     ev.add_argument("--out")
-    ev.set_defaults(func=cmd_eval)
+    # eval fits what train fits with no --basis
+    ev.set_defaults(func=cmd_eval, basis=(None, 0))
     return parser
 
 

@@ -31,11 +31,11 @@ when it is full and at the end of every sweep, before the distances the
 stopping rule reads, so every sweep ends on a flushed matrix:
 
 * in tiles of A's upper triangle of at most ``FLUSH_MADDS`` multiply-adds
-  per ``np.dot``, written into the fit's one n x n ``work`` buffer.  A dgemm
-  that small stays under OpenBLAS's single-thread size threshold, so the
-  flush's bits do not depend on the BLAS thread count; that threshold is an
-  OpenBLAS internal, which ``test_same_stop_and_bits_on_one_and_two_blas_threads``
-  guards;
+  per ``np.dot``, written into the fit's one n x n ``work`` buffer, two or
+  more rows per tile so each is a dgemm.  A dgemm that small stays under
+  OpenBLAS's single-thread size threshold, so the flush's bits do not depend
+  on the BLAS thread count; that threshold is an OpenBLAS internal, which
+  ``test_same_stop_and_bits_on_one_and_two_blas_threads`` guards;
 * mirrored: the upper triangle is copied onto the lower one, because the
   entries (a, b) and (b, a) of the product round differently and the
   projections read columns of an exactly symmetric K;
@@ -88,7 +88,9 @@ DEFAULT_TOL = 5e-2
 KERNEL_BLOCK = 32
 
 # The most multiply-adds one ``np.dot`` of a flush does: OpenBLAS runs a
-# dgemm with M*N*K <= 65536 * 4 on one thread.
+# dgemm with M*N*K <= 65536 * 4 on one thread.  A strip keeps at least two
+# rows, so no product wider than one entry is a one-row dgemv, which OpenBLAS
+# threads from a much smaller size (M*N >= 2304 * 4).
 FLUSH_MADDS = 200_000
 
 
@@ -238,9 +240,10 @@ def _add_outer(A: np.ndarray, beta: float, v: np.ndarray, work: np.ndarray) -> N
 def _flush_tiles(n: int, t: int):
     """Tiles (r0, r1, c0, c1) of an n x n matrix's upper triangle, strip by
     strip of rows r0:r1 from column r0 on, each with at most
-    ``FLUSH_MADDS`` multiply-adds for t pending terms."""
+    ``FLUSH_MADDS`` multiply-adds for t pending terms.  A strip has at least
+    two rows: only the last row's diagonal entry can be a one-row tile."""
     area = FLUSH_MADDS // t
-    h = max(1, min(n, area // n))
+    h = max(2, min(n, area // n))
     w = area // h
     for r0 in range(0, n, h):
         r1 = min(n, r0 + h)

@@ -569,7 +569,7 @@ def test_basis_larger_than_a_cv_fold_exits_2(ionosphere_every12, tmp_path, capsy
         "points)\n" in capsys.readouterr().err
 
 
-# -- eval takes train's --basis and --max-sweeps -------------------------------------
+# -- eval takes train's --max-sweeps --------------------------------------------
 
 def test_eval_max_sweeps_is_the_benchmark_knn2fold(capsys, monkeypatch):
     # what `bench/stage.py knn2fold` runs: two-fold 10-NN with the default
@@ -586,28 +586,11 @@ def test_eval_max_sweeps_is_the_benchmark_knn2fold(capsys, monkeypatch):
     assert served == f"{evaluation.two_fold_cv(X, y, learner, k=10, seed=0).accuracy:.12g}"
 
 
-@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
-def test_eval_basis_fits_the_low_rank_model_and_prints_its_size(ionosphere_every4, capsys):
-    flags = ["--kernel", "gaussian", "--per-class", "10", "--max-sweeps", "3"]
-    capsys.readouterr()
-    for basis, size in [([], "0"), (["--basis", "none"], "0"), (["--basis", "random:8"], "8")]:
-        assert main(["eval", "--data", str(ionosphere_every4), "--label-col", "last",
-                     "--mode", "knn", *flags, *basis]) == 0
-        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
-        assert rows[0][-1] == "basis_k" and {row[-1] for row in rows[1:]} == {size}
-    X, y = load_points_csv(ionosphere_every4, label_col="last")
-    learner = evaluation.logdet_learner("kernel", None, per_class=10, max_sweeps=3,
-                                        basis=("random", 8))
-    assert rows[-1][3] == f"{evaluation.two_fold_cv(X, y, learner, seed=0).accuracy:.12g}"
-
-
 @pytest.mark.parametrize("flags, message", [
-    (["--mode", "cluster", "--basis", "random:8"],
-     "--basis is not supported in cluster mode"),
     (["--mode", "cluster", "--max-sweeps", "5"],
      "--max-sweeps is not supported in cluster mode"),
-    (["--mode", "knn", "--loss", "euclidean", "--basis", "topk:2"],
-     "--basis is not supported with --loss euclidean"),
+    (["--mode", "knn", "--loss", "euclidean", "--max-sweeps", "5"],
+     "--max-sweeps is not supported with --loss euclidean"),
     (["--mode", "knn", "--loss", "inverse-covariance", "--max-sweeps", "5"],
      "--max-sweeps is not supported with --loss inverse-covariance"),
 ])

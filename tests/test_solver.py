@@ -31,6 +31,7 @@ from logdetml.linalg import (
     pair_distance_kernel,
     psd_tolerance,
     symmetrize,
+    symmetrize_in_place,
 )
 from logdetml.solver import (
     DEFAULT_TOL,
@@ -741,8 +742,8 @@ def ref_flush(K: np.ndarray, pend: RefPending) -> None:
         U, beta = np.array(pend.U), np.array(pend.beta)
         left = np.ascontiguousarray(U.T) * beta
         area = solver.FLUSH_MADDS // t
-        h = max(1, min(n, area // n))
-        w = max(1, area // h)
+        h = max(2, min(n, area // n))
+        w = area // h
         for r0 in range(0, n, h):
             for c0 in range(r0, n, w):
                 r1, c1 = min(n, r0 + h), min(n, c0 + w)
@@ -873,26 +874,32 @@ class TestDelayedUpdates:
         assert pending.floor() == pytest.approx(P_MIN_RTOL * np.trace(K) / n, rel=1e-13, abs=0)
         assert pending.floor() > 1.1 * P_MIN_RTOL * np.trace(A) / n
 
-    @pytest.mark.parametrize("n", [1, 2, 31, 351, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 31, 351, 2000, 3200])
     @pytest.mark.parametrize("t", [2, 3, solver.KERNEL_BLOCK])
     def test_every_flush_product_stays_under_the_limit(self, n, t, monkeypatch):
         # a dgemm this small runs on one BLAS thread, so its bits do not
-        # depend on the thread count
+        # depend on the thread count; a one-row product is a dgemv, which
+        # BLAS threads at a smaller size, so only a single entry may be one
         rng = np.random.default_rng(n)
-        A = symmetrize(rng.standard_normal((n, n)))
+        # in place, to hold few n x n temporaries at n = 3200
+        A = symmetrize_in_place(rng.standard_normal((n, n)))
         U, beta = rng.standard_normal((t, n)), rng.standard_normal(t)
-        expected = A + (beta[:, None] * U).T @ U
+        expected = (beta[:, None] * U).T @ U
+        expected += A
         pending = solver._Pending(A, t, np.empty((n, n)))
         pending.U[:], pending.beta[:], pending.t = U, beta, t
-        madds = []
+        shapes = []
         dot = np.dot
-        monkeypatch.setattr(np, "dot", lambda a, b, out: madds.append(
-            a.shape[0] * a.shape[1] * b.shape[1]) or dot(a, b, out=out))
+        monkeypatch.setattr(np, "dot", lambda a, b, out: shapes.append(
+            (a.shape[0], a.shape[1], b.shape[1])) or dot(a, b, out=out))
         pending.flush(A)
-        assert madds and max(madds) <= solver.FLUSH_MADDS
+        assert shapes and max(h * k * w for h, k, w in shapes) <= solver.FLUSH_MADDS
+        assert all(w == 1 for h, _, w in shapes if h == 1)
         assert pending.t == 0 and pending.trace == 0.0
         assert np.array_equal(A, A.T)
-        assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
+        scale = np.max(np.abs(expected))
+        expected -= A
+        assert np.max(np.abs(expected)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("project", ["kernel", "linear"])
