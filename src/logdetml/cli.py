@@ -53,6 +53,7 @@ from .modelfile import load_model, save_model
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_FLAGS = 4
+CSV_BLOCK = 4096  # distance CSV rows formatted per write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,15 +216,15 @@ def cmd_distance(args) -> int:
         pairs, _ = load_points_csv(args.pairs)
         if pairs.shape[0] != 2:
             raise InvalidArgumentError(f"{args.pairs}: expected two indices per row, got {pairs.shape[0]}")
-        rows = []
+        vals = []
         for k, (a, b) in enumerate(pairs.T, start=1):
             # an integral float such as 1.0 names a point; 0.5 names none
             if not (a.is_integer() and b.is_integer()):
                 raise InvalidArgumentError(f"{args.pairs}: non-integer index in pair {k}")
             if model is None:
                 raise InvalidArgumentError("index pairs need a model trained with stored points")
-            i, j = int(a), int(b)
-            rows.append((i, j, training_pair_distance(model, i, j)))
+            vals.append(training_pair_distance(model, int(a), int(b)))
+        (I, J), vals = pairs.astype(int), np.array(vals)
     else:
         Z, _ = load_points_csv(args.points)
         if model is not None and model.X is None:
@@ -231,10 +232,12 @@ def cmd_distance(args) -> int:
         I, J = np.triu_indices(Z.shape[1])
         vals = oracle.pairwise(Z, Z)[I, J]
         vals[I == J] = 0.0
-        rows = zip(I.tolist(), J.tolist(), vals.tolist())
     with _output(args.out) as out:
         out.write("i,j,sq_distance\n")
-        out.writelines("%d,%d,%.12g\n" % row for row in rows)
+        for a in range(0, len(vals), CSV_BLOCK):  # one % per block: the bytes of one % per row
+            flat = [None] * (3 * len(vals[a:a + CSV_BLOCK]))
+            flat[0::3], flat[1::3], flat[2::3] = (v[a:a + CSV_BLOCK].tolist() for v in (I, J, vals))
+            out.write(("%d,%d,%.12g\n" * (len(flat) // 3)) % tuple(flat))
     return 0
 
 

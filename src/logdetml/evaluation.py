@@ -32,7 +32,7 @@ from .constraints import (
 )
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel, from_kernel_fit, learned_sq_distances
-from .linalg import KernelSpec, gram, inv_psd, pairwise_sq_dists, sqrt_psd
+from .linalg import KernelSpec, gram, inv_psd, pairwise_sq_dists, sq_dists_from_products, sqrt_psd
 from .modelfile import ModelFile
 
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
@@ -57,7 +57,11 @@ class MahalanobisOracle:
         for Z in (A, B):
             if Z.shape[0] != self.G.shape[0]:
                 raise InvalidArgumentError(f"point dimension mismatch: {len(self.G)} vs {len(Z)}")
-        return pairwise_sq_dists(self.G @ A, self.G @ B)
+        GA = self.G @ A
+        if B is not A:
+            return pairwise_sq_dists(GA, self.G @ B)
+        aa = np.sum(GA * GA, axis=0)  # once; a copy keeps GA.T @ GA a gemm (one buffer: syrk)
+        return sq_dists_from_products(aa, aa, GA.T @ GA.copy())
 
 
 class LearnedKernelOracle:

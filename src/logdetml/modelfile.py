@@ -1,9 +1,10 @@
 """Versioned plain-text model persistence.
 
 One canonical serialization: fixed key order, floats as %.17g decimal
-literals (lossless for float64), matrices row-major.  Files written from
-the same model are byte-identical, which makes reproducibility checks a
-straight byte comparison.
+literals (lossless for float64), matrices row-major, written with one %
+and read with one ``np.loadtxt`` per block of rows, byte for byte and bit
+for bit as one value at a time.  Files written from the same model are
+byte-identical, which makes reproducibility checks a straight byte comparison.
 
 Stored and derived matrices (format version 2):
 
@@ -31,6 +32,8 @@ file gives the bits of the same model served in memory.
 
 from __future__ import annotations
 
+import contextlib
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,7 @@ VERSION = 2
 READABLE_VERSIONS = (1, 2)
 
 KINDS = ("linear", "kernel", "iplr")
+BLOCK_VALUES = 8192  # matrix entries written per % formatting (bounds its temporaries)
 
 
 def _fmt(x: float) -> str:
@@ -114,8 +118,9 @@ class ModelFile:
 def _write_matrix(lines: list[str], name: str, A: np.ndarray) -> None:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     lines.append(f"matrix {name} {A.shape[0]} {A.shape[1]}")
-    for row in A:
-        lines.append(" ".join(_fmt(v) for v in row))
+    row, step = " ".join(["%.17g"] * A.shape[1]), max(1, BLOCK_VALUES // max(A.shape[1], 1))
+    for block in (A[a:a + step] for a in range(0, A.shape[0], step)):
+        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
 
 
 def save_model(path, mf: ModelFile) -> None:
@@ -157,7 +162,7 @@ def save_model(path, mf: ModelFile) -> None:
         _write_matrix(lines, "B", mf.basis_matrix)
     lines.append("end")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)  # no whole-file string
 
 
 def load_model(path) -> ModelFile:
@@ -257,15 +262,23 @@ def load_model(path) -> ModelFile:
         name, rows, cols = parts[1], number(parts[2], int), number(parts[3], int)
         if rows < 0 or cols < 0:
             fail(f"matrix {name} has a negative size")
-        data = np.empty((rows, cols))
-        for r in range(rows):
-            vals = take().split()
-            if len(vals) != cols:
-                fail(f"matrix {name} row {r} has wrong width")
-            try:
-                data[r] = [float(v) for v in vals]
-            except ValueError:
-                fail(f"matrix {name} row {r} has a non-numeric entry")
+        data = None
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
+            warnings.simplefilter("error")  # loadtxt only warns on a block with no data
+            if rows and cols:
+                data = np.loadtxt(lines[pos:pos + rows], dtype=float, comments=None, ndmin=2)
+        if data is not None and data.shape == (rows, cols):
+            pos += rows
+        else:  # row by row, to name the row that failed
+            data = np.empty((rows, cols))
+            for r in range(rows):
+                vals = take().split()
+                if len(vals) != cols:
+                    fail(f"matrix {name} row {r} has wrong width")
+                try:
+                    data[r] = [float(v) for v in vals]
+                except ValueError:
+                    fail(f"matrix {name} row {r} has a non-numeric entry")
         matrices[name] = data
 
     X = matrices.get("X")

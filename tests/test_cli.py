@@ -11,6 +11,7 @@ from logdetml.constraints import (DEFAULT_PER_CLASS, ConstraintGenerationWarning
                                   generate_from_labels)
 from logdetml.datasets import load_points_csv
 from logdetml.linalg import KernelSpec, gram
+from logdetml.modelfile import load_model
 
 IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
 
@@ -600,3 +601,29 @@ def test_eval_rejects_fit_flags_where_nothing_takes_them(tmp_path, capsys, flags
     assert main(argv) == EXIT_FLAGS
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "absent.csv" not in err
+
+
+@pytest.mark.parametrize("flags", [["--space", "linear"], ["--kernel", "gaussian"]],
+                         ids=["linear", "kernel"])
+def test_distance_csv_across_write_blocks_is_the_per_row_format(ionosphere_rows, tmp_path,
+                                                                capsys, flags):
+    # 130 query points: 8,515 rows, two whole blocks of CSV_BLOCK rows and a remainder
+    model = tmp_path / "trained.model"
+    assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last",
+                 "--per-class", "10", "--max-sweeps", "3", "--out", str(model), *flags]) == 0
+    query = tmp_path / "query.csv"
+    query.write_text("".join(row.rsplit(",", 1)[0] + "\n"
+                             for row in IONOSPHERE.read_text().splitlines()[:130]))
+    Z, _ = load_points_csv(query)
+    D = evaluation.serve(load_model(model)).pairwise(Z, Z)
+    rows = [(i, j, 0.0 if i == j else float(D[i, j]))
+            for i in range(Z.shape[1]) for j in range(i, Z.shape[1])]
+    assert len(rows) > 2 * cli.CSV_BLOCK and len(rows) % cli.CSV_BLOCK
+    expected = "i,j,sq_distance\n" + "".join("%d,%d,%.12g\n" % row for row in rows)
+
+    out = tmp_path / "distances.csv"
+    capsys.readouterr()
+    assert main(["distance", str(model), "--points", str(query), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert main(["distance", str(model), "--points", str(query)]) == 0
+    assert capsys.readouterr().out == expected

@@ -150,6 +150,17 @@ def test_learned_kernel_beats_euclidean_on_ionosphere():
     assert np.mean(gaps) >= 0.05
 
 
+def test_metric_distances_within_one_set_are_the_two_set_bits():
+    # pairwise(Z, Z) forms G Z once; numpy sums (GZ)^T (GZ) on one buffer as a
+    # symmetric product (syrk), which on OpenBLAS gives these 351 points other
+    # bits than the general product of two buffers
+    X, _ = load_points_csv(IONOSPHERE, label_col="last")
+    A = np.random.default_rng(0).standard_normal((34, 34))
+    oracle = evaluation.MahalanobisOracle(A @ A.T / 34 + np.eye(34))
+    two_sets = pairwise_sq_dists(oracle.G @ X, oracle.G @ X)
+    assert oracle.pairwise(X, X).tobytes() == two_sets.tobytes()
+
+
 # -- the k nearest by partition keep the set a stable argsort keeps ----------------
 
 def stable_argsort_sets(D, k):

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from logdetml.cli import main
 from logdetml.datasets import load_kernel_csv, load_points_csv
+from logdetml.errors import InvalidArgumentError
 from logdetml.linalg import KernelSpec, gram
 from logdetml.linalg import symmetrize
-from logdetml.modelfile import load_model, save_model
+from logdetml.modelfile import BLOCK_VALUES, ModelFile, load_model, save_model
 
 IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
 
@@ -556,3 +558,87 @@ def test_loaded_model_serves_the_bits_of_the_fitted_model(small_ionosphere, quer
                               learned_sq_distances(fitted, Z, B))
     assert np.array_equal(learned_sq_distances(served, Z, served.X),
                           learned_sq_distances(fitted, Z, fitted.X))
+
+
+# -- matrices are written and parsed a block of rows at a time ----------------------
+
+def _linear_model(W, **matrices):
+    return ModelFile(kind="linear", kernel_spec=None, thresholds=None, gamma=1.0, seed=0,
+                     converged=True, sweeps_used=1, W=W, **matrices)
+
+
+def test_matrix_blocks_write_the_per_value_lines_and_read_back_bit_for_bit(tmp_path):
+    n = 150  # two whole blocks of BLOCK_VALUES // n = 54 rows and a remainder
+    assert n > BLOCK_VALUES // n and n % (BLOCK_VALUES // n)
+    rng = np.random.default_rng(7)
+    W = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+    specials = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 2.0**53, 1e16, -1e308, 0.0]
+    W.flat[::5] = np.resize(specials, W.flat[::5].size)
+    X = np.asfortranarray(rng.standard_normal((3, 5000)))  # one row a block, column-major
+    path = tmp_path / "model.txt"
+    save_model(path, _linear_model(W, X=X))
+    lines = path.read_text().splitlines()
+    for name, A in (("W", W), ("X", X)):
+        at = lines.index(f"matrix {name} {A.shape[0]} {A.shape[1]}") + 1
+        assert lines[at:at + len(A)] == [" ".join(f"{float(v):.17g}" for v in row) for row in A]
+    mf = load_model(path)
+    assert mf.W.tobytes() == W.tobytes() and mf.X.tobytes() == X.tobytes()
+
+
+def _with_W_block(tmp_path, rows, cols, block):
+    """A linear model file whose W block is ``rows cols`` and the given
+    lines, and the 1-based line of the block's first row."""
+    save_model(tmp_path / "base.model", _linear_model(np.eye(1)))
+    lines = (tmp_path / "base.model").read_text().splitlines()
+    at = lines.index("matrix W 1 1")
+    lines[at:at + 2] = [f"matrix W {rows} {cols}", *block]
+    path = tmp_path / "block.model"
+    path.write_text("\n".join(lines) + "\n")
+    return path, at + 2
+
+
+@pytest.mark.parametrize("block, one_call", [
+    (["0.1 -0 5e-324 1E+308", "+1.5 .5 5. inf", "-inf nan 1e-400 1e400",
+      "  7\t8  -nan 0.30000000000000004 "], True),
+    # float() reads these; loadtxt does not, so the rows are read one by one
+    (["1_0 2 3 4", "١ 5 6 7", "1 2 3 4", "1 2 3 4"], False),
+], ids=["one-loadtxt", "row-by-row"])
+def test_a_matrix_block_parses_to_the_bits_float_gives(tmp_path, monkeypatch, block, one_call):
+    parsed = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k)) or parsed[-1])
+    path, _ = _with_W_block(tmp_path, 4, 4, block)
+    W = load_model(path).W
+    assert W.tobytes() == np.array([[float(v) for v in row.split()] for row in block]).tobytes()
+    assert [p.shape for p in parsed] == ([(4, 4)] if one_call else [])
+
+
+@pytest.mark.parametrize("rows, cols, block, bad_row, message", [
+    (3, 3, ["1 2 3", "4 5", "7 8 9"], 1, "has wrong width"),
+    (3, 3, ["1 2 3", "4 5 6", "7 8 9 10"], 2, "has wrong width"),
+    (3, 3, ["1 2 3", "4 abc 6", "7 8 9"], 1, "has a non-numeric entry"),
+    # read with '#' as a comment mark, each of these two blocks would parse as 3 x 2
+    (3, 2, ["1 2#3", "4 5#6", "7 8#9"], 0, "has a non-numeric entry"),
+    (3, 2, ["1 2 #", "4 5 #", "7 8 #"], 0, "has wrong width"),
+    (3, 3, ["1 2 3", "", "7 8 9"], 1, "has wrong width"),
+    (1, 3, [""], 0, "has wrong width"),  # no data at all: loadtxt warns
+], ids=["short", "long", "non-numeric", "hash-in-token", "hash-token", "empty-row",
+        "only-an-empty-row"])
+def test_a_malformed_matrix_row_is_named_as_the_row_by_row_reading_names_it(
+        tmp_path, rows, cols, block, bad_row, message):
+    path, first = _with_W_block(tmp_path, rows, cols, block)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidArgumentError) as exc:
+            load_model(path)
+    assert str(exc.value) == f"{path}: line {first + bad_row}: matrix W row {bad_row} {message}"
+    assert caught == []
+
+
+def test_empty_matrices_load_without_a_warning(tmp_path):
+    # a 0 x 0 W, then a 3 x 0 and a 0 x 4 block, which load_model reads and ignores
+    path, _ = _with_W_block(tmp_path, 0, 0, ["matrix Q 3 0", "", "", "", "matrix R 0 4"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mf = load_model(path)
+    assert mf.W.shape == (0, 0)
