@@ -54,6 +54,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_FLAGS = 4
 CSV_BLOCK = 4096  # distance CSV rows formatted per write
+BASES = evaluation.FEATURE_BASES | evaluation.KERNEL_BASES  # the --basis names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +105,7 @@ def _basis_arg(text: str):
     if text == "none":
         return None, 0
     name, _, num = text.partition(":")
-    if name not in ("topk", "classmeans", "random", "subset", "kmeans") or not num:
+    if name not in BASES or not num:
         raise argparse.ArgumentTypeError(f"unknown basis: {text!r}")
     try:
         k = int(num)
@@ -227,8 +228,6 @@ def cmd_distance(args) -> int:
         (I, J), vals = pairs.astype(int), np.array(vals)
     else:
         Z, _ = load_points_csv(args.points)
-        if model is not None and model.X is None:
-            raise InvalidArgumentError("precomputed-kernel models cannot score new points")
         I, J = np.triu_indices(Z.shape[1])
         vals = oracle.pairwise(Z, Z)[I, J]
         vals[I == J] = 0.0
@@ -337,7 +336,7 @@ def build_parser() -> _Parser:
     train = sub.add_parser("train", help="learn a metric/kernel model under the LogDet loss")
     _add_fit_flags(train, per_class=DEFAULT_PER_CLASS)
     train.add_argument("--basis", type=_basis_arg, default=(None, 0),
-                       help="none | topk:K | classmeans:K | random:K | subset:K | kmeans:K")
+                       help=" | ".join(["none", *(f"{name}:K" for name in BASES)]))
     train.add_argument("--out", required=True)
     train.set_defaults(func=cmd_train)
 

@@ -2,9 +2,11 @@
 
 Both variants use farthest-point initialization: the first center is a
 random point, each further center the point with the largest distance to
-the centers chosen so far.  Empty clusters are reseeded at the point
-farthest from its assigned center.  Lloyd iterations stop on an unchanged
-assignment or after ``max_iters`` passes.
+the centers chosen so far.  A Lloyd pass that leaves clusters empty gives
+each of them, in index order, the point farthest from its assigned center
+among the points whose cluster keeps another member (``_reseed_empty``), so
+no cluster is left empty.  Lloyd iterations stop on an unchanged assignment
+or after MAX_ITERS passes.
 
 The kernel k-means step is done in matrix form (Dhillon, Guan & Kulis,
 KDD 2004): with Z the n x k indicator matrix scaled to Z[i, c] = 1/|c| for
@@ -26,6 +28,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .linalg import pairwise_sq_dists
 
+MAX_ITERS = 50  # Lloyd passes of either k-means
+
 
 def _farthest_point_init(D_to_point, n: int, k: int, rng) -> list[int]:
     """Greedy seeding from pairwise distances; D_to_point(i) gives squared
@@ -40,7 +44,30 @@ def _farthest_point_init(D_to_point, n: int, k: int, rng) -> list[int]:
     return chosen
 
 
-def kmeans(X: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
+def cluster_indicator(labels: np.ndarray, k: int) -> np.ndarray:
+    """The n x k scaled indicator Z with Z[i, c] = 1/|c| for the members i
+    of cluster c; the column of an empty cluster is zero."""
+    counts = np.bincount(labels, minlength=k)
+    Z = np.zeros((len(labels), k))
+    Z[np.arange(len(labels)), labels] = 1.0 / counts[labels]
+    return Z
+
+
+def _reseed_empty(labels: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Refill the empty clusters of ``labels = argmin(D, axis=1)`` in place:
+    each, in index order, takes the point farthest from its center whose own
+    cluster keeps another member."""
+    counts = np.bincount(labels, minlength=D.shape[1])
+    dist = np.min(D, axis=1)
+    for c in np.flatnonzero(counts == 0):
+        far = int(np.argmax(np.where(counts[labels] > 1, dist, -np.inf)))
+        counts[labels[far]] -= 1
+        counts[c] = 1
+        labels[far] = c
+    return labels
+
+
+def kmeans(X: np.ndarray, k: int, seed: int = 0):
     """Cluster the columns of X into k groups; returns (labels, centers)."""
     X = np.asarray(X, dtype=float)
     d, n = X.shape
@@ -50,14 +77,9 @@ def kmeans(X: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
     idx = _farthest_point_init(lambda i: pairwise_sq_dists(X, X[:, [i]]).ravel(), n, k, rng)
     centers = X[:, idx].copy()
     labels = np.full(n, -1)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         D = pairwise_sq_dists(X, centers)
-        new_labels = np.argmin(D, axis=1)
-        for c in range(k):
-            if not np.any(new_labels == c):
-                # reseed the empty cluster at the point farthest from its center
-                far = int(np.argmax(np.min(D, axis=1)))
-                new_labels[far] = c
+        new_labels = _reseed_empty(np.argmin(D, axis=1), D)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -66,7 +88,7 @@ def kmeans(X: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
     return labels, centers
 
 
-def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
+def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0):
     """k-means in the feature space of a Gram matrix K; returns labels.
 
     Distances to a cluster mean use the kernel expansion
@@ -90,22 +112,15 @@ def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0, max_iters: int = 50):
     for c in range(k):
         if not np.any(labels == c):
             labels[seeds[c]] = c
-    rows = np.arange(n)
-    for _ in range(max_iters):
-        counts = np.bincount(labels, minlength=k)
-        Z = np.zeros((n, k))
-        Z[rows, labels] = 1.0 / counts[labels]
+    for _ in range(MAX_ITERS):
+        Z = cluster_indicator(labels, k)
         KZ = K @ Z
         mean_all = np.einsum("ic,ic->c", Z, KZ)
         D = diag[:, None] - 2.0 * KZ + mean_all
-        # an empty cluster (possible with duplicate points) has no mean; the
-        # reseed below refills it
-        D[:, counts == 0] = np.inf
-        new_labels = np.argmin(D, axis=1)
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(np.min(D, axis=1)))
-                new_labels[far] = c
+        # a seed shared by two clusters (duplicate points) leaves one of them
+        # empty before the first pass; it has no mean until the reseed refills it
+        D[:, ~Z.any(axis=0)] = np.inf
+        new_labels = _reseed_empty(np.argmin(D, axis=1), D)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

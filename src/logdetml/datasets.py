@@ -14,6 +14,9 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .linalg import is_psd, symmetrize
 
+# A kernel file's largest asymmetry |K - K^T|, relative to max(1, max |K|)
+SYM_TOL = 1e-8
+
 
 def load_points_csv(path, label_col: str | None = None):
     """Read a numeric CSV (one row per point) into a (d, n) matrix.
@@ -70,16 +73,16 @@ def load_labels_file(path):
     return np.array(labels)
 
 
-def load_kernel_csv(path, sym_tol: float = 1e-8):
-    """Read an n x n precomputed kernel; must be symmetric within ``sym_tol``
-    and PSD within the package tolerance."""
+def load_kernel_csv(path):
+    """Read an n x n precomputed kernel; must be symmetric within SYM_TOL
+    (relative) and PSD within the package tolerance."""
     K, _ = load_points_csv(path)
     K = K.T  # rows were read as points; a kernel file is just the full matrix
     if K.shape[0] != K.shape[1]:
         raise InvalidArgumentError(f"{path}: kernel matrix is not square: {K.shape}")
     asym = float(np.max(np.abs(K - K.T)))
     scale = max(1.0, float(np.max(np.abs(K))))
-    if asym > sym_tol * scale:
+    if asym > SYM_TOL * scale:
         raise InvalidArgumentError(f"{path}: kernel matrix is not symmetric (max gap {asym:.3g})")
     K = symmetrize(K)
     if not is_psd(K):

@@ -31,7 +31,7 @@ from .constraints import (
     kernel_distance_pool,
 )
 from .errors import InvalidArgumentError
-from .learned_kernel import LearnedKernelModel, from_kernel_fit, learned_sq_distances
+from .learned_kernel import LearnedKernelModel, compute_M, learned_sq_distances
 from .linalg import KernelSpec, gram, inv_psd, pairwise_sq_dists, sq_dists_from_products, sqrt_psd
 from .modelfile import ModelFile
 
@@ -255,9 +255,8 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
         if name is None:
             fit = solver.fit_kernel(K0, cs, cfg)
             facts["max_violation"] = solver.max_violation(fit.K, cs, fit.dual)
-            model = from_kernel_fit(fit, X, spec)
-            facts["dropped_rank"] = model.dropped_rank
-            payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=model.M,
+            M, facts["dropped_rank"] = compute_M(fit.K0, fit.K)
+            payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=M,
                            constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi)
         else:
             b = lowrank.select_basis_kernel(K0, KERNEL_BASES[name], k, seed=cfg.seed)

@@ -155,9 +155,7 @@ class LearnedKernelModel:
     def kernel_vectors(self, Z: np.ndarray) -> np.ndarray:
         """Input-kernel values (n_train, n_query) against the training points."""
         if self.X is None:
-            raise InvalidArgumentError(
-                "precomputed-kernel models support only training-index queries"
-            )
+            raise InvalidArgumentError("precomputed-kernel models cannot score new points")
         return cross_gram(self.X, Z, self.kernel_spec)
 
 
@@ -174,30 +172,23 @@ def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec) -> LearnedKernel
     )
 
 
-def _pair_columns(model: LearnedKernelModel, z1, z2) -> np.ndarray:
+def _pair_columns(z1, z2) -> np.ndarray:
     """Query points z1 and z2 as the two columns of one array."""
-    if model.X is None:
-        raise InvalidArgumentError("model lacks training points; use training-index queries")
-    cols = [np.asarray(z, dtype=float).ravel() for z in (z1, z2)]
-    for z in cols:
-        if z.shape[0] != model.X.shape[0]:
-            raise InvalidArgumentError(f"point has dimension {z.shape[0]}, expected {model.X.shape[0]}")
-    return np.stack(cols, axis=1)
+    z1, z2 = (np.asarray(z, dtype=float).ravel() for z in (z1, z2))
+    if z1.shape != z2.shape:
+        raise InvalidArgumentError(f"point dimension mismatch: {z1.shape[0]} vs {z2.shape[0]}")
+    return np.stack([z1, z2], axis=1)
 
 
 def learned_inner_product(model: LearnedKernelModel, z1, z2) -> float:
     """Learned inner product <z1, z2>_W via input-kernel evaluations only."""
-    Z = _pair_columns(model, z1, z2)
-    P = _coordinates(model, model.kernel_vectors(Z))
-    base = float(cross_gram(Z[:, :1], Z[:, 1:], model.kernel_spec)[0, 0])
-    return base + float(P[:, 0] @ (_core(model) @ P[:, 1:2])[:, 0])
+    return float(learned_gram(model, _pair_columns(z1, z2))[0, 1])
 
 
 def learned_distance(model: LearnedKernelModel, z1, z2) -> float:
     """Learned squared distance, expanded from three learned inner products;
     round-off negatives within tolerance are clamped to zero."""
-    Z = _pair_columns(model, z1, z2)
-    G = learned_gram(model, Z)
+    G = learned_gram(model, _pair_columns(z1, z2))
     # average the two cross terms so the distance is exactly symmetric in
     # its arguments despite floating-point non-commutativity
     val = float(G[0, 0] + G[1, 1] - (G[0, 1] + G[1, 0]))

@@ -73,13 +73,6 @@ def _check_square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def _check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape != B.shape:
-        raise InvalidArgumentError(
-            f"dimension mismatch: {A.shape} vs {B.shape}"
-        )
-
-
 def psd_tolerance(A: np.ndarray) -> float:
     """Eigenvalue slack below zero tolerated before declaring A not PSD."""
     n = A.shape[0]
@@ -105,7 +98,8 @@ def logdet_divergence(A: np.ndarray, B: np.ndarray) -> float:
     """
     A = _check_square(A, "A")
     B = _check_square(B, "B")
-    _check_same_dim(A, B)
+    if A.shape != B.shape:
+        raise InvalidArgumentError(f"dimension mismatch: {A.shape} vs {B.shape}")
     d = A.shape[0]
     wb, Vb = np.linalg.eigh(B)
     if wb[0] <= psd_tolerance(B):
@@ -253,13 +247,13 @@ def sqrt_psd(A: np.ndarray) -> np.ndarray:
     return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
-def inv_psd(A: np.ndarray, jitter: float | None = None) -> tuple[np.ndarray, float]:
+def inv_psd(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse of a symmetric PD matrix with the package jitter policy.
 
     Tries a plain Cholesky factorization first.  On failure, retries once
-    with ``jitter * trace(A)/dim`` added to the diagonal (``jitter`` defaults
-    to DEFAULT_JITTER).  Returns ``(A_inv, jitter_used)`` where jitter_used
-    is the absolute diagonal shift that was applied (0.0 when none was).
+    with ``DEFAULT_JITTER * trace(A)/dim`` added to the diagonal.  Returns
+    ``(A_inv, jitter_used)`` where jitter_used is the absolute diagonal
+    shift that was applied (0.0 when none was).
     """
     A = _check_square(A)
     n = A.shape[0]
@@ -268,7 +262,7 @@ def inv_psd(A: np.ndarray, jitter: float | None = None) -> tuple[np.ndarray, flo
         return symmetrize(np.linalg.inv(A)), 0.0
     except np.linalg.LinAlgError:
         pass
-    shift = (DEFAULT_JITTER if jitter is None else jitter) * float(np.trace(A)) / n
+    shift = DEFAULT_JITTER * float(np.trace(A)) / n
     Aj = A + shift * np.eye(n)
     try:
         np.linalg.cholesky(Aj)

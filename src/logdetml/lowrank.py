@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import kernel_kmeans, kmeans
+from .clustering import cluster_indicator, kernel_kmeans, kmeans
 from .constraints import ConstraintSet
 from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import LearnedKernelModel, training_gram
@@ -31,7 +31,7 @@ from .solver import DualState, LinearModel, SolverConfig, fit_linear
 EXPLICIT = "explicit-U"
 COEFFICIENT = "coefficient-J"
 
-FEATURE_METHODS = ("topk-svd", "cluster-means", "class-means")
+FEATURE_METHODS = ("topk-svd", "class-means")
 KERNEL_METHODS = ("random-J", "kernel-kmeans", "subset")
 
 
@@ -88,7 +88,6 @@ def select_basis_feature(X: np.ndarray, method: str, k: int, seed: int = 0,
     """Pick an explicit orthonormal basis from feature-space points.
 
     topk-svd       -- top k left singular vectors of X
-    cluster-means  -- k-means the points, orthonormalize the k mean vectors
     class-means    -- class means; more classes than k: cluster the means
                       into k groups; fewer: split classes into ~k/c clusters
     """
@@ -107,10 +106,6 @@ def select_basis_feature(X: np.ndarray, method: str, k: int, seed: int = 0,
             )
             k = rank
         return Basis(EXPLICIT, U[:, :k], k)
-    if method == "cluster-means":
-        _, centers = kmeans(X, k, seed=seed)
-        U = _orthonormalize(centers, "cluster-mean basis")
-        return Basis(EXPLICIT, U, U.shape[1])
     if labels is None:
         raise InvalidArgumentError("class-means basis requires labels")
     labels = np.asarray(labels)
@@ -163,29 +158,25 @@ def select_basis_kernel(K0: np.ndarray, method: str, k: int, seed: int = 0) -> B
             J = np.zeros((n, k))
             J[idx, np.arange(k)] = 1.0
         else:
-            lab = kernel_kmeans(K0, k, seed=seed + attempt)
-            J = np.zeros((n, k))
-            for c in range(k):
-                members = lab == c
-                J[members, c] = 1.0 / np.count_nonzero(members)
+            J = cluster_indicator(kernel_kmeans(K0, k, seed=seed + attempt), k)
         try:
-            _coefficient_T(J, K0)
+            _coefficient_T(J, J.T @ K0)
             return Basis(COEFFICIENT, J, k)
         except NumericalError:
             continue
     raise NumericalError("J^T K0 J is singular after jitter (two draws)")
 
 
-def _coefficient_T(J: np.ndarray, K0: np.ndarray) -> np.ndarray:
-    """T = (J^T K0 J)^(-1/2), which makes U = X J T orthonormal."""
-    return inv_sqrt(symmetrize(J.T @ K0 @ J), jitter=1e-10)
+def _coefficient_T(J: np.ndarray, JK: np.ndarray) -> np.ndarray:
+    """T = (J^T K0 J)^(-1/2) from JK = J^T K0; it makes U = X J T orthonormal."""
+    return inv_sqrt(symmetrize(JK @ J), jitter=1e-10)
 
 
 def _reduced_points(data: np.ndarray, basis: Basis) -> np.ndarray:
     if basis.mode == EXPLICIT:
         return basis.matrix.T @ data          # data is X (d, n)
-    T = _coefficient_T(basis.matrix, data)
-    return T @ (basis.matrix.T @ data)        # data is K0 (n, n)
+    JK = basis.matrix.T @ data                # data is K0 (n, n)
+    return _coefficient_T(basis.matrix, JK) @ JK
 
 
 def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet):
@@ -274,7 +265,7 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
         U = basis.matrix
         return symmetrize(np.eye(U.shape[0]) + U @ core @ U.T)
     J = basis.matrix
-    T = _coefficient_T(J, training_gram(X, kernel_spec) if K0 is None else K0)
+    T = _coefficient_T(J, J.T @ (training_gram(X, kernel_spec) if K0 is None else K0))
     return LearnedKernelModel(
         kernel_spec=kernel_spec or KernelSpec.precomputed(),
         X=None if X is None else np.asarray(X, dtype=float),

@@ -56,6 +56,20 @@ def test_bad_flag_value_exits_4(ionosphere_rows, tmp_path, capsys, command, flag
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("name", list(evaluation.FEATURE_BASES | evaluation.KERNEL_BASES))
+def test_every_basis_name_trains(ionosphere_rows, tmp_path, capsys, name):
+    # the one name table reaches fit_model: a row added there trains with no other edit
+    assert build_parser().parse_args(["train", "--data", "x", "--out", "y", "--basis",
+                                      f"{name}:3"]).basis == (name, 3)
+    space = ["--space", "linear"] if name in evaluation.FEATURE_BASES else ["--kernel", "gaussian"]
+    model = tmp_path / "model.txt"
+    assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last", *space,
+                 "--basis", f"{name}:3", "--per-class", "10", "--out", str(model)]) == 0
+    assert _logged(capsys.readouterr().err, "train", "basis_k") == "3"
+    assert load_model(model).basis_matrix.shape[1] == 3
+
+
 @pytest.mark.parametrize("flags", [
     ["--loss", "frobenius"],
     ["--loss", "vonneumann"],

@@ -1,17 +1,20 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import logdetml
-from logdetml.clustering import _farthest_point_init, kernel_kmeans, kmeans, matching_error
+from logdetml.clustering import (_farthest_point_init, cluster_indicator, kernel_kmeans, kmeans,
+                                 matching_error)
 from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.evaluation import median_pairwise_distance
 from logdetml.linalg import KernelSpec, gram
+from logdetml.lowrank import select_basis_kernel
 
 from conftest import make_blobs
 
@@ -81,12 +84,12 @@ class TestKernelKmeans:
                               reference_kernel_kmeans(ionosphere_gram, k, seed=seed))
 
     def test_more_clusters_than_distinct_points(self):
-        # the reseed steals a cluster's only member; the per-cluster loop then
-        # divided by zero on the empty cluster
+        # a reseed that took a cluster's only member left that cluster empty;
+        # the per-cluster loop then divided by zero on it
         P = np.array([[0.0, 0.0, 1.0, 1.0, 5.0, 5.0, 5.0]])
         labels = kernel_kmeans(gram(P, KernelSpec.linear()), 5, seed=1)
         assert labels.shape == (7,)
-        assert labels.min() >= 0 and labels.max() < 5
+        assert np.all(np.bincount(labels, minlength=5) > 0)
 
     def test_k_bounds_validated(self):
         with pytest.raises(InvalidArgumentError):
@@ -102,6 +105,47 @@ class TestKmeans:
         assert np.array_equal(centers1, centers2)
         assert centers1.shape == (X.shape[0], 4)
         assert set(labels1.tolist()) == {0, 1, 2, 3}
+
+
+# 12 points on 3 distinct values: a Lloyd pass leaves two or more clusters empty
+DUPLICATES = np.repeat([[0.0, 1.0, 5.0]], 4, axis=1)
+
+
+@pytest.mark.parametrize("k", [5, 6, 12])
+class TestEmptyClusterReseed:
+    """Every empty cluster gets its own point; the reseed used to give them
+    all the same farthest point, so all but the last stayed empty (kmeans:
+    NaN centers and "Mean of empty slice")."""
+
+    def test_kmeans_leaves_no_cluster_empty(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, centers = kmeans(DUPLICATES, k, seed=0)
+        assert np.all(np.isfinite(centers))
+        assert np.all(np.bincount(labels, minlength=k) > 0)
+
+    def test_kernel_kmeans_leaves_no_cluster_empty(self, k):
+        for spec in (KernelSpec.linear(), KernelSpec.gaussian(1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                labels = kernel_kmeans(gram(DUPLICATES, spec), k, seed=0)
+            assert np.all(np.bincount(labels, minlength=k) > 0)
+
+    def test_kmeans_basis_has_no_zero_column(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = select_basis_kernel(gram(DUPLICATES, KernelSpec.gaussian(1.0)),
+                                        "kernel-kmeans", k, seed=0)
+        assert np.all(np.any(basis.matrix != 0, axis=0))
+        assert np.all(np.isfinite(basis.matrix))
+
+
+def test_cluster_indicator_scales_each_member_by_its_cluster_size():
+    Z = cluster_indicator(np.array([2, 0, 2, 2, 0]), 4)
+    expected = np.zeros((5, 4))
+    expected[[1, 4], 0] = 1.0 / 2
+    expected[[0, 2, 3], 2] = 1.0 / 3
+    assert np.array_equal(Z, expected)  # the empty clusters 1 and 3 keep zero columns
 
 
 class TestMatchingError:

@@ -178,6 +178,20 @@ class TestLearnedQueries:
         with pytest.raises(InvalidArgumentError):
             learned_distance(model, np.zeros(4), np.zeros(4))
 
+    @pytest.mark.parametrize("query", [
+        lambda m, Z: learned_inner_product(m, Z[:, 0], Z[:, 1]),
+        lambda m, Z: learned_distance(m, Z[:, 0], Z[:, 1]),
+        lambda m, Z: learned_gram(m, Z),
+        lambda m, Z: learned_sq_distances(m, Z, Z),
+    ], ids=["inner_product", "distance", "gram", "sq_distances"])
+    def test_precomputed_model_refuses_new_points_with_one_message(self, rng, query):
+        K0 = random_pd(rng, 4)
+        for form in (dict(M=np.zeros((4, 4))), dict(m_factor=np.eye(4, 2), m_core=np.eye(2))):
+            model = LearnedKernelModel(kernel_spec=KernelSpec.precomputed(), X=None, K0=K0, **form)
+            with pytest.raises(InvalidArgumentError,
+                               match="^precomputed-kernel models cannot score new points$"):
+                query(model, rng.standard_normal((3, 2)))
+
     def test_factored_model_matches_dense(self, rng):
         X = rng.standard_normal((3, 6))
         spec = KernelSpec.linear()
