@@ -189,7 +189,7 @@ def cmd_train(args) -> int:
     _log(args, "thresholds", f"u={mf.thresholds.u:.6g} l={mf.thresholds.l:.6g}")
     if args.gamma == "cv":
         _log(args, "gamma_selected", mf.gamma)
-    _log_fit(args, fit)
+    _log_fit(args, mf, fit)
     for key, value in facts.items():
         _log(args, key, f"{value:.6g}" if isinstance(value, float) else value)
     save_model(args.out, mf)
@@ -198,11 +198,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _log_fit(args, fit):
+def _log_fit(args, mf, fit):
     for key in ("sweeps_used", "converged", "skipped"):
         _log(args, key, getattr(fit, key))
-    change = fit.trace[-1].distance_change if fit.trace else 0.0
-    _log(args, "stop_reason", "rule" if fit.converged else "cap")
+    change = mf.distance_change
+    _log(args, "stop_reason", mf.stop_reason)
     _log(args, "distance_change", f"{change:.6g}")
     if not fit.converged:
         _log(args, "WARNING", f"the sweep cap ended the fit after {fit.sweeps_used} sweeps; "

@@ -238,7 +238,8 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
     from X and ``spec`` when a kernel-space or coefficient-basis fit needs it
     and none is given.  Returns ``(ModelFile, fit, facts)``: the solver's
     fit (dual, sweeps, trace), and what ``train`` logs about this path
-    (``max_violation`` and ``dropped_rank``, or ``dropped`` and ``basis_k``).
+    (``max_violation`` and ``dropped_rank``, or ``dropped`` and ``basis_k``),
+    which the model file records too (``basis_k`` on its ``basis`` line).
     """
     name, k = basis
     facts: dict = {}
@@ -257,7 +258,7 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
             facts["max_violation"] = solver.max_violation(fit.K, cs, fit.dual)
             M, facts["dropped_rank"] = compute_M(fit.K0, fit.K)
             payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=M,
-                           constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi)
+                           constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi, **facts)
         else:
             b = lowrank.select_basis_kernel(K0, KERNEL_BASES[name], k, seed=cfg.seed)
             low = lowrank.fit_low_rank(K0, b, cs, cfg)
@@ -266,9 +267,12 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
         # the dual state covers only the constraints the basis can reach
         facts.update(dropped=len(cs) - len(fit.dual.lam), basis_k=b.k)
         payload = dict(kind="iplr", kernel_spec=spec if b.mode == lowrank.COEFFICIENT else None,
-                       X=X, K0=low.K0, basis_mode=b.mode, basis_matrix=b.matrix, F=low.F)
+                       X=X, K0=low.K0, basis_mode=b.mode, basis_matrix=b.matrix, F=low.F,
+                       T=low.basis.T, dropped=facts["dropped"])
     mf = ModelFile(thresholds=cs.thresholds, gamma=cfg.gamma, seed=cfg.seed,
-                   converged=fit.converged, sweeps_used=fit.sweeps_used, **payload)
+                   converged=fit.converged, sweeps_used=fit.sweeps_used,
+                   distance_change=fit.trace[-1].distance_change if fit.trace else 0.0,
+                   **payload)
     return mf, fit, facts
 
 

@@ -17,14 +17,14 @@ K0 alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clustering import cluster_indicator, kernel_kmeans, kmeans
 from .constraints import ConstraintSet
 from .errors import InvalidArgumentError, NumericalError
-from .learned_kernel import LearnedKernelModel, training_gram
+from .learned_kernel import LearnedKernelModel
 from .linalg import KernelSpec, inv_sqrt, pair_distance_kernel, symmetrize
 from .solver import DualState, LinearModel, SolverConfig, fit_linear
 
@@ -43,11 +43,17 @@ class BasisWarning(UserWarning):
 class Basis:
     """Orthonormal basis for the low-rank part, either given explicitly
     (U, d x k, U^T U = I) or as coefficients over training points
-    (J, n x k, with U = X J (J^T K0 J)^(-1/2))."""
+    (J, n x k, with U = X J T and T = (J^T K0 J)^(-1/2)).
+
+    A coefficient basis is picked for one Gram K0: ``with_T`` sets its T and
+    the product J^T K0 that the reduction reuses, so only that K0 may be
+    reduced with it.  A basis built without them forms them on first use."""
 
     mode: str
     matrix: np.ndarray  # U for explicit mode, J for coefficient mode
     k: int
+    T: np.ndarray | None = None  # coefficient mode: (J^T K0 J)^(-1/2), k x k
+    JK: np.ndarray | None = field(default=None, repr=False)  # coefficient mode: J^T K0
 
     def __post_init__(self):
         if self.mode not in (EXPLICIT, COEFFICIENT):
@@ -160,23 +166,28 @@ def select_basis_kernel(K0: np.ndarray, method: str, k: int, seed: int = 0) -> B
         else:
             J = cluster_indicator(kernel_kmeans(K0, k, seed=seed + attempt), k)
         try:
-            _coefficient_T(J, J.T @ K0)
-            return Basis(COEFFICIENT, J, k)
+            return with_T(Basis(COEFFICIENT, J, k), K0)
         except NumericalError:
             continue
     raise NumericalError("J^T K0 J is singular after jitter (two draws)")
 
 
-def _coefficient_T(J: np.ndarray, JK: np.ndarray) -> np.ndarray:
-    """T = (J^T K0 J)^(-1/2) from JK = J^T K0; it makes U = X J T orthonormal."""
-    return inv_sqrt(symmetrize(JK @ J), jitter=1e-10)
+def with_T(basis: Basis, K0: np.ndarray) -> Basis:
+    """The coefficient basis carrying T = (J^T K0 J)^(-1/2), which makes
+    U = X J T orthonormal, and JK = J^T K0: formed on K0 unless the basis
+    carries them already."""
+    if basis.T is not None and basis.JK is not None:
+        return basis
+    J = basis.matrix
+    JK = J.T @ K0
+    return replace(basis, T=inv_sqrt(symmetrize(JK @ J), jitter=1e-10), JK=JK)
 
 
 def _reduced_points(data: np.ndarray, basis: Basis) -> np.ndarray:
     if basis.mode == EXPLICIT:
         return basis.matrix.T @ data          # data is X (d, n)
-    JK = basis.matrix.T @ data                # data is K0 (n, n)
-    return _coefficient_T(basis.matrix, JK) @ JK
+    basis = with_T(basis, data)               # data is K0 (n, n)
+    return basis.T @ basis.JK
 
 
 def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet):
@@ -217,6 +228,8 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
     """
     cfg = cfg or SolverConfig()
     data = np.asarray(data, dtype=float)
+    if basis.mode == COEFFICIENT:
+        basis = with_T(basis, data)  # kept with the model: serving reads its T
     Xp, reduced = reduce_problem(data, basis, cs)
     keep = reduced.xi0 > 0
     if not np.all(keep):
@@ -253,24 +266,22 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
 
     Explicit basis: the d x d matrix W = I + U (F - I) U^T.
     Coefficient basis: a LearnedKernelModel whose mixing matrix is kept
-    factored, M = J' (F - I) J'^T with J' = J (J^T K0 J)^(-1/2).  Queries are
-    served in the k-dimensional factor space, the core F - I acting on the
-    projected points x' = J'^T k(x) (``learned_kernel``), so no n x n
-    matrix is ever materialized.  With ``K0=None`` the Gram is rebuilt from X and the
-    kernel only to form J', and the model rebuilds it again if a query
-    needs it.
+    factored, M = J' (F - I) J'^T with J' = J T.  Queries are served in the
+    k-dimensional factor space, the core F - I acting on the projected points
+    x' = J'^T k(x) (``learned_kernel``), so no n x n matrix is ever
+    materialized.  T = (J^T K0 J)^(-1/2) is read from the model (the basis),
+    so no Gram is built here; with ``K0=None`` the model rebuilds K0 only if
+    a training-index query needs it.
     """
     core = F - np.eye(F.shape[0])
     if basis.mode == EXPLICIT:
         U = basis.matrix
         return symmetrize(np.eye(U.shape[0]) + U @ core @ U.T)
-    J = basis.matrix
-    T = _coefficient_T(J, J.T @ (training_gram(X, kernel_spec) if K0 is None else K0))
     return LearnedKernelModel(
         kernel_spec=kernel_spec or KernelSpec.precomputed(),
         X=None if X is None else np.asarray(X, dtype=float),
         K0=K0,
-        m_factor=J @ T,
+        m_factor=basis.matrix @ basis.T,
         m_core=core,
     )
 

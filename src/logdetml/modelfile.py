@@ -1,27 +1,41 @@
 """Versioned plain-text model persistence.
 
 One canonical serialization: fixed key order, floats as %.17g decimal
-literals (lossless for float64), matrices row-major, written with one %
-and read with one ``np.loadtxt`` per block of rows, byte for byte and bit
+literals (lossless for float64), matrices row-major, written a block of rows
+per % and parsed with one ``np.loadtxt`` per matrix, byte for byte and bit
 for bit as one value at a time.  Files written from the same model are
 byte-identical, which makes reproducibility checks a straight byte comparison.
 
-Stored and derived matrices (format version 2):
+Format version 3:
 
-* stored: ``W`` (linear), ``X`` (training points), ``M`` (kernel mixing
-  matrix), ``F`` and ``B`` (low-rank core and basis);
-* derived: the input Gram matrix ``K0`` is a pure function of the stored
-  points and the kernel, so it is written only when it cannot be rebuilt --
-  no stored points, or a ``precomputed`` kernel.  Otherwise ``load_model``
-  leaves it unbuilt: ``ModelFile.K0`` is rebuilt on first read
-  (``learned_kernel.RebuiltK0``), bit for bit as training built it, and
-  ``to_learned_kernel`` builds it only for as long as it takes to form a
-  coefficient basis's k x k factor.  (The dense kernel-kind ``M`` is still
-  n x n; a coefficient-basis ``iplr`` file is O(n (d + k)).)
+* header: what the fit was (kind, kernel, gamma, seed, thresholds,
+  constraints with their duals) and what ``train`` logs about how it ended:
+  ``converged``, ``sweeps``, ``stop_reason`` (``rule`` or ``cap``, implied
+  by ``converged``) and, when known, the last sweep's ``distance_change``,
+  ``max_violation`` and ``dropped_rank`` (dense kernel) or ``dropped``
+  (basis; its k is on the ``basis`` line);
+* symmetric blocks: ``W`` (linear), ``K0``, ``M`` (kernel mixing matrix),
+  ``F`` (low-rank core) and ``T`` are exactly symmetric by construction and
+  written once, as ``symmetric NAME n`` and row i holding entries i..n-1;
+  ``load_model`` mirrors them.  ``save_model`` refuses one that is not
+  exactly symmetric;
+* full blocks (``matrix NAME rows cols``): ``X`` (training points) and ``B``
+  (the basis, U or J);
+* T = (J^T K0 J)^(-1/2), the k x k factor of a coefficient basis J, is
+  stored beside J, so serving builds no Gram;
+* the input Gram ``K0`` is a pure function of the stored points and the
+  kernel, so it is written only when it cannot be rebuilt -- no stored
+  points, or a ``precomputed`` kernel.  Otherwise ``load_model`` leaves it
+  unbuilt: ``ModelFile.K0`` is rebuilt on first read
+  (``learned_kernel.RebuiltK0``), bit for bit as training built it, which
+  only training-index queries do.
 
-Version 1 files, which always carry ``K0``, still load; their ``K0`` block
-is used as written.  Saving a loaded model always writes version 2.  Both
-versions carry an ``identity_coeff`` line, always ``1`` for a LogDet model;
+Versions 1 and 2 still load.  They write every matrix in full, record a
+``jitter`` line in place of the fit facts, and store no T: a coefficient
+basis's T is derived once, when the ``ModelFile`` is made, from K0 built only
+for as long as that takes.  Version 1 files always carry ``K0``, used as
+written.  Saving a loaded model always writes version 3.  Every version
+carries an ``identity_coeff`` line, always ``1`` for a LogDet model;
 ``load_model`` rejects any other value.
 
 ``load_model`` holds ``ModelFile.X`` column-major (Fortran order), the
@@ -40,15 +54,19 @@ import numpy as np
 
 from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
-from .learned_kernel import LearnedKernelModel, RebuiltK0, rebuildable
+from .learned_kernel import LearnedKernelModel, RebuiltK0, rebuildable, training_gram
 from .linalg import KernelSpec
-from .lowrank import COEFFICIENT, EXPLICIT, Basis, expand
+from .lowrank import COEFFICIENT, EXPLICIT, Basis, expand, with_T
 
-VERSION = 2
-READABLE_VERSIONS = (1, 2)
+VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 
 KINDS = ("linear", "kernel", "iplr")
 BLOCK_VALUES = 8192  # matrix entries written per % formatting (bounds its temporaries)
+SYMMETRIC = ("W", "K0", "M", "F", "T")  # written as their upper triangle
+# what train logs about a fit, written after 'stop_reason' when known (version 3)
+FACTS = (("distance_change", float), ("max_violation", float), ("dropped_rank", int),
+         ("dropped", int))
 
 
 def _fmt(x: float) -> str:
@@ -77,10 +95,25 @@ class ModelFile:
     basis_mode: str | None = None
     basis_matrix: np.ndarray | None = None
     F: np.ndarray | None = None
+    T: np.ndarray | None = None  # coefficient basis: (J^T K0 J)^(-1/2)
+    # what train logged about the fit; None when unknown (a version 1 or 2 file)
+    distance_change: float | None = None
+    max_violation: float | None = None
+    dropped_rank: int | None = None
+    dropped: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"unknown model kind: {self.kind!r}")
+        if self.basis_mode == COEFFICIENT and self.T is None:
+            # a version 1 or 2 file: derive T once, from a K0 kept only for that
+            K0 = self._K0 if self._K0 is not None else training_gram(self.X, self.kernel_spec)
+            self.T = with_T(Basis(COEFFICIENT, self.basis_matrix, self.basis_matrix.shape[1]), K0).T
+
+    @property
+    def stop_reason(self) -> str:
+        """``rule`` when the stopping rule ended the fit, ``cap`` when the sweep cap did."""
+        return "rule" if self.converged else "cap"
 
     # -- query surface ----------------------------------------------------
     def to_learned_kernel(self) -> LearnedKernelModel:
@@ -112,7 +145,7 @@ class ModelFile:
         raise InvalidArgumentError(f"model kind {self.kind!r} has no explicit metric")
 
     def _basis(self) -> Basis:
-        return Basis(self.basis_mode, self.basis_matrix, self.basis_matrix.shape[1])
+        return Basis(self.basis_mode, self.basis_matrix, self.basis_matrix.shape[1], T=self.T)
 
 
 def _write_matrix(lines: list[str], name: str, A: np.ndarray) -> None:
@@ -121,6 +154,23 @@ def _write_matrix(lines: list[str], name: str, A: np.ndarray) -> None:
     row, step = " ".join(["%.17g"] * A.shape[1]), max(1, BLOCK_VALUES // max(A.shape[1], 1))
     for block in (A[a:a + step] for a in range(0, A.shape[0], step)):
         lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_symmetric(lines: list[str], name: str, A: np.ndarray) -> None:
+    """Row i of A's upper triangle, entries i..n-1, on line i of the block."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[0]
+    # bit patterns, so that -0.0 and 0.0 differ: the file keeps one of each pair
+    if A.shape != (n, n) or not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
+        raise InvalidArgumentError(f"matrix {name} is not exactly symmetric")
+    lines.append(f"symmetric {name} {n}")
+    full = " ".join(["%.17g"] * n)  # row i's format is its tail from entry i on
+    a = 0
+    while a < n:
+        b = min(n, a + max(1, BLOCK_VALUES // (n - a)))
+        values = np.concatenate([A[i, i:] for i in range(a, b)]).tolist()
+        lines.append("\n".join([full[6 * i:] for i in range(a, b)]) % tuple(values))
+        a = b
 
 
 def save_model(path, mf: ModelFile) -> None:
@@ -135,9 +185,11 @@ def save_model(path, mf: ModelFile) -> None:
     lines.append(f"seed {mf.seed}")
     lines.append(f"converged {int(mf.converged)}")
     lines.append(f"sweeps {mf.sweeps_used}")
-    # earlier trainers recorded a diagonal shift of K0 here; K0 is now
-    # pseudo-inverted, so every model writes 0
-    lines.append("jitter 0")
+    lines.append(f"stop_reason {mf.stop_reason}")
+    for key, cast in FACTS:
+        value = getattr(mf, key)
+        if value is not None:
+            lines.append(f"{key} {_fmt(value) if cast is float else int(value)}")
     lines.append("identity_coeff 1")
     if mf.thresholds is None:
         lines.append("thresholds none")
@@ -154,10 +206,10 @@ def save_model(path, mf: ModelFile) -> None:
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
     skip_K0 = rebuildable(mf.X, mf.kernel_spec)
-    for name in ("W", "X", "K0", "M", "F"):
+    for name in ("W", "X", "K0", "M", "F", "T"):
         A = None if name == "K0" and skip_K0 else getattr(mf, name)
         if A is not None:
-            _write_matrix(lines, name, A)
+            (_write_symmetric if name in SYMMETRIC else _write_matrix)(lines, name, A)
     if mf.basis_matrix is not None:
         _write_matrix(lines, "B", mf.basis_matrix)
     lines.append("end")
@@ -166,7 +218,7 @@ def save_model(path, mf: ModelFile) -> None:
 
 
 def load_model(path) -> ModelFile:
-    """Read a version 1 or 2 model file.
+    """Read a version 1, 2 or 3 model file.
 
     Malformed content raises ``InvalidArgumentError`` naming the file and
     the 1-based line.  A missing ``K0`` is left to be rebuilt from the
@@ -227,7 +279,15 @@ def load_model(path) -> ModelFile:
     seed = number(expect("seed")[0], int)
     conv = bool(number(expect("converged")[0], int))
     sweeps = number(expect("sweeps")[0], int)
-    number(expect("jitter")[0])  # parsed so a malformed entry is rejected; unused
+    facts = {}
+    if version < 3:
+        number(expect("jitter")[0])  # parsed so a malformed entry is rejected; unused
+    else:
+        if expect("stop_reason")[0] != ("rule" if conv else "cap"):
+            fail(f"stop_reason disagrees with converged {int(conv)}")
+        for key, cast in FACTS:
+            if lines[pos:pos + 1] and lines[pos].startswith(f"{key} "):
+                facts[key] = number(expect(key)[0], cast)
     if number(expect("identity_coeff")[0]) != 1.0:
         fail("identity_coeff must be 1")
     tparts = expect("thresholds")
@@ -257,28 +317,40 @@ def load_model(path) -> ModelFile:
         if parts[:1] == ["basis"] and len(parts) == 3:
             basis_mode, basis_k = parts[1], number(parts[2], int)
             continue
-        if parts[:1] != ["matrix"] or len(parts) != 4:
+        if parts[:1] == ["matrix"] and len(parts) == 4:
+            name, rows, cols = parts[1], number(parts[2], int), number(parts[3], int)
+        elif parts[:1] == ["symmetric"] and len(parts) == 3:
+            name, rows = parts[1], number(parts[2], int)
+            cols = rows
+        else:
             fail(f"unexpected line {line!r}")
-        name, rows, cols = parts[1], number(parts[2], int), number(parts[3], int)
         if rows < 0 or cols < 0:
-            fail(f"matrix {name} has a negative size")
+            fail(f"{parts[0]} {name} has a negative size")
+        block = lines[pos:pos + rows]
         data = None
         with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
             warnings.simplefilter("error")  # loadtxt only warns on a block with no data
-            if rows and cols:
-                data = np.loadtxt(lines[pos:pos + rows], dtype=float, comments=None, ndmin=2)
+            if parts[0] == "matrix" and rows and cols:
+                data = np.loadtxt(block, dtype=float, comments=None, ndmin=2)
+            elif parts[0] == "symmetric" and rows and \
+                    [len(row.split()) for row in block] == list(range(rows, 0, -1)):
+                # the triangle's rows joined into one, parsed in one call and mirrored
+                data = _mirror(np.loadtxt([" ".join(block)], dtype=float, comments=None), rows)
         if data is not None and data.shape == (rows, cols):
             pos += rows
         else:  # row by row, to name the row that failed
             data = np.empty((rows, cols))
             for r in range(rows):
+                width = cols if parts[0] == "matrix" else rows - r
                 vals = take().split()
-                if len(vals) != cols:
-                    fail(f"matrix {name} row {r} has wrong width")
+                if len(vals) != width:
+                    fail(f"{parts[0]} {name} row {r} has wrong width")
                 try:
-                    data[r] = [float(v) for v in vals]
+                    data[r, cols - width:] = [float(v) for v in vals]
                 except ValueError:
-                    fail(f"matrix {name} row {r} has a non-numeric entry")
+                    fail(f"{parts[0]} {name} row {r} has a non-numeric entry")
+            if parts[0] == "symmetric":
+                data = _mirror(data[np.triu_indices(rows)], rows)
         matrices[name] = data
 
     X = matrices.get("X")
@@ -290,7 +362,7 @@ def load_model(path) -> ModelFile:
     if K0 is None and not rebuildable(X, spec) and (kind == "kernel" or basis_mode == COEFFICIENT):
         fail(f"{kind} model has no K0 block and no points and kernel to rebuild it from")
     d, n = X.shape if X is not None else (None, None if K0 is None else K0.shape[0])
-    W, M, B, F = (matrices.get(name) for name in "WMBF")
+    W, M, B, F, T = (matrices.get(name) for name in "WMBFT")
     if kind == "linear" and (W is None or W.shape[0] != W.shape[1]):
         fail("a linear model needs a square matrix W")
     if kind == "kernel" and (M is None or M.shape != (n, n)):
@@ -303,6 +375,8 @@ def load_model(path) -> ModelFile:
             fail(f"an iplr model needs a matrix B with {rows or 'd'} rows and {basis_k} columns")
         if F is None or F.shape != (basis_k, basis_k):
             fail(f"an iplr model needs a {basis_k} x {basis_k} matrix F")
+        if basis_mode == COEFFICIENT and version >= 3 and (T is None or T.shape != F.shape):
+            fail(f"a coefficient-basis model needs a {basis_k} x {basis_k} matrix T")
 
     return ModelFile(
         kind=kind,
@@ -322,4 +396,18 @@ def load_model(path) -> ModelFile:
         basis_mode=basis_mode,
         basis_matrix=B,
         F=F,
+        T=T,
+        **facts,
     )
+
+
+def _mirror(upper: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle, row by row, is ``upper``."""
+    if upper.size != n * (n + 1) // 2:
+        raise ValueError(f"{upper.size} entries for an {n} x {n} triangle")
+    A = np.empty((n, n))
+    a = 0
+    for i in range(n):
+        A[i, i:] = A[i:, i] = upper[a:a + n - i]
+        a += n - i
+    return A

@@ -48,12 +48,16 @@ def test_save_load_save_is_byte_identical(small_ionosphere, tmp_path, kind, flag
     assert resaved.read_bytes() == trained.read_bytes()
 
 
-# -- format version 2: K0 is derived, not stored ----------------------------
+# -- format versions 2 and 3: K0 is derived, not stored ---------------------
 
 # Written by the version-1 format (K0 stored) with
 #   logdetml train --data <every 18th ionosphere row> --label-col last
 #       --kernel gaussian --per-class 5 --max-sweeps 5
 V1_KERNEL_MODEL = Path(__file__).parent / "data" / "ionosphere_kernel_v1.model"
+# Written by the version-2 format (every matrix in full, no T) with
+#   logdetml train --data <every 18th ionosphere row> --label-col last
+#       --kernel gaussian --basis kmeans:4 --per-class 5 --max-sweeps 5
+V2_IPLR_MODEL = Path(__file__).parent / "data" / "ionosphere_iplr_v2.model"
 
 
 def _train(data, out, *flags):
@@ -63,7 +67,7 @@ def _train(data, out, *flags):
 
 def _matrix_names(path):
     return [line.split()[1] for line in path.read_text().splitlines()
-            if line.startswith("matrix ")]
+            if line.startswith(("matrix ", "symmetric "))]
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +99,7 @@ def gaussian_model(small_ionosphere, tmp_path_factory):
 def test_v2_drops_K0_and_rebuilds_it_bit_identically(small_ionosphere, tmp_path, flags):
     path = tmp_path / "trained.model"
     assert _train(small_ionosphere, path, *flags) == 0
-    assert path.read_text().startswith("version 2\n")
+    assert path.read_text().startswith("version 3\n")
     assert "K0" not in _matrix_names(path)
     mf = load_model(path)
     X_csv, _ = load_points_csv(small_ionosphere, label_col="last")
@@ -139,25 +143,55 @@ def test_precomputed_kernel_keeps_K0(small_ionosphere, tmp_path, flags):
     assert resaved.read_bytes() == trained.read_bytes()
 
 
-def test_v1_model_loads_and_serves_like_v2(tmp_path, query_points):
-    assert V1_KERNEL_MODEL.read_text().startswith("version 1\n")
-    assert "K0" in _matrix_names(V1_KERNEL_MODEL)
-    v1 = load_model(V1_KERNEL_MODEL)
-    v2_path = tmp_path / "v2.model"
-    save_model(v2_path, v1)
-    assert "K0" not in _matrix_names(v2_path)
-    v2 = load_model(v2_path)
-    assert np.array_equal(v2.K0, v1.K0)
-
+def _resaved_serves_alike(old, tmp_path, query_points):
+    """Save the model file ``old`` as the current version; both files must
+    serve the same bytes.  Returns (resaved path, its --pairs output)."""
+    resaved = tmp_path / "resaved.model"
+    save_model(resaved, load_model(old))
+    assert resaved.read_text().startswith("version 3\n")
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("0,1\n2,19\n5,11\n13,7\n")
     for query in (["--points", str(query_points)], ["--pairs", str(pairs)]):
         outputs = []
-        for model in (V1_KERNEL_MODEL, v2_path):
+        for model in (old, resaved):
             out = tmp_path / f"{model.stem}_{query[0][2:]}.csv"
             assert main(["distance", str(model), *query, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+    return resaved, outputs[1].decode()
+
+
+def test_v1_model_loads_and_serves_like_v2(tmp_path, query_points):
+    assert V1_KERNEL_MODEL.read_text().startswith("version 1\n")
+    assert "K0" in _matrix_names(V1_KERNEL_MODEL)
+    v1 = load_model(V1_KERNEL_MODEL)
+    resaved, _ = _resaved_serves_alike(V1_KERNEL_MODEL, tmp_path, query_points)
+    assert "K0" not in _matrix_names(resaved)
+    assert np.array_equal(load_model(resaved).K0, v1.K0)
+
+
+def test_v2_coefficient_model_loads_and_serves_the_distances_it_always_served(
+        tmp_path, query_points):
+    assert V2_IPLR_MODEL.read_text().startswith("version 2\n")
+    assert "T" not in _matrix_names(V2_IPLR_MODEL)
+    resaved, served = _resaved_serves_alike(V2_IPLR_MODEL, tmp_path, query_points)
+    assert "T" in _matrix_names(resaved)
+    # what the version-2 reader served from this file
+    assert served == ("i,j,sq_distance\n0,1,0.450478763176\n2,19,0.0448341904763\n"
+                      "5,11,1.43468997502\n13,7,0.628165452276\n")
+    out = tmp_path / "points_out.csv"
+    assert main(["distance", str(V2_IPLR_MODEL), "--points", str(query_points),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 210
+    assert lines[:3] == ["i,j,sq_distance", "0,0,0", "0,1,1.49343454047"]
+    assert "5,15,0.669152538005" in lines
+
+
+@pytest.mark.parametrize("old", [V1_KERNEL_MODEL, V2_IPLR_MODEL], ids=["v1", "v2"])
+def test_an_older_file_loads_with_the_fit_facts_unset(old):
+    mf = load_model(old)
+    assert (mf.distance_change, mf.max_violation, mf.dropped_rank, mf.dropped) == (None,) * 4
 
 
 def test_v1_model_serves_the_distances_it_always_served(tmp_path, query_points):
@@ -191,7 +225,8 @@ def _replace_line(text, prefix, new):
 
 def _drop_matrix(text, name):
     lines = text.splitlines()
-    at = lines.index(next(line for line in lines if line.startswith(f"matrix {name} ")))
+    at = lines.index(next(line for line in lines
+                          if line.startswith((f"matrix {name} ", f"symmetric {name} "))))
     rows = int(lines[at].split()[2])
     del lines[at:at + 1 + rows]
     return "\n".join(lines) + "\n"
@@ -208,8 +243,23 @@ def _malformed(text, case):
         vals[3] = "abc"
         lines[at] = " ".join(vals)
         return "\n".join(lines) + "\n", at + 1, "non-numeric"
+    if case in ("short-triangle-row", "non-numeric-triangle-entry"):
+        lines = text.splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("symmetric M "))) + 3
+        vals = lines[at].split()
+        if case == "short-triangle-row":
+            del vals[-1]
+        else:
+            vals[1] = "abc"
+        lines[at] = " ".join(vals)
+        fragment = "has wrong width" if case == "short-triangle-row" else "has a non-numeric entry"
+        return "\n".join(lines) + "\n", at + 1, f"symmetric M row 2 {fragment}"
     if case == "non-integer":
         return _replace_line(text, "seed", "seed 1.5") + ("integer",)
+    if case == "stop-reason":
+        # the fit converged: the file may not say the cap stopped it
+        return _replace_line(text, "stop_reason", "stop_reason cap") + (
+            "stop_reason disagrees with converged 1",)
     if case == "unknown-kind":
         return _replace_line(text, "kind", "kind quadratic") + ("unknown model kind",)
     if case == "identity-coeff":
@@ -225,7 +275,8 @@ def _malformed(text, case):
     raise AssertionError(case)
 
 
-@pytest.mark.parametrize("case", ["missing-value", "non-numeric-entry", "non-integer",
+@pytest.mark.parametrize("case", ["missing-value", "non-numeric-entry", "short-triangle-row",
+                                  "non-numeric-triangle-entry", "non-integer", "stop-reason",
                                   "unknown-kind", "identity-coeff", "no-points",
                                   "precomputed-no-K0"])
 def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, capsys, case):
@@ -259,7 +310,9 @@ def _swap_matrix(text, name, A):
      "matrix B with 59 rows and 8 columns"),
     (["--kernel", "gaussian", "--basis", "kmeans:8"], lambda t: _drop_matrix(t, "F"),
      "8 x 8 matrix F"),
-], ids=["linear-W-not-square", "kernel-M-wrong-size", "iplr-no-B", "iplr-no-F"])
+    (["--kernel", "gaussian", "--basis", "kmeans:8"], lambda t: _drop_matrix(t, "T"),
+     "8 x 8 matrix T"),
+], ids=["linear-W-not-square", "kernel-M-wrong-size", "iplr-no-B", "iplr-no-F", "iplr-no-T"])
 def test_model_payload_missing_or_of_the_wrong_size_exits_2(small_ionosphere, query_points,
                                                             tmp_path, capsys, flags, edit,
                                                             fragment):
@@ -519,6 +572,70 @@ def test_coefficient_model_serves_pairs_as_with_K0_built_on_load(small_ionospher
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+# -- version 3 records the fit's facts and T, and writes symmetric blocks once -------
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("flags, facts", [
+    (["--space", "linear"], ()),
+    (["--kernel", "gaussian"], ("max_violation", "dropped_rank")),
+    (["--kernel", "gaussian", "--basis", "kmeans:8"], ("dropped",)),
+], ids=["linear", "kernel", "iplr"])
+def test_v3_header_records_what_train_logs(small_ionosphere, tmp_path, capsys, flags, facts):
+    path = tmp_path / "trained.model"
+    capsys.readouterr()
+    assert _train(small_ionosphere, path, *flags) == 0
+    logged = dict(line[len("[train] "):].split(": ", 1)
+                  for line in capsys.readouterr().err.splitlines())
+    mf = load_model(path)
+    assert mf.stop_reason == logged["stop_reason"]
+    for key in ("distance_change", *facts):
+        value = getattr(mf, key)
+        assert (f"{value:.6g}" if isinstance(value, float) else str(value)) == logged[key]
+    unset = {"max_violation", "dropped_rank", "dropped"} - set(facts)
+    assert all(getattr(mf, key) is None for key in unset)
+    assert "jitter" not in path.read_text()
+    resaved = tmp_path / "resaved.model"
+    save_model(resaved, mf)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_a_v3_coefficient_model_serves_points_without_building_a_gram(
+        small_ionosphere, query_points, tmp_path, monkeypatch):
+    from logdetml import learned_kernel, modelfile
+
+    path = tmp_path / "trained.model"
+    assert _train(small_ionosphere, path, "--kernel", "gaussian", "--basis", "kmeans:8") == 0
+    expected = tmp_path / "expected.csv"
+    assert main(["distance", str(path), "--points", str(query_points),
+                 "--out", str(expected)]) == 0
+
+    def no_gram(*args):
+        raise AssertionError("serving built the training Gram")
+
+    monkeypatch.setattr(learned_kernel, "training_gram", no_gram)
+    monkeypatch.setattr(modelfile, "training_gram", no_gram)
+    out = tmp_path / "distances.csv"
+    assert main(["distance", str(path), "--points", str(query_points), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    with pytest.raises(AssertionError, match="training Gram"):
+        load_model(V2_IPLR_MODEL)  # no T stored: it is derived from K0
+
+
+@pytest.mark.parametrize("name", ["W", "M", "F", "T", "K0"])
+@pytest.mark.parametrize("flaw", ["asymmetric", "signed-zero"])
+def test_save_refuses_a_symmetric_block_that_is_not_exactly_symmetric(tmp_path, name, flaw):
+    A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    if flaw == "asymmetric":
+        A[0, 1] = np.nextafter(0.5, 1.0)
+    else:
+        A[2, 0] = -0.0
+    mf = _linear_model(np.eye(3))
+    setattr(mf, name, A)
+    with pytest.raises(InvalidArgumentError, match=f"matrix {name} is not exactly symmetric"):
+        save_model(tmp_path / "model.txt", mf)
+
+
 # -- a model served from its file is the model served in memory -------------------
 
 @pytest.mark.parametrize(
@@ -568,30 +685,36 @@ def _linear_model(W, **matrices):
 
 
 def test_matrix_blocks_write_the_per_value_lines_and_read_back_bit_for_bit(tmp_path):
-    n = 150  # two whole blocks of BLOCK_VALUES // n = 54 rows and a remainder
+    n = 150  # W's triangle: blocks of 54 rows (BLOCK_VALUES // n), then 85, then 11
     assert n > BLOCK_VALUES // n and n % (BLOCK_VALUES // n)
     rng = np.random.default_rng(7)
     W = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
     specials = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 2.0**53, 1e16, -1e308, 0.0]
     W.flat[::5] = np.resize(specials, W.flat[::5].size)
+    upper = np.triu_indices(n, 1)
+    W.T[upper] = W[upper]  # exactly symmetric, -0.0 kept
     X = np.asfortranarray(rng.standard_normal((3, 5000)))  # one row a block, column-major
     path = tmp_path / "model.txt"
     save_model(path, _linear_model(W, X=X))
     lines = path.read_text().splitlines()
-    for name, A in (("W", W), ("X", X)):
-        at = lines.index(f"matrix {name} {A.shape[0]} {A.shape[1]}") + 1
-        assert lines[at:at + len(A)] == [" ".join(f"{float(v):.17g}" for v in row) for row in A]
+    at = lines.index(f"symmetric W {n}") + 1
+    assert lines[at:at + n] == [" ".join(f"{float(v):.17g}" for v in row[i:])
+                                for i, row in enumerate(W)]
+    at = lines.index("matrix X 3 5000") + 1
+    assert lines[at:at + 3] == [" ".join(f"{float(v):.17g}" for v in row) for row in X]
     mf = load_model(path)
     assert mf.W.tobytes() == W.tobytes() and mf.X.tobytes() == X.tobytes()
 
 
-def _with_W_block(tmp_path, rows, cols, block):
-    """A linear model file whose W block is ``rows cols`` and the given
-    lines, and the 1-based line of the block's first row."""
+def _with_W_block(tmp_path, rows, cols, block, header="matrix"):
+    """A linear model file whose W block is ``matrix W rows cols`` (or
+    ``symmetric W rows``) and the given lines, and the 1-based line of the
+    block's first row."""
     save_model(tmp_path / "base.model", _linear_model(np.eye(1)))
     lines = (tmp_path / "base.model").read_text().splitlines()
-    at = lines.index("matrix W 1 1")
-    lines[at:at + 2] = [f"matrix W {rows} {cols}", *block]
+    at = lines.index("symmetric W 1")
+    size = f"{rows} {cols}" if header == "matrix" else f"{rows}"
+    lines[at:at + 2] = [f"{header} W {size}", *block]
     path = tmp_path / "block.model"
     path.write_text("\n".join(lines) + "\n")
     return path, at + 2
@@ -611,6 +734,22 @@ def test_a_matrix_block_parses_to_the_bits_float_gives(tmp_path, monkeypatch, bl
     W = load_model(path).W
     assert W.tobytes() == np.array([[float(v) for v in row.split()] for row in block]).tobytes()
     assert [p.shape for p in parsed] == ([(4, 4)] if one_call else [])
+
+
+@pytest.mark.parametrize("block, one_call", [
+    (["0.1 -0 5e-324", "+1.5\t.5", "  -nan "], True),
+    (["1_0 2 3", "١ 5", "6"], False),  # float() reads these, loadtxt does not
+], ids=["one-loadtxt", "row-by-row"])
+def test_a_symmetric_block_parses_to_the_bits_float_gives(tmp_path, monkeypatch, block,
+                                                          one_call):
+    parsed = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k)) or parsed[-1])
+    path, _ = _with_W_block(tmp_path, 3, 3, block, header="symmetric")
+    upper, expected = np.triu_indices(3), np.empty((3, 3))
+    expected[upper] = expected.T[upper] = [float(v) for row in block for v in row.split()]
+    assert load_model(path).W.tobytes() == expected.tobytes()
+    assert [p.shape for p in parsed] == ([(6,)] if one_call else [])
 
 
 @pytest.mark.parametrize("rows, cols, block, bad_row, message", [
