@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 
 import numpy as np
 
@@ -27,50 +26,10 @@ def load_points_csv(path, label_col: str | None = None):
     ``InvalidArgumentError`` naming the file.
 
     ``label_col='last'`` peels the final column off as labels (strings kept
-    as-is); returns ``(X, labels_or_None)``.  A file is parsed with one
-    ``np.loadtxt`` where that reads it as the row-by-row ``csv`` and
-    ``float()`` reading does, which reads every other file and names the row
-    of any error.
+    as-is); returns ``(X, labels_or_None)``.
     """
     if label_col not in (None, "last"):
         raise InvalidArgumentError(f"label_col must be None or 'last', got {label_col!r}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            read = _read_at_once(fh.read(), label_col)
-    except UnicodeDecodeError:
-        read = None  # row by row, which reports an error on an earlier row first
-    return read or _read_row_by_row(path, label_col)
-
-
-def _read_at_once(text: str, label_col: str | None):
-    """``(X, labels)`` from one ``np.loadtxt``, or None where it could read
-    otherwise than ``csv`` and ``float()``.  With no quote, carriage return
-    or NUL, ``csv`` splits rows at newlines and fields at commas and skips
-    empty rows, as done here; ``loadtxt`` reads a subset of what ``float()``
-    reads (not ``1_0`` nor non-ASCII digits), to the same bits, and raises on
-    the rest."""
-    if any(c in text for c in '"\r\0'):
-        return None
-    lines = [line for line in text.split("\n") if line]
-    labels = None
-    if label_col == "last":
-        parts = [line.rsplit(",", 1) for line in lines]
-        if any(len(p) != 2 for p in parts):
-            return None
-        lines = [feat for feat, _ in parts]
-        labels = np.array([lab.strip() for _, lab in parts])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns on input with no data
-            X = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, Warning):
-        return None
-    if X.shape[0] != len(lines) or not np.all(np.isfinite(X)):
-        return None
-    return X.T, labels
-
-
-def _read_row_by_row(path, label_col: str | None):
     rows = []
     labels = []
     try:

@@ -17,7 +17,7 @@ K0 alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,17 +43,14 @@ class BasisWarning(UserWarning):
 class Basis:
     """Orthonormal basis for the low-rank part, either given explicitly
     (U, d x k, U^T U = I) or as coefficients over training points
-    (J, n x k, with U = X J T and T = (J^T K0 J)^(-1/2)).
-
-    A coefficient basis is picked for one Gram K0: ``with_T`` sets its T and
-    the product J^T K0 that the reduction reuses, so only that K0 may be
-    reduced with it.  A basis built without them forms them on first use."""
+    (J, n x k, with U = X J T and T = (J^T K0 J)^(-1/2)).  A coefficient
+    basis carries T once ``fit_low_rank`` has reduced K0 with it, or when it
+    is read from a model file; the reduction always forms T on its own K0."""
 
     mode: str
     matrix: np.ndarray  # U for explicit mode, J for coefficient mode
     k: int
     T: np.ndarray | None = None  # coefficient mode: (J^T K0 J)^(-1/2), k x k
-    JK: np.ndarray | None = field(default=None, repr=False)  # coefficient mode: J^T K0
 
     def __post_init__(self):
         if self.mode not in (EXPLICIT, COEFFICIENT):
@@ -166,40 +163,35 @@ def select_basis_kernel(K0: np.ndarray, method: str, k: int, seed: int = 0) -> B
         else:
             J = cluster_indicator(kernel_kmeans(K0, k, seed=seed + attempt), k)
         try:
-            return with_T(Basis(COEFFICIENT, J, k), K0)
+            coefficient_T(J, J.T @ K0)
+            return Basis(COEFFICIENT, J, k)
         except NumericalError:
             continue
     raise NumericalError("J^T K0 J is singular after jitter (two draws)")
 
 
-def with_T(basis: Basis, K0: np.ndarray) -> Basis:
-    """The coefficient basis carrying T = (J^T K0 J)^(-1/2), which makes
-    U = X J T orthonormal, and JK = J^T K0: formed on K0 unless the basis
-    carries them already."""
-    if basis.T is not None and basis.JK is not None:
-        return basis
-    J = basis.matrix
-    JK = J.T @ K0
-    return replace(basis, T=inv_sqrt(symmetrize(JK @ J), jitter=1e-10), JK=JK)
+def coefficient_T(J: np.ndarray, JK: np.ndarray) -> np.ndarray:
+    """T = (J^T K0 J)^(-1/2) from JK = J^T K0; it makes U = X J T orthonormal."""
+    return inv_sqrt(symmetrize(JK @ J), jitter=1e-10)
 
 
-def _reduced_points(data: np.ndarray, basis: Basis) -> np.ndarray:
-    if basis.mode == EXPLICIT:
-        return basis.matrix.T @ data          # data is X (d, n)
-    basis = with_T(basis, data)               # data is K0 (n, n)
-    return basis.T @ basis.JK
-
-
-def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet):
+def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet, *,
+                   with_basis: bool = False):
     """Reduce to the k x k problem: returns (Xproj, ConstraintSet with
-    per-pair thresholds).
+    per-pair thresholds), and with ``with_basis`` the basis too, carrying the
+    T formed on ``data`` (a coefficient basis; an explicit one as given).
 
     ``data`` is X (d, n) for an explicit basis, K0 (n, n) for a coefficient
     basis.  Each threshold is shifted by the part of the baseline distance
     the basis cannot see: threshold - d_I(x_i, x_j) + d_I(x'_i, x'_j).
     """
     data = np.asarray(data, dtype=float)
-    Xp = _reduced_points(data, basis)
+    if basis.mode == EXPLICIT:
+        Xp = basis.matrix.T @ data            # data is X (d, n)
+    else:
+        JK = basis.matrix.T @ data            # data is K0 (n, n)
+        basis = replace(basis, T=coefficient_T(basis.matrix, JK))
+        Xp = basis.T @ JK
     xi0 = cs.initial_slacks()
     adjusted = np.empty_like(xi0)
     for c, con in enumerate(cs.constraints):
@@ -211,7 +203,8 @@ def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet):
         gp = Xp[:, con.i] - Xp[:, con.j]
         d_proj = float(gp @ gp)
         adjusted[c] = xi0[c] - d_full + d_proj
-    return Xp, ConstraintSet(list(cs.constraints), cs.thresholds, xi0=adjusted)
+    reduced = ConstraintSet(list(cs.constraints), cs.thresholds, xi0=adjusted)
+    return (Xp, reduced, basis) if with_basis else (Xp, reduced)
 
 
 def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
@@ -228,9 +221,7 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
     """
     cfg = cfg or SolverConfig()
     data = np.asarray(data, dtype=float)
-    if basis.mode == COEFFICIENT:
-        basis = with_T(basis, data)  # kept with the model: serving reads its T
-    Xp, reduced = reduce_problem(data, basis, cs)
+    Xp, reduced, basis = reduce_problem(data, basis, cs, with_basis=True)  # serving reads its T
     keep = reduced.xi0 > 0
     if not np.all(keep):
         warnings.warn(
@@ -269,9 +260,9 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
     factored, M = J' (F - I) J'^T with J' = J T.  Queries are served in the
     k-dimensional factor space, the core F - I acting on the projected points
     x' = J'^T k(x) (``learned_kernel``), so no n x n matrix is ever
-    materialized.  T = (J^T K0 J)^(-1/2) is read from the model (the basis),
-    so no Gram is built here; with ``K0=None`` the model rebuilds K0 only if
-    a training-index query needs it.
+    materialized.  T is read from the model (the basis), so no Gram is built
+    here; with ``K0=None`` the model rebuilds K0 only if a training-index
+    query needs it.
     """
     core = F - np.eye(F.shape[0])
     if basis.mode == EXPLICIT:

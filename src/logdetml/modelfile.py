@@ -56,7 +56,7 @@ from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel, RebuiltK0, rebuildable, training_gram
 from .linalg import KernelSpec
-from .lowrank import COEFFICIENT, EXPLICIT, Basis, expand, with_T
+from .lowrank import COEFFICIENT, EXPLICIT, Basis, coefficient_T, expand
 
 VERSION = 3
 READABLE_VERSIONS = (1, 2, 3)
@@ -108,7 +108,7 @@ class ModelFile:
         if self.basis_mode == COEFFICIENT and self.T is None:
             # a version 1 or 2 file: derive T once, from a K0 kept only for that
             K0 = self._K0 if self._K0 is not None else training_gram(self.X, self.kernel_spec)
-            self.T = with_T(Basis(COEFFICIENT, self.basis_matrix, self.basis_matrix.shape[1]), K0).T
+            self.T = coefficient_T(self.basis_matrix, self.basis_matrix.T @ K0)
 
     @property
     def stop_reason(self) -> str:
@@ -335,7 +335,8 @@ def load_model(path) -> ModelFile:
             elif parts[0] == "symmetric" and rows and \
                     [len(row.split()) for row in block] == list(range(rows, 0, -1)):
                 # the triangle's rows joined into one, parsed in one call and mirrored
-                data = _mirror(np.loadtxt([" ".join(block)], dtype=float, comments=None), rows)
+                data = _mirror(np.loadtxt([" ".join(block)], dtype=float, comments=None,
+                                          ndmin=1), rows)
         if data is not None and data.shape == (rows, cols):
             pos += rows
         else:  # row by row, to name the row that failed

@@ -70,6 +70,37 @@ def test_every_basis_name_trains(ionosphere_rows, tmp_path, capsys, name):
     assert load_model(model).basis_matrix.shape[1] == 3
 
 
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("name", list(evaluation.FEATURE_BASES | evaluation.KERNEL_BASES))
+def test_a_rank_one_basis_model_trains_and_serves(ionosphere_rows, tmp_path, capsys, name):
+    # F, and a coefficient basis's T, are 1 x 1: symmetric blocks of one value
+    space = ["--space", "linear"] if name in evaluation.FEATURE_BASES else ["--kernel", "gaussian"]
+    model = tmp_path / "model.txt"
+    assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last", *space,
+                 "--basis", f"{name}:1", "--per-class", "10", "--out", str(model)]) == 0
+    assert "symmetric F 1" in model.read_text().splitlines()
+    X, _ = load_points_csv(ionosphere_rows, label_col="last")
+    points = tmp_path / "points.csv"
+    points.write_text("".join(",".join(f"{v:.17g}" for v in x) + "\n" for x in X[:, :4].T))
+    capsys.readouterr()
+    assert main(["distance", str(model), "--points", str(points)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 5 // 2
+
+
+def test_a_one_feature_linear_model_trains_and_serves(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{v},{v % 2}\n" for v in range(8)))
+    model = tmp_path / "model.txt"
+    assert main(["train", "--data", str(data), "--label-col", "last", "--space", "linear",
+                 "--per-class", "3", "--out", str(model)]) == 0
+    assert "symmetric W 1" in model.read_text().splitlines()
+    points = tmp_path / "points.csv"
+    points.write_text("0\n3\n")
+    capsys.readouterr()
+    assert main(["distance", str(model), "--points", str(points)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+
 @pytest.mark.parametrize("flags", [
     ["--loss", "frobenius"],
     ["--loss", "vonneumann"],

@@ -76,41 +76,3 @@ def test_train_on_non_utf8_file_exits_with_data_error(tmp_path, capsys, bad):
     assert captured.out == ""
     assert f"{binary}: not a UTF-8 text file" in captured.err
     assert not (tmp_path / "m.txt").exists()
-
-
-# -- one np.loadtxt per file, row by row wherever it could read otherwise ---------
-
-@pytest.mark.parametrize("text, one_call", [
-    ("1,2.5,a\n-3e2, 4 ,b\n\n0.1,5e-324, a\n1e308,-0,b\n", True),
-    # float() reads these and loadtxt does not, so the rows are read one by one
-    ("1_000,2,a\n3,4,b\n", False),
-    ("１,2,a\n3,4,b\n", False),  # a full-width digit
-    ("1,2,a\r\n3,4,b\r\n", False),
-    ('"1",2,a\n3,4,"b"\n', False),
-], ids=["one-loadtxt", "underscore", "full-width-digit", "crlf", "quoted"])
-def test_points_parse_to_the_bits_the_row_by_row_reading_gives(tmp_path, monkeypatch, text,
-                                                               one_call):
-    from logdetml import datasets
-
-    parsed = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k)) or parsed[-1])
-    path = tmp_path / "data.csv"
-    path.write_bytes(text.encode())
-    X, labels = load_points_csv(path, label_col="last")
-    ref_X, ref_labels = datasets._read_row_by_row(path, "last")
-    assert X.tobytes(order="A") == ref_X.tobytes(order="A") and X.flags.f_contiguous
-    assert labels.dtype == ref_labels.dtype and labels.tolist() == ref_labels.tolist()
-    assert len(parsed) == one_call
-
-
-@pytest.mark.parametrize("text, message", [
-    ("1,2\n  \n3,4\n", "non-numeric value on row 2"),  # loadtxt: a column count error
-    ("1,2\n3,4,\n", "non-numeric value on row 2"),
-    ("1,2\n3\n", r"ragged rows \(widths \[1, 2\]\)"),
-    ("\n\n", "no data rows"),
-], ids=["blank-row", "trailing-comma", "ragged", "empty"])
-def test_a_file_loadtxt_refuses_is_reported_as_the_row_by_row_reading_reports_it(
-        tmp_path, text, message):
-    with pytest.raises(InvalidArgumentError, match=rf"data\.csv: {message}"):
-        load_points_csv(write(tmp_path, text))

@@ -208,6 +208,22 @@ class TestFitAndReconstruct:
         D = learned_sq_distances(model, X[:, :3], X[:, :3])
         assert D.shape == (3, 3)
 
+    @pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+    def test_a_coefficient_basis_is_reduced_on_the_gram_it_is_fitted_with(self, rng):
+        n, k = 9, 3
+        X = rng.standard_normal((4, n))
+        K0a, K0b = X.T @ X, X.T @ X + np.eye(n)
+        cs = mixed_constraint_set(X, seed=4)
+        cfg = SolverConfig(tol=1e-6)
+        picked = select_basis_kernel(K0a, "random-J", k, seed=0)
+        fresh = Basis(COEFFICIENT, picked.matrix.copy(), k)
+        fitted, expected = (fit_low_rank(K0b, b, cs, cfg) for b in (picked, fresh))
+        assert fitted.basis.T.tobytes() == expected.basis.T.tobytes()
+        assert fitted.F.tobytes() == expected.F.tobytes()
+        # nor does the T a fit keeps follow its basis to another Gram
+        assert reduce_problem(K0a, fitted.basis, cs)[0].tobytes() == \
+            reduce_problem(K0a, fresh, cs)[0].tobytes()
+
     def test_unreachable_constraint_skipped_with_warning(self):
         X = np.array([[1.0, -1.0], [0.0, 0.0]])
         basis = Basis(EXPLICIT, np.array([[0.0], [1.0]]), 1)

@@ -685,25 +685,37 @@ def _linear_model(W, **matrices):
 
 
 def test_matrix_blocks_write_the_per_value_lines_and_read_back_bit_for_bit(tmp_path):
-    n = 150  # W's triangle: blocks of 54 rows (BLOCK_VALUES // n), then 85, then 11
+    n = 150  # blocks of 54 rows (BLOCK_VALUES // n) and a remainder; W's triangle: 54, 85, 11
     assert n > BLOCK_VALUES // n and n % (BLOCK_VALUES // n)
     rng = np.random.default_rng(7)
-    W = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
     specials = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 2.0**53, 1e16, -1e308, 0.0]
-    W.flat[::5] = np.resize(specials, W.flat[::5].size)
+    W, X = (rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+            for _ in range(2))
+    for A in (W, X):
+        A.flat[::5] = np.resize(specials, A.flat[::5].size)
     upper = np.triu_indices(n, 1)
     W.T[upper] = W[upper]  # exactly symmetric, -0.0 kept
-    X = np.asfortranarray(rng.standard_normal((3, 5000)))  # one row a block, column-major
+    B = rng.standard_normal((3, 5000))  # one row a block
     path = tmp_path / "model.txt"
-    save_model(path, _linear_model(W, X=X))
+    save_model(path, _linear_model(W, X=X, basis_matrix=B))
     lines = path.read_text().splitlines()
     at = lines.index(f"symmetric W {n}") + 1
     assert lines[at:at + n] == [" ".join(f"{float(v):.17g}" for v in row[i:])
                                 for i, row in enumerate(W)]
-    at = lines.index("matrix X 3 5000") + 1
-    assert lines[at:at + 3] == [" ".join(f"{float(v):.17g}" for v in row) for row in X]
+    for name, A in (("X", X), ("B", B)):
+        at = lines.index(f"matrix {name} {A.shape[0]} {A.shape[1]}") + 1
+        assert lines[at:at + len(A)] == [" ".join(f"{float(v):.17g}" for v in row) for row in A]
     mf = load_model(path)
     assert mf.W.tobytes() == W.tobytes() and mf.X.tobytes() == X.tobytes()
+    assert mf.basis_matrix.tobytes() == B.tobytes()
+
+
+def test_a_one_value_symmetric_block_reads_back_bit_for_bit(tmp_path):
+    W = np.array([[-2.5]])
+    path = tmp_path / "model.txt"
+    save_model(path, _linear_model(W))
+    assert "symmetric W 1" in path.read_text().splitlines()
+    assert load_model(path).W.tobytes() == W.tobytes()
 
 
 def _with_W_block(tmp_path, rows, cols, block, header="matrix"):
