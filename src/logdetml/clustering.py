@@ -8,13 +8,17 @@ among the points whose cluster keeps another member (``_reseed_empty``), so
 no cluster is left empty.  Lloyd iterations stop on an unchanged assignment
 or after MAX_ITERS passes.
 
-The kernel k-means step is done in matrix form (Dhillon, Guan & Kulis,
-KDD 2004): with Z the n x k indicator matrix scaled to Z[i, c] = 1/|c| for
-the members i of cluster c, ``KZ = K @ Z`` holds every point's mean kernel
-value against every cluster, ``diag(Z^T K Z)`` the clusters' mean
-within-cluster kernel values, and the squared feature-space distances to
-all k means are ``diag(K)[:, None] - 2 KZ + diag(Z^T K Z)``: one BLAS
-product per Lloyd pass instead of one pass over K per cluster.
+The kernel k-means step keeps running cluster sums (Dhillon, Guan & Kulis,
+KDD 2004): with B the k x n 0/1 indicator of the assignment, ``S = B K``
+holds in S[c, i] the sum of K[i, j] over the members j of cluster c (K is
+symmetric).  A point's mean kernel value against cluster c is then
+S[c, i] / |c|, a cluster's mean within-cluster kernel value the sum of its
+members' own such values over |c|, and the squared feature-space distances
+to all k means are ``diag(K)[:, None] - 2 S^T / |c| + mean_within``.  S is
+formed by one BLAS product after the initial assignment.  A Lloyd pass then
+adds the row of K of each point that moved to its new cluster's sums and
+subtracts it from its old cluster's, in one small product, so a late pass,
+in which few points move, costs far less than one n x n x k product.
 
 ``scipy.optimize`` (for the Hungarian matching in ``matching_error``) is
 imported inside that function: it is this package's only scipy.optimize
@@ -105,24 +109,34 @@ def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0):
         return np.clip(diag + diag[i] - 2.0 * K[:, i], 0.0, None)
 
     seeds = _farthest_point_init(dist_to_point, n, k, rng)
-    labels = np.full(n, -1)
     # initial assignment: nearest seed point in kernel distance
     D0 = np.stack([dist_to_point(s) for s in seeds], axis=1)
     labels = np.argmin(D0, axis=1)
     for c in range(k):
         if not np.any(labels == c):
             labels[seeds[c]] = c
+    rows = np.arange(n)
+    B = np.zeros((k, n))
+    B[labels, rows] = 1.0
+    S = B @ K  # S[c, i]: the sum of K[i, j] over the members j of cluster c
     for _ in range(MAX_ITERS):
-        Z = cluster_indicator(labels, k)
-        KZ = K @ Z
-        mean_all = np.einsum("ic,ic->c", Z, KZ)
+        counts = np.bincount(labels, minlength=k)
+        empty = counts == 0
+        inv = 1.0 / np.where(empty, 1, counts)
+        KZ = S.T * inv
+        mean_all = np.bincount(labels, weights=KZ[rows, labels], minlength=k) * inv
         D = diag[:, None] - 2.0 * KZ + mean_all
         # a seed shared by two clusters (duplicate points) leaves one of them
         # empty before the first pass; it has no mean until the reseed refills it
-        D[:, ~Z.any(axis=0)] = np.inf
+        D[:, empty] = np.inf
         new_labels = _reseed_empty(np.argmin(D, axis=1), D)
         if np.array_equal(new_labels, labels):
             break
+        moved = np.flatnonzero(new_labels != labels)
+        step = np.zeros((moved.size, k))  # +1 in each moved point's new cluster, -1 in its old
+        step[np.arange(moved.size), new_labels[moved]] = 1.0
+        step[np.arange(moved.size), labels[moved]] = -1.0
+        S += step.T @ K[moved]
         labels = new_labels
     return labels
 

@@ -184,15 +184,14 @@ def compute_thresholds(distances) -> Thresholds:
     l = 99th percentile.
 
     A non-positive u is clamped to 1e-3 times the smallest positive distance;
-    an all-zero pool is rejected as degenerate.  The pool is partially
-    sorted in place (see ``percentile``): the pools are built for this call,
-    and a full one holds n(n-1)/2 values.
+    an all-zero pool is rejected as degenerate.  Both order statistics come
+    from one partial sort of the pool, done in place (see ``percentile``):
+    the pools are built for this call, and a full one holds n(n-1)/2 values.
     """
     d = np.asarray(distances, dtype=float).ravel()
     if d.size == 0:
         raise InvalidArgumentError("empty distance pool")
-    u = percentile(d, 1.0)
-    l = percentile(d, 99.0)
+    u, l = percentile(d, (1.0, 99.0))
     if u <= 0:
         positive = d[d > 0]
         if positive.size == 0:

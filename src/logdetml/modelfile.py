@@ -148,32 +148,30 @@ class ModelFile:
         return Basis(self.basis_mode, self.basis_matrix, self.basis_matrix.shape[1], T=self.T)
 
 
-def _write_matrix(lines: list[str], name: str, A: np.ndarray) -> None:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    lines.append(f"matrix {name} {A.shape[0]} {A.shape[1]}")
+def _write_matrix(write, name: str, A: np.ndarray) -> None:
+    write(f"matrix {name} {A.shape[0]} {A.shape[1]}\n")
     row, step = " ".join(["%.17g"] * A.shape[1]), max(1, BLOCK_VALUES // max(A.shape[1], 1))
     for block in (A[a:a + step] for a in range(0, A.shape[0], step)):
-        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+        write("\n".join([row] * len(block)) % tuple(block.ravel().tolist()) + "\n")
 
 
-def _write_symmetric(lines: list[str], name: str, A: np.ndarray) -> None:
+def _write_symmetric(write, name: str, A: np.ndarray) -> None:
     """Row i of A's upper triangle, entries i..n-1, on line i of the block."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
-    # bit patterns, so that -0.0 and 0.0 differ: the file keeps one of each pair
-    if A.shape != (n, n) or not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
-        raise InvalidArgumentError(f"matrix {name} is not exactly symmetric")
-    lines.append(f"symmetric {name} {n}")
+    write(f"symmetric {name} {n}\n")
     full = " ".join(["%.17g"] * n)  # row i's format is its tail from entry i on
     a = 0
     while a < n:
         b = min(n, a + max(1, BLOCK_VALUES // (n - a)))
         values = np.concatenate([A[i, i:] for i in range(a, b)]).tolist()
-        lines.append("\n".join([full[6 * i:] for i in range(a, b)]) % tuple(values))
+        write("\n".join([full[6 * i:] for i in range(a, b)]) % tuple(values) + "\n")
         a = b
 
 
 def save_model(path, mf: ModelFile) -> None:
+    """Write ``mf`` as a version 3 file.  Every symmetric block is checked
+    before the file is opened, so a refused save leaves nothing at ``path``;
+    each block is then written as soon as it is formatted."""
     lines = [f"version {VERSION}", f"kind {mf.kind}"]
     if mf.kernel_spec is None:
         lines.append("kernel none")
@@ -205,16 +203,21 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
-    skip_K0 = rebuildable(mf.X, mf.kernel_spec)
-    for name in ("W", "X", "K0", "M", "F", "T"):
-        A = None if name == "K0" and skip_K0 else getattr(mf, name)
-        if A is not None:
-            (_write_symmetric if name in SYMMETRIC else _write_matrix)(lines, name, A)
-    if mf.basis_matrix is not None:
-        _write_matrix(lines, "B", mf.basis_matrix)
-    lines.append("end")
+    K0 = None if rebuildable(mf.X, mf.kernel_spec) else mf.K0
+    matrices = {"W": mf.W, "X": mf.X, "K0": K0, "M": mf.M, "F": mf.F, "T": mf.T,
+                "B": mf.basis_matrix}
+    blocks = {name: np.atleast_2d(np.asarray(A, dtype=float))
+              for name, A in matrices.items() if A is not None}
+    for name, A in blocks.items():
+        # bit patterns, so that -0.0 and 0.0 differ: the file keeps one of each pair
+        if name in SYMMETRIC and (A.shape[0] != A.shape[1] or
+                                  not np.array_equal(A.view(np.int64), A.T.view(np.int64))):
+            raise InvalidArgumentError(f"matrix {name} is not exactly symmetric")
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)  # no whole-file string
+        fh.writelines(line + "\n" for line in lines)
+        for name, A in blocks.items():
+            (_write_symmetric if name in SYMMETRIC else _write_matrix)(fh.write, name, A)
+        fh.write("end\n")
 
 
 def load_model(path) -> ModelFile:

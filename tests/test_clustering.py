@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import logdetml
-from logdetml.clustering import (_farthest_point_init, cluster_indicator, kernel_kmeans, kmeans,
-                                 matching_error)
+from logdetml.clustering import (_farthest_point_init, _reseed_empty, cluster_indicator,
+                                 kernel_kmeans, kmeans, matching_error)
 from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.evaluation import median_pairwise_distance
@@ -59,6 +59,41 @@ def reference_kernel_kmeans(K, k, seed=0, max_iters=50):
     return labels
 
 
+def matrix_form_kernel_kmeans(K, k, seed=0, max_iters=50):
+    """The matrix-form loop ``kernel_kmeans`` replaced, which formed ``K @ Z``
+    in full on every Lloyd pass, kept verbatim as the reference the running
+    cluster sums must give the labels of."""
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    rng = np.random.default_rng(seed)
+    diag = np.diag(K).copy()
+
+    def dist_to_point(i):
+        return np.clip(diag + diag[i] - 2.0 * K[:, i], 0.0, None)
+
+    seeds = _farthest_point_init(dist_to_point, n, k, rng)
+    labels = np.full(n, -1)
+    # initial assignment: nearest seed point in kernel distance
+    D0 = np.stack([dist_to_point(s) for s in seeds], axis=1)
+    labels = np.argmin(D0, axis=1)
+    for c in range(k):
+        if not np.any(labels == c):
+            labels[seeds[c]] = c
+    for _ in range(max_iters):
+        Z = cluster_indicator(labels, k)
+        KZ = K @ Z
+        mean_all = np.einsum("ic,ic->c", Z, KZ)
+        D = diag[:, None] - 2.0 * KZ + mean_all
+        # a seed shared by two clusters (duplicate points) leaves one of them
+        # empty before the first pass; it has no mean until the reseed refills it
+        D[:, ~Z.any(axis=0)] = np.inf
+        new_labels = _reseed_empty(np.argmin(D, axis=1), D)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels
+
+
 def gaussian_gram(X):
     return gram(X, KernelSpec.gaussian(median_pairwise_distance(X)))
 
@@ -82,6 +117,22 @@ class TestKernelKmeans:
     def test_matches_reference_loop_on_ionosphere(self, ionosphere_gram, seed, k):
         assert np.array_equal(kernel_kmeans(ionosphere_gram, k, seed=seed),
                               reference_kernel_kmeans(ionosphere_gram, k, seed=seed))
+
+    @pytest.mark.parametrize("n, seed", [(600, 11), (600, 12), (800, 13), (1000, 14),
+                                         (1000, 15)])
+    @pytest.mark.parametrize("k", [20, 50])
+    def test_running_sums_match_the_matrix_form_loop(self, n, seed, k):
+        # many passes move only a few points, each updating the sums by its row of K
+        X, _ = make_blobs(np.random.default_rng(seed), n=n)
+        K = gaussian_gram(X)
+        assert np.array_equal(kernel_kmeans(K, k, seed=seed),
+                              matrix_form_kernel_kmeans(K, k, seed=seed))
+
+    def test_running_sums_match_the_matrix_form_loop_at_the_benchmark_shape(self):
+        X, _ = make_blobs(np.random.default_rng(2301), n=2000)
+        K = gaussian_gram(X)
+        assert np.array_equal(kernel_kmeans(K, 50, seed=2301),
+                              matrix_form_kernel_kmeans(K, 50, seed=2301))
 
     def test_more_clusters_than_distinct_points(self):
         # a reseed that took a cluster's only member left that cluster empty;
@@ -130,6 +181,14 @@ class TestEmptyClusterReseed:
                 warnings.simplefilter("error")
                 labels = kernel_kmeans(gram(DUPLICATES, spec), k, seed=0)
             assert np.all(np.bincount(labels, minlength=k) > 0)
+
+    def test_kernel_kmeans_running_sums_match_the_matrix_form_loop(self, k):
+        # duplicate seeds leave clusters empty before the first pass; the reseed
+        # refills them, and their sums must then take the rows of the points moved in
+        for spec in (KernelSpec.linear(), KernelSpec.gaussian(1.0)):
+            K = gram(DUPLICATES, spec)
+            assert np.array_equal(kernel_kmeans(K, k, seed=0),
+                                  matrix_form_kernel_kmeans(K, k, seed=0))
 
     def test_kmeans_basis_has_no_zero_column(self, k):
         with warnings.catch_warnings():

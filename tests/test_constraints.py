@@ -198,6 +198,19 @@ def test_thresholds_in_place_equal_thresholds_of_a_copy():
     assert compute_thresholds(zeros).u == 1e-3
 
 
+@pytest.mark.parametrize("pool", [
+    np.repeat([0.5, 2.0, 2.0, 3.5], [40, 150, 10, 1]),  # tied order statistics
+    np.repeat([0.25, 4.0], [1, 99]),  # the 1st percentile falls between two values
+    np.array([1.75]),
+    np.array([0.5, 3.0]),
+    np.array([3.0, 0.5]),
+], ids=["ties", "tie-edge", "one-value", "two-values", "two-values-descending"])
+def test_thresholds_from_one_partition_equal_two_percentiles_of_a_copy(pool):
+    expected = (float(np.percentile(pool, 1.0)), float(np.percentile(pool, 99.0)))
+    t = compute_thresholds(pool.copy())
+    assert (t.u, t.l) == expected
+
+
 def test_median_width_is_bitwise_the_median_of_the_root_pool():
     from logdetml.evaluation import median_pairwise_distance
 

@@ -228,6 +228,17 @@ class TestPercentile:
         with pytest.raises(InvalidArgumentError):
             percentile([], 50.0)
 
+    def test_a_sequence_gives_each_percentile_from_one_sort(self):
+        vals = np.random.default_rng(3).exponential(size=1001)
+        got = percentile(vals.copy(), [1.0, 50.0, 99.0])
+        assert got == tuple(percentile(vals.copy(), p) for p in (1.0, 50.0, 99.0))
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("p", [-1.0, 100.5, [1.0, 101.0], [np.nan]])
+    def test_out_of_range_rejected(self, p):
+        with pytest.raises(InvalidArgumentError, match="must be in"):
+            percentile([1.0, 2.0], p)
+
 
 # -- the row-block passes against the same whole-matrix references -------------
 

@@ -636,6 +636,21 @@ def test_save_refuses_a_symmetric_block_that_is_not_exactly_symmetric(tmp_path, 
         save_model(tmp_path / "model.txt", mf)
 
 
+def test_a_refused_save_leaves_no_file_and_an_old_file_untouched(tmp_path):
+    # W and X come before the flawed T in the file: the check must run before
+    # anything is written
+    A = np.array([[2.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])
+    mf = _linear_model(np.eye(2), X=np.ones((2, 3)), T=A)
+    path = tmp_path / "model.txt"
+    with pytest.raises(InvalidArgumentError, match="matrix T is not exactly symmetric"):
+        save_model(path, mf)
+    assert not path.exists()
+    path.write_bytes(b"an older model\n")
+    with pytest.raises(InvalidArgumentError, match="matrix T is not exactly symmetric"):
+        save_model(path, mf)
+    assert path.read_bytes() == b"an older model\n"
+
+
 # -- a model served from its file is the model served in memory -------------------
 
 @pytest.mark.parametrize(
