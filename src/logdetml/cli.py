@@ -27,7 +27,9 @@ kernel Gram, and so of a kernel-space model file, depend on it
 per pair, each value formatted ``.12g``.  With ``--points`` the rows are
 every pair i <= j of the query points in row-major order (i ascending, then
 j), the diagonal written as 0; with ``--pairs`` they are the given training
-index pairs in file order.
+index pairs in file order, each index served as the stored point it names,
+by the rule that serves ``--points`` (a precomputed-kernel model reads its
+stored K0).
 """
 
 from __future__ import annotations
@@ -217,15 +219,17 @@ def cmd_distance(args) -> int:
         pairs, _ = load_points_csv(args.pairs)
         if pairs.shape[0] != 2:
             raise InvalidArgumentError(f"{args.pairs}: expected two indices per row, got {pairs.shape[0]}")
-        vals = []
-        for k, (a, b) in enumerate(pairs.T, start=1):
-            # an integral float such as 1.0 names a point; 0.5 names none
-            if not (a.is_integer() and b.is_integer()):
-                raise InvalidArgumentError(f"{args.pairs}: non-integer index in pair {k}")
-            if model is None:
-                raise InvalidArgumentError("index pairs need a model trained with stored points")
-            vals.append(training_pair_distance(model, int(a), int(b)))
-        (I, J), vals = pairs.astype(int), np.array(vals)
+        # an integral float such as 1.0 names a point; 0.5 names none.  The k
+        # pairs before the first that names none are checked first, as the
+        # file is read in order
+        k = int(np.argmin(np.append(np.all(pairs == np.trunc(pairs), axis=0), False)))
+        if k and model is None:
+            raise InvalidArgumentError("index pairs need a model trained with stored points")
+        # an index past any int64 names no point either: -1 keeps it out of range
+        I, J = np.where(np.abs(pairs[:, :k]) < 2.0**62, pairs[:, :k], -1).astype(int)
+        vals = training_pair_distance(model, I, J) if k else None
+        if k < pairs.shape[1]:
+            raise InvalidArgumentError(f"{args.pairs}: non-integer index in pair {k + 1}")
     else:
         Z, _ = load_points_csv(args.points)
         I, J = np.triu_indices(Z.shape[1])

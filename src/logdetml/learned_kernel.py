@@ -19,6 +19,7 @@ O(k^2)) and O(k) per pair, where applying M to the kernel vectors costs
 O(nk) per point and O(n) per pair; the n x n matrix M is never built.
 Every query -- a batch, one pair, a training-index pair -- goes through the
 same terms (``_coordinates`` and ``_core``), so each model has one formula.
+A training index names a stored point and is served as that point.
 
 K0^+ is a pseudo-inverse (see ``compute_M``): Gaussian Grams are often
 singular in floating point, and an inverse would amplify their round-off.
@@ -26,12 +27,12 @@ A batch query evaluates each point set once -- coordinates, the core
 applied to them, self products -- and shares them when both sides are the
 same set.
 
-Memory: a model that holds its training points and a rebuildable kernel
-need not hold the n x n input Gram K0; it is rebuilt on first read (see
-``RebuiltK0``), which only training-index queries and the dense model's
-learned K do.  A query against a second, different point set processes that
-set in blocks of COLUMN_BLOCK columns, so serving against the n training
-points never forms their n x n kernel vectors.
+Memory: a model that holds its training points serves every query from
+kernel evaluations and holds no n x n Gram; only a precomputed-kernel model,
+which has no points, holds K0 and reads its kernel vectors off it.  A query
+against a second, different point set processes that set in blocks of
+COLUMN_BLOCK columns, so serving against the n training points never forms
+their n x n kernel vectors.
 """
 
 from __future__ import annotations
@@ -41,49 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import (KernelSpec, cross_gram, gram, pair_distance_kernel, sq_dists_from_products,
-                     symmetrize)
+from .linalg import KernelSpec, cross_gram, sq_dists_from_products, symmetrize
 
 # Columns of the second point set a query evaluates at once.  Whether a
 # block's BLAS products carry the bits of the whole-matrix products is up to
 # BLAS: OpenBLAS keeps them for the benchmark's shapes, and may move the last
 # bits for others, as it does between thread counts.
 COLUMN_BLOCK = 256
-
-
-def rebuildable(X, spec: KernelSpec | None) -> bool:
-    """True when K0 is a function of stored points X and the kernel."""
-    return X is not None and spec is not None and spec.kind != "precomputed"
-
-
-def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """The input Gram K0 of stored training points, bit for bit as training
-    built it.
-
-    Training builds K0 from the column-major (Fortran-order) X that
-    ``datasets.load_points_csv`` returns, and ``load_model`` reads X back
-    in that layout.  BLAS sums ``X.T @ X`` in a layout-dependent order, so
-    X in any other layout (points built in memory) is copied to Fortran
-    order first.
-    """
-    return gram(np.asfortranarray(X), spec)
-
-
-class RebuiltK0:
-    """A ``K0`` dataclass field that may be left None on an object holding
-    training points ``X`` and a ``kernel_spec`` that can rebuild it: the Gram
-    is then built on first read (``training_gram``) and kept.  The stored
-    value, None until then, is ``_K0``."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        if obj._K0 is None and rebuildable(obj.X, obj.kernel_spec):
-            obj._K0 = training_gram(obj.X, obj.kernel_spec)
-        return obj._K0
-
-    def __set__(self, obj, value):
-        obj._K0 = value
 
 
 def compute_M(K0: np.ndarray, K: np.ndarray):
@@ -118,16 +83,14 @@ class LearnedKernelModel:
     """Learned kernel function over the training points.
 
     Either ``M`` (dense n x n) or the factored pair ``(m_factor, m_core)``
-    with M = m_factor @ m_core @ m_factor.T is set, never both.
-    ``K0`` may be left None when X and the kernel rebuild it (``RebuiltK0``).
-    ``K``, the learned Gram on the training points, may be left unset; see
-    ``learned_K``.  ``dropped_rank`` is what ``compute_M`` reported.
+    with M = m_factor @ m_core @ m_factor.T is set, never both.  ``K0`` is
+    read only when X is None (a precomputed kernel).  ``dropped_rank`` is what
+    ``compute_M`` reported.
     """
 
     kernel_spec: KernelSpec
     X: np.ndarray | None
-    K0: np.ndarray | None = RebuiltK0()
-    K: np.ndarray | None = None
+    K0: np.ndarray | None = None
     M: np.ndarray | None = None
     m_factor: np.ndarray | None = None
     m_core: np.ndarray | None = None
@@ -140,17 +103,6 @@ class LearnedKernelModel:
             raise InvalidArgumentError("exactly one of M or (m_factor, m_core) must be set")
         if self.kernel_spec.kind != "precomputed" and self.X is None:
             raise InvalidArgumentError("explicit training points are required unless the kernel is precomputed")
-
-    def learned_K(self) -> np.ndarray | None:
-        """The learned Gram on the training points.
-
-        A dense model built without one (a loaded model file) derives
-        ``K0 + K0 M K0`` on the first call and keeps it;
-        a factored model has none and returns None.
-        """
-        if self.K is None and self.M is not None and self.K0 is not None:
-            self.K = symmetrize(self.K0 + self.K0 @ self.M @ self.K0)
-        return self.K
 
     def kernel_vectors(self, Z: np.ndarray) -> np.ndarray:
         """Input-kernel values (n_train, n_query) against the training points."""
@@ -166,7 +118,6 @@ def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec) -> LearnedKernel
         kernel_spec=spec,
         X=None if X is None else np.asarray(X, dtype=float),
         K0=km.K0,
-        K=km.K,
         M=M,
         dropped_rank=dropped_rank,
     )
@@ -270,20 +221,40 @@ def _self_products(model: LearnedKernelModel, Z, P: np.ndarray, CP: np.ndarray) 
     return base + np.sum(np.multiply(P, CP, out=CP), axis=0)
 
 
-def training_pair_distance(model: LearnedKernelModel, a: int, b: int) -> float:
-    """Learned squared distance between two training points by index.
+def training_pair_distance(model: LearnedKernelModel, a, b):
+    """Learned squared distance between training points by index: a float
+    for two indices, an array, pair by pair, for two index arrays (as
+    ``linalg.pair_distance_kernel``); a point's distance to itself is 0.
 
-    Works for every model, including precomputed-kernel ones: the kernel
-    vector of training point a is the a-th column of K0.
+    A training index names a stored point and is served as that point, by
+    the terms ``learned_sq_distances`` uses: the pairs' distinct points are
+    evaluated once, COLUMN_BLOCK at a time, and each pair's input-kernel value
+    is the diagonal of ``cross_gram`` over a block of pairs.  A model with no
+    points (a precomputed kernel) reads both off its K0.
     """
-    if model.K0 is None:
+    points = model.X is not None
+    if not points and model.K0 is None:
         raise InvalidArgumentError("model does not carry K0")
-    n = model.K0.shape[0]
-    if not (0 <= a < n and 0 <= b < n):
+    n = (model.X if points else model.K0).shape[1]
+    i, j = (np.ravel(v) for v in np.broadcast_arrays(a, b))
+    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
         raise InvalidArgumentError(f"training index out of range for n={n}")
-    K = model.learned_K()
-    if K is not None:
-        return pair_distance_kernel(K, a, b)
-    P = _coordinates(model, model.K0[:, [a, b]])
-    G = model.K0[np.ix_([a, b], [a, b])] + P.T @ (_core(model) @ P)
-    return max(0.0, pair_distance_kernel(G, 0, 1))
+    u, at = np.unique(np.concatenate([i, j]), return_inverse=True)
+    ui, uj = np.split(at.ravel(), 2)
+    P, CP = np.empty((2, u.size, _core(model).shape[0]))  # a row per point
+    g = np.empty(u.size)
+    for cols in _column_blocks(u.size):
+        Z = model.X[:, u[cols]] if points else None
+        Pb = _coordinates(model, model.kernel_vectors(Z) if points else model.K0[:, u[cols]])
+        CPb = _core(model) @ Pb
+        P[cols], CP[cols] = Pb.T, CPb.T
+        g[cols] = _self_products(model, Z, Pb, CPb) if points else \
+            model.K0[u[cols], u[cols]] + np.sum(Pb * CPb, axis=0)
+    G = np.empty(i.size)
+    for p in _column_blocks(i.size):
+        K = np.diagonal(cross_gram(model.X[:, i[p]], model.X[:, j[p]], model.kernel_spec)) \
+            if points else model.K0[i[p], j[p]]
+        G[p] = K + np.sum(P[ui[p]] * CP[uj[p]], axis=1)
+    d = np.clip(g[ui] + g[uj] - 2.0 * G, 0.0, None)
+    d[i == j] = 0.0
+    return float(d[0]) if np.ndim(a) == 0 and np.ndim(b) == 0 else d

@@ -126,8 +126,6 @@ def select_basis_feature(X: np.ndarray, method: str, k: int, seed: int = 0,
         centers = []
         for t, cls in enumerate(classes):
             kc = base + (1 if t < extra else 0)
-            if kc == 0:
-                continue
             members = X[:, labels == cls]
             kc = min(kc, members.shape[1])
             _, ctr = kmeans(members, kc, seed=seed + t)
@@ -144,7 +142,7 @@ def select_basis_kernel(K0: np.ndarray, method: str, k: int, seed: int = 0) -> B
     kernel-kmeans  -- indicator means of kernel k-means clusters
     subset         -- k distinct random training indices (indicator columns)
 
-    If J^T K0 J is singular even after jitter, the draw is retried once.
+    If J^T K0 J is singular (``coefficient_T``), the draw is retried once.
     """
     K0 = np.asarray(K0, dtype=float)
     n = K0.shape[0]
@@ -171,8 +169,15 @@ def select_basis_kernel(K0: np.ndarray, method: str, k: int, seed: int = 0) -> B
 
 
 def coefficient_T(J: np.ndarray, JK: np.ndarray) -> np.ndarray:
-    """T = (J^T K0 J)^(-1/2) from JK = J^T K0; it makes U = X J T orthonormal."""
-    return inv_sqrt(symmetrize(JK @ J), jitter=1e-10)
+    """T = (J^T K0 J)^(-1/2) from JK = J^T K0; it makes U = X J T orthonormal.
+
+    Raises NumericalError when J^T K0 J itself is singular (``inv_sqrt``'s
+    test: an eigenvalue at most k eps times the largest), so the basis has
+    fewer than k usable directions; T is then formed with a 1e-10 jitter.
+    """
+    A = symmetrize(JK @ J)
+    inv_sqrt(A)
+    return inv_sqrt(A, jitter=1e-10)
 
 
 def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet, *,
@@ -261,8 +266,7 @@ def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
     k-dimensional factor space, the core F - I acting on the projected points
     x' = J'^T k(x) (``learned_kernel``), so no n x n matrix is ever
     materialized.  T is read from the model (the basis), so no Gram is built
-    here; with ``K0=None`` the model rebuilds K0 only if a training-index
-    query needs it.
+    here; K0 is needed only when X is None (a precomputed kernel).
     """
     core = F - np.eye(F.shape[0])
     if basis.mode == EXPLICIT:

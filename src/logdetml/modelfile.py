@@ -24,19 +24,17 @@ Format version 3:
 * T = (J^T K0 J)^(-1/2), the k x k factor of a coefficient basis J, is
   stored beside J, so serving builds no Gram;
 * the input Gram ``K0`` is a pure function of the stored points and the
-  kernel, so it is written only when it cannot be rebuilt -- no stored
-  points, or a ``precomputed`` kernel.  Otherwise ``load_model`` leaves it
-  unbuilt: ``ModelFile.K0`` is rebuilt on first read
-  (``learned_kernel.RebuiltK0``), bit for bit as training built it, which
-  only training-index queries do.
+  kernel, so it is held and written only when it cannot be rebuilt -- no
+  stored points, or a ``precomputed`` kernel.  A model with points serves
+  every query, training indices included, from kernel evaluations.
 
 Versions 1 and 2 still load.  They write every matrix in full, record a
 ``jitter`` line in place of the fit facts, and store no T: a coefficient
 basis's T is derived once, when the ``ModelFile`` is made, from K0 built only
-for as long as that takes.  Version 1 files always carry ``K0``, used as
-written.  Saving a loaded model always writes version 3.  Every version
-carries an ``identity_coeff`` line, always ``1`` for a LogDet model;
-``load_model`` rejects any other value.
+for as long as that takes (``training_gram``).  Version 1 files always carry
+``K0``, which a model with points drops once it is loaded.  Saving a loaded
+model always writes version 3.  Every version carries an ``identity_coeff``
+line, always ``1`` for a LogDet model; ``load_model`` rejects any other value.
 
 ``load_model`` holds ``ModelFile.X`` column-major (Fortran order), the
 layout training holds it in (``datasets.load_points_csv``): BLAS sums the
@@ -54,8 +52,8 @@ import numpy as np
 
 from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
-from .learned_kernel import LearnedKernelModel, RebuiltK0, rebuildable, training_gram
-from .linalg import KernelSpec
+from .learned_kernel import LearnedKernelModel
+from .linalg import KernelSpec, gram
 from .lowrank import COEFFICIENT, EXPLICIT, Basis, coefficient_T, expand
 
 VERSION = 3
@@ -67,6 +65,24 @@ SYMMETRIC = ("W", "K0", "M", "F", "T")  # written as their upper triangle
 # what train logs about a fit, written after 'stop_reason' when known (version 3)
 FACTS = (("distance_change", float), ("max_violation", float), ("dropped_rank", int),
          ("dropped", int))
+
+
+def rebuildable(X, spec: KernelSpec | None) -> bool:
+    """True when K0 is a function of stored points X and the kernel."""
+    return X is not None and spec is not None and spec.kind != "precomputed"
+
+
+def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The input Gram K0 of stored training points, bit for bit as training
+    built it.
+
+    Training builds K0 from the column-major (Fortran-order) X that
+    ``datasets.load_points_csv`` returns, and ``load_model`` reads X back
+    in that layout.  BLAS sums ``X.T @ X`` in a layout-dependent order, so
+    X in any other layout (points built in memory) is copied to Fortran
+    order first.
+    """
+    return gram(np.asfortranarray(X), spec)
 
 
 def _fmt(x: float) -> str:
@@ -87,7 +103,7 @@ class ModelFile:
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
-    K0: np.ndarray | None = RebuiltK0()
+    K0: np.ndarray | None = None  # only when X and the kernel cannot rebuild it
     M: np.ndarray | None = None
     constraints: list[Constraint] = field(default_factory=list)
     lam: np.ndarray | None = None
@@ -107,8 +123,10 @@ class ModelFile:
             raise InvalidArgumentError(f"unknown model kind: {self.kind!r}")
         if self.basis_mode == COEFFICIENT and self.T is None:
             # a version 1 or 2 file: derive T once, from a K0 kept only for that
-            K0 = self._K0 if self._K0 is not None else training_gram(self.X, self.kernel_spec)
+            K0 = self.K0 if self.K0 is not None else training_gram(self.X, self.kernel_spec)
             self.T = coefficient_T(self.basis_matrix, self.basis_matrix.T @ K0)
+        if rebuildable(self.X, self.kernel_spec):
+            self.K0 = None  # serving reads the points, not their Gram
 
     @property
     def stop_reason(self) -> str:
@@ -117,23 +135,12 @@ class ModelFile:
 
     # -- query surface ----------------------------------------------------
     def to_learned_kernel(self) -> LearnedKernelModel:
-        """Rebuild the out-of-sample model (kernel and iplr kinds).
-
-        A ``kernel`` model's learned Gram K on the training points is not
-        formed here (two n^3 products); ``LearnedKernelModel.learned_K``
-        derives it when a training-index query first needs it.  An unbuilt
-        K0 is handed on unbuilt, for the model to rebuild if a query needs
-        it.
-        """
+        """Rebuild the out-of-sample model (kernel and iplr kinds); no Gram
+        is built."""
         if self.kind == "kernel":
-            return LearnedKernelModel(
-                kernel_spec=self.kernel_spec,
-                X=self.X,
-                K0=self._K0,
-                M=self.M,
-            )
+            return LearnedKernelModel(kernel_spec=self.kernel_spec, X=self.X, K0=self.K0, M=self.M)
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
-            return expand(self._basis(), self.F, self._K0, X=self.X, kernel_spec=self.kernel_spec)
+            return expand(self._basis(), self.F, self.K0, X=self.X, kernel_spec=self.kernel_spec)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no kernel form")
 
     def to_mahalanobis(self) -> np.ndarray:
@@ -203,8 +210,7 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
-    K0 = None if rebuildable(mf.X, mf.kernel_spec) else mf.K0
-    matrices = {"W": mf.W, "X": mf.X, "K0": K0, "M": mf.M, "F": mf.F, "T": mf.T,
+    matrices = {"W": mf.W, "X": mf.X, "K0": mf.K0, "M": mf.M, "F": mf.F, "T": mf.T,
                 "B": mf.basis_matrix}
     blocks = {name: np.atleast_2d(np.asarray(A, dtype=float))
               for name, A in matrices.items() if A is not None}
@@ -224,8 +230,7 @@ def load_model(path) -> ModelFile:
     """Read a version 1, 2 or 3 model file.
 
     Malformed content raises ``InvalidArgumentError`` naming the file and
-    the 1-based line.  A missing ``K0`` is left to be rebuilt from the
-    stored points and kernel on first use (see the module docstring).
+    the 1-based line.
     """
     try:
         with open(path) as fh:

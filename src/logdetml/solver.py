@@ -453,7 +453,7 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet
         dual_change = float(np.max(np.abs(lam_after - lam_before) / (1.0 + lam_after)))
         trace.append(SweepStats(change, dual_change, int(np.count_nonzero(lam_after)),
                                 lam_to_zero, noops, skipped, time.perf_counter() - t0))
-        if converged(p_before, p_after, cfg.tol, p_min):
+        if change <= cfg.tol:  # the rule ``converged`` states
             done = True
             break
         p_before = p_after

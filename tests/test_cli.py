@@ -365,6 +365,17 @@ def test_singular_subset_basis_exits_3(tmp_path, capsys):
     assert "numerical failure: J^T K0 J is singular after jitter (two draws)" in err
 
 
+def test_kmeans_basis_over_fewer_distinct_points_than_k_exits_3(tmp_path, capsys):
+    # J^T K0 J has rank 3 < k = 5 whatever clusters kernel k-means finds
+    data = _write_rows(tmp_path / "three.csv", [[v, "ab"[i % 2]] for i, v in enumerate([0, 1, 2] * 4)])
+    code, err = _train_degenerate(tmp_path, capsys, data, "--label-col", "last",
+                                  "--kernel", "gaussian", "--basis", "kmeans:5",
+                                  "--per-class", "3")
+    assert code == EXIT_NUMERIC
+    assert "numerical failure: J^T K0 J is singular" in err
+    assert not (tmp_path / "model.txt").exists()
+
+
 @pytest.fixture(scope="module")
 def constant_column(tmp_path_factory):
     """24 points in 4 dimensions whose third feature is always 5."""

@@ -11,7 +11,7 @@ import logdetml
 from logdetml.clustering import (_farthest_point_init, _reseed_empty, cluster_indicator,
                                  kernel_kmeans, kmeans, matching_error)
 from logdetml.datasets import load_points_csv
-from logdetml.errors import InvalidArgumentError
+from logdetml.errors import InvalidArgumentError, NumericalError
 from logdetml.evaluation import median_pairwise_distance
 from logdetml.linalg import KernelSpec, gram
 from logdetml.lowrank import select_basis_kernel
@@ -191,12 +191,16 @@ class TestEmptyClusterReseed:
                                   matrix_form_kernel_kmeans(K, k, seed=0))
 
     def test_kmeans_basis_has_no_zero_column(self, k):
+        # the J the kmeans basis draws first; on 3 distinct points J^T K0 J has
+        # rank 3 < k, so select_basis_kernel refuses it
+        K = gram(DUPLICATES, KernelSpec.gaussian(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            basis = select_basis_kernel(gram(DUPLICATES, KernelSpec.gaussian(1.0)),
-                                        "kernel-kmeans", k, seed=0)
-        assert np.all(np.any(basis.matrix != 0, axis=0))
-        assert np.all(np.isfinite(basis.matrix))
+            J = cluster_indicator(kernel_kmeans(K, k, seed=0), k)
+        assert np.all(np.any(J != 0, axis=0))
+        assert np.all(np.isfinite(J))
+        with pytest.raises(NumericalError, match="J\\^T K0 J is singular"):
+            select_basis_kernel(K, "kernel-kmeans", k, seed=0)
 
 
 def test_cluster_indicator_scales_each_member_by_its_cluster_size():

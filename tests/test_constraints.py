@@ -138,6 +138,22 @@ class TestDistancePools:
         assert pool.shape[0] > 100_000  # sampled, minus i==j rejections
         assert np.all(pool >= 0)
 
+    def test_sampled_kernel_pool_reads_the_sampled_pairs_off_the_gram(self, monkeypatch):
+        import logdetml.constraints as constraints
+
+        monkeypatch.setattr(constraints, "FULL_POOL_MAX_N", 20)  # not a 2001 x 2001 Gram
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((3, 21))
+        X[:, 7] = X[:, 3]  # a coincident pair: its round-off must not go negative
+        K = X.T @ X
+        pool = kernel_distance_pool(K, seed=5)
+        i, j = constraints._sampled_pairs(21, 5)
+        assert pool.shape == i.shape and pool.shape[0] > 0.9 * constraints.SAMPLED_PAIRS
+        assert np.all(pool >= 0)
+        # the Euclidean pool samples the same pairs from the same seed
+        assert np.allclose(pool, euclidean_distance_pool(X, seed=5), atol=1e-12)
+        assert not np.array_equal(pool, kernel_distance_pool(K, seed=6))
+
 
 class TestConstraintSet:
     def test_initial_slacks_by_kind(self):

@@ -170,8 +170,8 @@ class TestLearnedQueries:
 
     def test_consistency_invariant(self, rng):
         _, model, km = trained_model(rng, KernelSpec.linear())
-        resid = np.linalg.norm(model.K0 + model.K0 @ model.M @ model.K0 - model.K)
-        assert resid / np.linalg.norm(model.K) <= 1e-6
+        resid = np.linalg.norm(model.K0 + model.K0 @ model.M @ model.K0 - km.K)
+        assert resid / np.linalg.norm(km.K) <= 1e-6
 
     def test_dimension_mismatch_rejected(self, rng):
         _, model, _ = trained_model(rng, KernelSpec.linear())
@@ -284,6 +284,30 @@ def _reference_learned_self_products(model, Z):
     return base + np.sum(P * CP, axis=0)
 
 
+def reference_training_pair_distances(model, I, J):
+    """Training index pairs served as the stored points they name, pair by
+    pair: kappa(x_i, x_j) + p_i^T C p_j against the learned self products of
+    the pairs' distinct points, with kappa and the points' terms evaluated
+    over all pairs at once.  A precomputed model reads them off K0, and a
+    point's distance to itself is 0."""
+    u = sorted(set(I) | set(J))
+    col = {v: c for c, v in enumerate(u)}
+    if model.X is None:
+        P, CP = _reference_terms(model, model.K0[:, u])
+        g = model.K0[u, u] + np.sum(P * CP, axis=0)
+        kappa = model.K0[I, J]
+    else:
+        P, CP = _reference_terms(model, model.kernel_vectors(model.X[:, u]))
+        g = _reference_learned_self_products(model, model.X[:, u])
+        kappa = np.diagonal(cross_gram(model.X[:, I], model.X[:, J], model.kernel_spec))
+    out = []
+    for p, (i, j) in enumerate(zip(I, J)):
+        a, b = col[i], col[j]
+        d = g[a] + g[b] - 2.0 * (kappa[p] + np.sum(P[:, a] * CP[:, b]))
+        out.append(0.0 if i == j else max(0.0, d))
+    return np.array(out)
+
+
 def n_space_sq_distances(model, Z1, Z2):
     """A factored model's distances in n dimensions, with M applied to the
     kernel vectors as m_factor (m_core (m_factor^T k)): the form a factored
@@ -374,19 +398,6 @@ def test_factor_space_distances_match_the_n_space_form():
             assert np.max(np.abs(served - ref)) <= 1e-12 * np.median(ref)
 
 
-def test_learned_K_is_derived_once_for_dense_models(rng):
-    X, trained, _ = trained_model(rng, KernelSpec.gaussian(1.5))
-    model = LearnedKernelModel(kernel_spec=trained.kernel_spec, X=X, K0=trained.K0,
-                               M=trained.M)
-    assert model.K is None
-    K = model.learned_K()
-    assert np.array_equal(K, 0.5 * ((model.K0 + model.K0 @ model.M @ model.K0)
-                                    + (model.K0 + model.K0 @ model.M @ model.K0).T))
-    assert model.learned_K() is K
-    factored = _query_model(rng, KernelSpec.linear(), "factored")
-    assert factored.learned_K() is None
-
-
 # -- serving a second point set in column blocks -------------------------------
 #
 # A block changes only how many columns each BLAS product covers.  Whether a
@@ -430,18 +441,53 @@ def test_column_blocks_match_reference_to_round_off(monkeypatch, block, form, sp
         assert np.max(np.abs(served - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_K0_left_unset_is_rebuilt_on_first_read():
-    rng = np.random.default_rng(13)
-    X = rng.standard_normal((3, 8))
-    spec = KernelSpec.gaussian(1.1)
-    model = LearnedKernelModel(kernel_spec=spec, X=X, m_factor=np.ones((8, 1)),
-                               m_core=np.eye(1))
-    assert model._K0 is None
-    K0 = model.K0
-    assert np.array_equal(K0, gram(np.asfortranarray(X), spec))
-    assert model.K0 is K0
+# -- a training index is served as the stored point it names --------------------
+
+def _training_pair_model(kind, form):
+    rng = np.random.default_rng(5)
+    model = _query_model(rng, KernelSpec.linear() if kind == "linear" else KernelSpec.gaussian(1.7),
+                         form)
+    if kind == "precomputed":
+        model.kernel_spec, model.X = KernelSpec.precomputed(), None
+    return model
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+@pytest.mark.parametrize("kind", ["gaussian", "linear", "precomputed"])
+def test_training_pairs_are_bitwise_reference(kind, form):
+    model = _training_pair_model(kind, form)
+    # a self pair, both orders of one pair, a repeated pair and the last index
+    I, J = [0, 3, 3, 0, 11, 7, 7, 5], [1, 3, 0, 3, 2, 9, 9, 11]
+    served = training_pair_distance(model, np.array(I), np.array(J))
+    assert np.array_equal(served, reference_training_pair_distances(model, I, J))
+    assert served[1] == 0.0
+    for p, (i, j) in enumerate(zip(I, J)):
+        one = training_pair_distance(model, i, j)
+        assert isinstance(one, float)
+        assert one == pytest.approx(served[p], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default", "3-columns"])
+def test_training_pairs_match_the_points_they_name(monkeypatch, block):
+    from logdetml import learned_kernel
+
+    if block is not None:  # several blocks of distinct points and of pairs
+        monkeypatch.setattr(learned_kernel, "COLUMN_BLOCK", block)
+    for form in ("dense", "factored"):
+        model = _training_pair_model("gaussian", form)
+        I, J = np.triu_indices(12)
+        served = training_pair_distance(model, I, J)
+        ref = reference_learned_sq_distances(model, model.X, model.X)[I, J]
+        ref[I == J] = 0.0
+        assert np.max(np.abs(served - ref)) <= 1e-12 * np.median(ref)
+
+
+def test_training_pairs_refuse_an_index_out_of_range_and_a_model_without_K0():
+    model = _training_pair_model("gaussian", "factored")
+    for I, J in (([0, 12], [1, 2]), (-1, 0)):
+        with pytest.raises(InvalidArgumentError, match="training index out of range for n=12"):
+            training_pair_distance(model, I, J)
     pre = LearnedKernelModel(kernel_spec=KernelSpec.precomputed(), X=None,
                              M=np.zeros((8, 8)))
-    assert pre.K0 is None
     with pytest.raises(InvalidArgumentError, match="does not carry K0"):
         training_pair_distance(pre, 0, 1)

@@ -47,6 +47,14 @@ class TestBasisSelection:
             basis = select_basis_feature(X, "topk-svd", 3)
         assert basis.k == 1
 
+    def test_class_means_rank_deficiency_warns_and_reduces_k(self):
+        # both classes have the mean (1, 1): the two means span one direction
+        X = np.array([[0.0, 2.0, 2.0, 0.0], [0.0, 2.0, 0.0, 2.0]])
+        with pytest.warns(BasisWarning, match="rank deficient; k reduced from 2 to 1"):
+            basis = select_basis_feature(X, "class-means", 2, labels=np.array(["a", "a", "b", "b"]))
+        assert basis.k == 1
+        assert np.allclose(np.abs(basis.matrix[:, 0]), np.sqrt(0.5), atol=1e-12)
+
     def test_class_means_cluster_when_classes_exceed_k(self, rng):
         X = rng.standard_normal((5, 40))
         labels = np.repeat([0, 1, 2, 3], 10)

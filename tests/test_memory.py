@@ -61,6 +61,6 @@ def test_serving_against_the_training_points_holds_no_n2_buffer():
                    basis_mode=COEFFICIENT, basis_matrix=rng.standard_normal((n, k)),
                    F=np.eye(k) + np.diag(rng.uniform(0.0, 0.5, k)))
     model = mf.to_learned_kernel()
-    assert mf._K0 is None and model._K0 is None  # K0 was dropped once T was formed
+    assert mf.K0 is None and model.K0 is None  # the Gram that formed T is not kept
     Z = rng.standard_normal((20, 100))
     assert peak_in_n2(n, learned_sq_distances, model, Z, model.X) < 1.0  # was 2.2

@@ -11,7 +11,7 @@ from logdetml.datasets import load_kernel_csv, load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.linalg import KernelSpec, gram
 from logdetml.linalg import symmetrize
-from logdetml.modelfile import BLOCK_VALUES, ModelFile, load_model, save_model
+from logdetml.modelfile import BLOCK_VALUES, ModelFile, load_model, save_model, training_gram
 
 IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
 
@@ -104,7 +104,8 @@ def test_v2_drops_K0_and_rebuilds_it_bit_identically(small_ionosphere, tmp_path,
     mf = load_model(path)
     X_csv, _ = load_points_csv(small_ionosphere, label_col="last")
     assert np.array_equal(mf.X, X_csv)
-    assert np.array_equal(mf.K0, gram(X_csv, mf.kernel_spec))
+    assert mf.K0 is None and mf.to_learned_kernel().K0 is None
+    assert np.array_equal(training_gram(mf.X, mf.kernel_spec), gram(X_csv, mf.kernel_spec))
 
 
 def _train_precomputed(data, tmp_path, *flags):
@@ -164,10 +165,14 @@ def _resaved_serves_alike(old, tmp_path, query_points):
 def test_v1_model_loads_and_serves_like_v2(tmp_path, query_points):
     assert V1_KERNEL_MODEL.read_text().startswith("version 1\n")
     assert "K0" in _matrix_names(V1_KERNEL_MODEL)
-    v1 = load_model(V1_KERNEL_MODEL)
+    lines = V1_KERNEL_MODEL.read_text().splitlines()
+    at = next(r for r, line in enumerate(lines) if line.startswith("matrix K0 "))
+    K0_v1 = np.loadtxt(lines[at + 1:at + 1 + int(lines[at].split()[2])], ndmin=2)
+    assert load_model(V1_KERNEL_MODEL).K0 is None  # the points rebuild it
     resaved, _ = _resaved_serves_alike(V1_KERNEL_MODEL, tmp_path, query_points)
     assert "K0" not in _matrix_names(resaved)
-    assert np.array_equal(load_model(resaved).K0, v1.K0)
+    mf = load_model(resaved)
+    assert np.array_equal(training_gram(mf.X, mf.kernel_spec), K0_v1)
 
 
 def test_v2_coefficient_model_loads_and_serves_the_distances_it_always_served(
@@ -455,6 +460,58 @@ def test_distance_accepts_integral_float_pairs(gaussian_model, tmp_path, capsys)
     assert outputs[0].splitlines()[1].startswith("0,1,")
 
 
+@pytest.mark.parametrize("model, text, message", [
+    ("gaussian", "0,1\n0,59\n0.5,1\n", "training index out of range for n=59"),
+    ("gaussian", "0,1\n0.5,1\n0,59\n", "non-integer index in pair 2"),
+    ("linear", "0.5,1\n", "non-integer index in pair 1"),
+    ("linear", "0,1\n0.5,1\n", "index pairs need a model trained with stored points"),
+    ("gaussian", "0,1\n1e30,0\n", "training index out of range for n=59"),
+], ids=["range-first", "fraction-first", "linear-fraction", "linear-pair", "past-int64"])
+@pytest.mark.filterwarnings("error")
+def test_distance_pairs_report_the_first_bad_pair_in_file_order(
+        small_ionosphere, gaussian_model, tmp_path, capsys, model, text, message):
+    if model == "linear":
+        gaussian_model = tmp_path / "linear.model"
+        assert _train(small_ionosphere, gaussian_model, "--space", "linear") == 0
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(text)
+    capsys.readouterr()
+    assert main(["distance", str(gaussian_model), "--pairs", str(pairs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kernel", "gaussian"],
+        pytest.param(["--kernel", "gaussian", "--basis", "kmeans:20"],
+                     marks=pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")),
+    ],
+    ids=["kernel", "iplr-coefficient"],
+)
+def test_distance_pairs_serve_the_training_points_they_name(small_ionosphere, tmp_path, flags):
+    model = tmp_path / "trained.model"
+    assert _train(small_ionosphere, model, *flags) == 0
+    rows = small_ionosphere.read_text().splitlines()
+    names = [0, 1, 2, 5, 7, 13, 19, 33, 40, 58]
+    points = tmp_path / "points.csv"
+    points.write_text("\n".join(rows[i].rsplit(",", 1)[0] for i in names) + "\n")
+    I, J = np.triu_indices(len(names))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(f"{names[a]},{names[b]}\n" for a, b in zip(I, J)))
+    served = []
+    for query in (["--points", str(points)], ["--pairs", str(pairs)]):
+        out = tmp_path / "distances.csv"
+        assert main(["distance", str(model), *query, "--out", str(out)]) == 0
+        served.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    by_points, by_pairs = served
+    np.testing.assert_array_equal(by_pairs[:, :2], np.take(names, by_points[:, :2].astype(int)))
+    ref = by_points[:, 2]
+    assert np.max(np.abs(by_pairs[:, 2] - ref)) <= 1e-12 * np.median(ref)
+
+
 def test_non_utf8_points_exit_2(gaussian_model, tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_bytes(b"\xff\xfe1,2\n")
@@ -469,26 +526,16 @@ def test_non_utf8_points_exit_2(gaussian_model, tmp_path, capsys):
 # -- `distance` output equals the per-row csv.writer output it replaced ----------
 
 def reference_distance_csv(model_path, query):
-    """The CSV the nested-loop, per-row ``csv.writer`` code wrote, with the
-    learned K formed on load as that code did."""
-    from test_learned_kernel import _reference_terms, reference_learned_sq_distances
+    """The CSV the nested-loop, per-row ``csv.writer`` code wrote; training
+    index pairs are served as the stored points they name."""
+    from test_learned_kernel import (reference_learned_sq_distances,
+                                     reference_training_pair_distances)
 
-    mf = load_model(model_path)
-    model = mf.to_learned_kernel()
-    if mf.kind == "kernel":
-        model.K = symmetrize(mf.K0 + mf.K0 @ mf.M @ mf.K0)
+    model = load_model(model_path).to_learned_kernel()
     rows = []
     if query[0] == "--pairs":
-        pairs, _ = load_points_csv(query[1])
-        for a, b in pairs.T:
-            i, j = int(a), int(b)
-            if model.K is not None:
-                d = float(model.K[i, i] + model.K[j, j] - 2.0 * model.K[i, j])
-            else:
-                P, CP = _reference_terms(model, model.K0[:, [i, j]])
-                G = model.K0[np.ix_([i, j], [i, j])] + P.T @ CP
-                d = max(0.0, float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1]))
-            rows.append((i, j, d))
+        I, J = load_points_csv(query[1])[0].astype(int).tolist()
+        rows = list(zip(I, J, reference_training_pair_distances(model, I, J).tolist()))
     else:
         Z, _ = load_points_csv(query[1])
         D = reference_learned_sq_distances(model, Z, Z)
@@ -524,28 +571,7 @@ def test_distance_csv_is_byte_identical_to_reference(small_ionosphere, query_poi
         assert out.read_bytes() == reference_distance_csv(model, query)
 
 
-# -- K0 is rebuilt on first use, not on load -----------------------------------
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--kernel", "gaussian"],
-        pytest.param(["--kernel", "gaussian", "--basis", "kmeans:20"],
-                     marks=pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")),
-    ],
-    ids=["kernel", "iplr-coefficient"],
-)
-def test_load_model_leaves_K0_unbuilt_until_read(small_ionosphere, tmp_path, flags):
-    path = tmp_path / "trained.model"
-    assert _train(small_ionosphere, path, *flags) == 0
-    mf = load_model(path)
-    assert mf._K0 is None
-    model = mf.to_learned_kernel()
-    assert mf._K0 is None and model._K0 is None
-    X_csv, _ = load_points_csv(small_ionosphere, label_col="last")
-    assert np.array_equal(model.K0, gram(X_csv, mf.kernel_spec))
-    assert np.array_equal(mf.K0, model.K0)
-
+# -- a coefficient model serves training pairs as it did with K0 built on load ----
 
 @pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
 def test_coefficient_model_serves_pairs_as_with_K0_built_on_load(small_ionosphere, tmp_path):
@@ -602,22 +628,30 @@ def test_v3_header_records_what_train_logs(small_ionosphere, tmp_path, capsys, f
 @pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
 def test_a_v3_coefficient_model_serves_points_without_building_a_gram(
         small_ionosphere, query_points, tmp_path, monkeypatch):
-    from logdetml import learned_kernel, modelfile
+    import sys
 
     path = tmp_path / "trained.model"
     assert _train(small_ionosphere, path, "--kernel", "gaussian", "--basis", "kmeans:8") == 0
-    expected = tmp_path / "expected.csv"
-    assert main(["distance", str(path), "--points", str(query_points),
-                 "--out", str(expected)]) == 0
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1\n2,19\n5,5\n13,7\n58,0\n")
+    queries = (["--points", str(query_points)], ["--pairs", str(pairs)])
+    expected = []
+    for query in queries:
+        out = tmp_path / f"expected_{query[0][2:]}.csv"
+        assert main(["distance", str(path), *query, "--out", str(out)]) == 0
+        expected.append(out.read_bytes())
 
     def no_gram(*args):
         raise AssertionError("serving built the training Gram")
 
-    monkeypatch.setattr(learned_kernel, "training_gram", no_gram)
-    monkeypatch.setattr(modelfile, "training_gram", no_gram)
+    for name, module in list(sys.modules.items()):
+        for attr in ("gram", "training_gram"):
+            if name.startswith("logdetml") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, no_gram)
     out = tmp_path / "distances.csv"
-    assert main(["distance", str(path), "--points", str(query_points), "--out", str(out)]) == 0
-    assert out.read_bytes() == expected.read_bytes()
+    for query, want in zip(queries, expected):
+        assert main(["distance", str(path), *query, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
     with pytest.raises(AssertionError, match="training Gram"):
         load_model(V2_IPLR_MODEL)  # no T stored: it is derived from K0
 

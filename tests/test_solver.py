@@ -982,16 +982,19 @@ class TestStoppingRule:
         assert math.isfinite(model.trace[-1].distance_change)
 
     @pytest.mark.parametrize("fit", ["kernel", "linear"])
-    def test_the_fits_decide_through_converged(self, rng, fit, monkeypatch):
+    def test_the_fits_measure_the_change_once_per_sweep(self, rng, fit, monkeypatch):
+        # the rule ``converged`` states, change <= tol, on one measurement per sweep
         X, labels = make_blobs(rng, d=6, n=60, nuisance=2)
         cs = ConstraintSet(generate_from_labels(labels, per_class=15, seed=0),
                            compute_thresholds(euclidean_distance_pool(X)))
-        calls = []
-        monkeypatch.setattr(solver, "converged", lambda *args: calls.append(args) or False)
         data, run = (X.T @ X, fit_kernel) if fit == "kernel" else (X, fit_linear)
-        model = run(data, cs, SolverConfig(tol=1e300, max_sweeps=4))
-        assert not model.converged and model.sweeps_used == 4 and len(calls) == 4
-        assert all(tol == 1e300 for _, _, tol, _ in calls)
+        for change, sweeps in ((np.nextafter(1e300, math.inf), 4), (1e300, 1)):
+            calls = []
+            monkeypatch.setattr(solver, "max_relative_change",
+                                lambda *args: calls.append(args) or change)
+            model = run(data, cs, SolverConfig(tol=1e300, max_sweeps=4))
+            assert model.converged == (sweeps == 1) and model.sweeps_used == len(calls) == sweeps
+            assert all(e.distance_change == change for e in model.trace)
 
     @pytest.mark.parametrize("fit", ["kernel", "linear"])
     def test_the_stop_follows_tol_exactly(self, rng, fit):
