@@ -50,7 +50,7 @@ from .datasets import load_kernel_csv, load_labels_file, load_points_csv
 from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import training_pair_distance
 from .linalg import KernelSpec
-from .modelfile import load_model, save_model
+from .modelfile import FACTS, load_model, save_model
 
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
@@ -186,21 +186,11 @@ def cmd_train(args) -> int:
         _log(args, key, getattr(args, key, None))
     _log_effective(args, space, spec)
 
-    mf, fit, facts = evaluation.fit_labeled(X, K0, labels, args.seed, space, spec, args.per_class,
-                                            args.gamma, args.tol, args.max_sweeps, basis=args.basis)
+    mf, fit = evaluation.fit_labeled(X, K0, labels, args.seed, space, spec, args.per_class,
+                                     args.gamma, args.tol, args.max_sweeps, basis=args.basis)
     _log(args, "thresholds", f"u={mf.thresholds.u:.6g} l={mf.thresholds.l:.6g}")
     if args.gamma == "cv":
         _log(args, "gamma_selected", mf.gamma)
-    _log_fit(args, mf, fit)
-    for key, value in facts.items():
-        _log(args, key, f"{value:.6g}" if isinstance(value, float) else value)
-    save_model(args.out, mf)
-    _log(args, "wall_time_s", f"{time.perf_counter() - t0:.3f}")
-    _log(args, "model_written", args.out)
-    return 0
-
-
-def _log_fit(args, mf, fit):
     for key in ("sweeps_used", "converged", "skipped"):
         _log(args, key, getattr(fit, key))
     change = mf.distance_change
@@ -210,6 +200,16 @@ def _log_fit(args, mf, fit):
         _log(args, "WARNING", f"the sweep cap ended the fit after {fit.sweeps_used} sweeps; "
              f"a constrained distance still moved by {change:.3g} (relative) in the last "
              f"sweep, above --tol {args.tol:g}")
+    for key, cast in FACTS[1:]:  # the rest of what the model file records about the fit
+        value = getattr(mf, key)
+        if value is not None:
+            _log(args, key, f"{value:.6g}" if cast is float else value)
+    if mf.basis_mode is not None:
+        _log(args, "basis_k", mf.basis_matrix.shape[1])
+    save_model(args.out, mf)
+    _log(args, "wall_time_s", f"{time.perf_counter() - t0:.3f}")
+    _log(args, "model_written", args.out)
+    return 0
 
 
 def cmd_distance(args) -> int:

@@ -236,13 +236,11 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
     ``space`` is ``linear`` or ``kernel``; ``basis`` is ``(name, k)`` with a
     ``--basis`` name, or ``(None, 0)`` for a full-rank fit.  K0 is built
     from X and ``spec`` when a kernel-space or coefficient-basis fit needs it
-    and none is given.  Returns ``(ModelFile, fit, facts)``: the solver's
-    fit (dual, sweeps, trace), and what ``train`` logs about this path
-    (``max_violation`` and ``dropped_rank``, or ``dropped`` and ``basis_k``),
-    which the model file records too (``basis_k`` on its ``basis`` line).
+    and none is given.  Returns ``(ModelFile, fit)``: the model, with the
+    facts ``train`` logs about how the fit ended (``modelfile.FACTS``), and
+    the solver's fit (dual, sweeps, trace).
     """
     name, k = basis
-    facts: dict = {}
     if name is None and space == "linear":
         fit = solver.fit_linear(X, cs, cfg)
         payload = dict(kind="linear", kernel_spec=None, W=fit.W)
@@ -255,25 +253,25 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
         K0 = gram(X, spec) if K0 is None else K0
         if name is None:
             fit = solver.fit_kernel(K0, cs, cfg)
-            facts["max_violation"] = solver.max_violation(fit.K, cs, fit.dual)
-            M, facts["dropped_rank"] = compute_M(fit.K0, fit.K)
+            M, dropped_rank = compute_M(fit.K0, fit.K)
             payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=M,
-                           constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi, **facts)
+                           constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi,
+                           max_violation=solver.max_violation(fit.K, cs, fit.dual),
+                           dropped_rank=dropped_rank)
         else:
             b = lowrank.select_basis_kernel(K0, KERNEL_BASES[name], k, seed=cfg.seed)
             low = lowrank.fit_low_rank(K0, b, cs, cfg)
     if name is not None:
         fit = low.inner
         # the dual state covers only the constraints the basis can reach
-        facts.update(dropped=len(cs) - len(fit.dual.lam), basis_k=b.k)
         payload = dict(kind="iplr", kernel_spec=spec if b.mode == lowrank.COEFFICIENT else None,
                        X=X, K0=low.K0, basis_mode=b.mode, basis_matrix=b.matrix, F=low.F,
-                       T=low.basis.T, dropped=facts["dropped"])
+                       T=low.basis.T, dropped=len(cs) - len(fit.dual.lam))
     mf = ModelFile(thresholds=cs.thresholds, gamma=cfg.gamma, seed=cfg.seed,
                    converged=fit.converged, sweeps_used=fit.sweeps_used,
                    distance_change=fit.trace[-1].distance_change if fit.trace else 0.0,
                    **payload)
-    return mf, fit, facts
+    return mf, fit
 
 
 def serve(mf: ModelFile):
@@ -367,6 +365,6 @@ def clustering_protocol(X, labels, n_constraints: int = 50, gamma: float = 1.0,
         pool = euclidean_distance_pool(X[:, tr], seed=seed)
         cs = ConstraintSet(cons, compute_thresholds(pool))
         cfg = solver.SolverConfig(gamma=gamma, tol=tol, seed=seed)
-        mf, _, _ = fit_model(X, None, cs, KernelSpec.linear(), "linear", cfg)
+        mf, _ = fit_model(X, None, cs, KernelSpec.linear(), "linear", cfg)
         learned += semisup_kmeans(serve(mf).G @ X, labels, [te], c, seed=seed)
     return float(np.mean(unsup)), float(np.mean(learned))

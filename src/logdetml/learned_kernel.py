@@ -84,8 +84,7 @@ class LearnedKernelModel:
 
     Either ``M`` (dense n x n) or the factored pair ``(m_factor, m_core)``
     with M = m_factor @ m_core @ m_factor.T is set, never both.  ``K0`` is
-    read only when X is None (a precomputed kernel).  ``dropped_rank`` is what
-    ``compute_M`` reported.
+    read only when X is None (a precomputed kernel).
     """
 
     kernel_spec: KernelSpec
@@ -94,7 +93,6 @@ class LearnedKernelModel:
     M: np.ndarray | None = None
     m_factor: np.ndarray | None = None
     m_core: np.ndarray | None = None
-    dropped_rank: int = 0
 
     def __post_init__(self):
         dense = self.M is not None
@@ -113,13 +111,11 @@ class LearnedKernelModel:
 
 def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec) -> LearnedKernelModel:
     """Finalize a solver result into a queryable model (materializes M)."""
-    M, dropped_rank = compute_M(km.K0, km.K)
     return LearnedKernelModel(
         kernel_spec=spec,
         X=None if X is None else np.asarray(X, dtype=float),
         K0=km.K0,
-        M=M,
-        dropped_rank=dropped_rank,
+        M=compute_M(km.K0, km.K)[0],
     )
 
 

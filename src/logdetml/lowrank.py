@@ -242,7 +242,7 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
     if len(reduced) == 0:
         # every constraint is unreachable in this basis; nothing to optimize
         inner = LinearModel(
-            W=np.eye(basis.k), W0=np.eye(basis.k),
+            W=np.eye(basis.k),
             dual=DualState(np.zeros(0), np.zeros(0)),
             converged=True, sweeps_used=0,
         )
@@ -289,6 +289,5 @@ def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
     Coefficient basis: returns the factored LearnedKernelModel.
     """
     if model.basis.mode == EXPLICIT:
-        d = model.basis.matrix.shape[0]
-        return replace(model.inner, W=expand(model.basis, model.F), W0=np.eye(d))
+        return replace(model.inner, W=expand(model.basis, model.F))
     return expand(model.basis, model.F, model.K0, X=X, kernel_spec=kernel_spec)

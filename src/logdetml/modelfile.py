@@ -6,35 +6,38 @@ per % and parsed with one ``np.loadtxt`` per matrix, byte for byte and bit
 for bit as one value at a time.  Files written from the same model are
 byte-identical, which makes reproducibility checks a straight byte comparison.
 
-Format version 3:
+Format version 3, in file order:
 
-* header: what the fit was (kind, kernel, gamma, seed, thresholds,
-  constraints with their duals) and what ``train`` logs about how it ended:
-  ``converged``, ``sweeps``, ``stop_reason`` (``rule`` or ``cap``, implied
-  by ``converged``) and, when known, the last sweep's ``distance_change``,
-  ``max_violation`` and ``dropped_rank`` (dense kernel) or ``dropped``
-  (basis; its k is on the ``basis`` line);
-* symmetric blocks: ``W`` (linear), ``K0``, ``M`` (kernel mixing matrix),
-  ``F`` (low-rank core) and ``T`` are exactly symmetric by construction and
-  written once, as ``symmetric NAME n`` and row i holding entries i..n-1;
-  ``load_model`` mirrors them.  ``save_model`` refuses one that is not
-  exactly symmetric;
-* full blocks (``matrix NAME rows cols``): ``X`` (training points) and ``B``
-  (the basis, U or J);
-* T = (J^T K0 J)^(-1/2), the k x k factor of a coefficient basis J, is
-  stored beside J, so serving builds no Gram;
-* the input Gram ``K0`` is a pure function of the stored points and the
-  kernel, so it is held and written only when it cannot be rebuilt -- no
-  stored points, or a ``precomputed`` kernel.  A model with points serves
-  every query, training indices included, from kernel evaluations.
+* header: ``version``, ``kind``, ``kernel``, the ``SCALARS``,
+  ``stop_reason`` (``rule`` or ``cap``, implied by ``converged``), the
+  ``FACTS`` ``train`` logs about how the fit ended (each when known),
+  ``identity_coeff``, ``thresholds``, the constraints with their duals and,
+  for a basis, ``basis MODE k``;
+* the ``BLOCKS`` that are set, in table order.  A symmetric block is written
+  once, as ``symmetric NAME n`` and row i holding entries i..n-1, and
+  ``load_model`` mirrors it; ``save_model`` refuses one that is not exactly
+  symmetric.  Any other block is ``matrix NAME rows cols``.
+
+A file holds what serving reads (``ModelFile.__post_init__``):
+
+* linear: W;
+* kernel: X or K0, M, and the constraints with their duals;
+* explicit basis: U (block ``B``) and F, for W = I + U (F - I) U^T;
+* coefficient basis: X or K0, J (block ``B``), T = (J^T K0 J)^(-1/2) and F,
+  so serving builds no Gram.
+
+K0 is held only when the stored points and the kernel cannot rebuild it: no
+points, or a ``precomputed`` kernel.  A model with points serves every query,
+training indices included, from kernel evaluations.
 
 Versions 1 and 2 still load.  They write every matrix in full, record a
 ``jitter`` line in place of the fit facts, and store no T: a coefficient
 basis's T is derived once, when the ``ModelFile`` is made, from K0 built only
 for as long as that takes (``training_gram``).  Version 1 files always carry
-``K0``, which a model with points drops once it is loaded.  Saving a loaded
-model always writes version 3.  Every version carries an ``identity_coeff``
-line, always ``1`` for a LogDet model; ``load_model`` rejects any other value.
+``K0``, and an explicit basis file of any version may carry X; a loaded model
+drops what serving does not read.  Saving a loaded model always writes
+version 3.  Every version carries an ``identity_coeff`` line, always ``1``
+for a LogDet model; ``load_model`` rejects any other value.
 
 ``load_model`` holds ``ModelFile.X`` column-major (Fortran order), the
 layout training holds it in (``datasets.load_points_csv``): BLAS sums the
@@ -61,10 +64,15 @@ READABLE_VERSIONS = (1, 2, 3)
 
 KINDS = ("linear", "kernel", "iplr")
 BLOCK_VALUES = 8192  # matrix entries written per % formatting (bounds its temporaries)
-SYMMETRIC = ("W", "K0", "M", "F", "T")  # written as their upper triangle
+# header entries after 'kernel': (key, ModelFile field, type); a bool is written 0 or 1
+SCALARS = (("gamma", "gamma", float), ("seed", "seed", int), ("converged", "converged", bool),
+           ("sweeps", "sweeps_used", int))
 # what train logs about a fit, written after 'stop_reason' when known (version 3)
 FACTS = (("distance_change", float), ("max_violation", float), ("dropped_rank", int),
          ("dropped", int))
+# payload blocks: (name in the file, ModelFile field, written as its upper triangle)
+BLOCKS = (("W", "W", True), ("X", "X", False), ("K0", "K0", True), ("M", "M", True),
+          ("F", "F", True), ("T", "T", True), ("B", "basis_matrix", False))
 
 
 def rebuildable(X, spec: KernelSpec | None) -> bool:
@@ -87,6 +95,10 @@ def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _entry(key: str, value, cast) -> str:
+    return f"{key} {_fmt(value) if cast is float else int(value)}"
 
 
 @dataclass
@@ -127,6 +139,8 @@ class ModelFile:
             self.T = coefficient_T(self.basis_matrix, self.basis_matrix.T @ K0)
         if rebuildable(self.X, self.kernel_spec):
             self.K0 = None  # serving reads the points, not their Gram
+        if self.basis_mode == EXPLICIT:
+            self.X = None  # serving reads U and F, not the points
 
     @property
     def stop_reason(self) -> str:
@@ -186,15 +200,10 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append(f"kernel gaussian {_fmt(mf.kernel_spec.sigma)}")
     else:
         lines.append(f"kernel {mf.kernel_spec.kind}")
-    lines.append(f"gamma {_fmt(mf.gamma)}")
-    lines.append(f"seed {mf.seed}")
-    lines.append(f"converged {int(mf.converged)}")
-    lines.append(f"sweeps {mf.sweeps_used}")
+    lines += [_entry(key, getattr(mf, name), cast) for key, name, cast in SCALARS]
     lines.append(f"stop_reason {mf.stop_reason}")
-    for key, cast in FACTS:
-        value = getattr(mf, key)
-        if value is not None:
-            lines.append(f"{key} {_fmt(value) if cast is float else int(value)}")
+    lines += [_entry(key, getattr(mf, key), cast) for key, cast in FACTS
+              if getattr(mf, key) is not None]
     lines.append("identity_coeff 1")
     if mf.thresholds is None:
         lines.append("thresholds none")
@@ -210,19 +219,17 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
-    matrices = {"W": mf.W, "X": mf.X, "K0": mf.K0, "M": mf.M, "F": mf.F, "T": mf.T,
-                "B": mf.basis_matrix}
-    blocks = {name: np.atleast_2d(np.asarray(A, dtype=float))
-              for name, A in matrices.items() if A is not None}
-    for name, A in blocks.items():
+    blocks = [(name, np.atleast_2d(np.asarray(getattr(mf, key), dtype=float)), symmetric)
+              for name, key, symmetric in BLOCKS if getattr(mf, key) is not None]
+    for name, A, symmetric in blocks:
         # bit patterns, so that -0.0 and 0.0 differ: the file keeps one of each pair
-        if name in SYMMETRIC and (A.shape[0] != A.shape[1] or
-                                  not np.array_equal(A.view(np.int64), A.T.view(np.int64))):
+        if symmetric and (A.shape[0] != A.shape[1] or
+                          not np.array_equal(A.view(np.int64), A.T.view(np.int64))):
             raise InvalidArgumentError(f"matrix {name} is not exactly symmetric")
     with open(path, "w", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
-        for name, A in blocks.items():
-            (_write_symmetric if name in SYMMETRIC else _write_matrix)(fh.write, name, A)
+        for name, A, symmetric in blocks:
+            (_write_symmetric if symmetric else _write_matrix)(fh.write, name, A)
         fh.write("end\n")
 
 
@@ -259,6 +266,8 @@ def load_model(path) -> ModelFile:
         return parts[1:]
 
     def number(token: str, cast=float):
+        if cast is bool:
+            return bool(number(token, int))
         try:
             return cast(token)
         except ValueError:
@@ -283,16 +292,13 @@ def load_model(path) -> ModelFile:
         spec = build(KernelSpec.gaussian, number(kparts[1]))
     else:
         spec = build(KernelSpec, kparts[0])
-    gamma = number(expect("gamma")[0])
-    seed = number(expect("seed")[0], int)
-    conv = bool(number(expect("converged")[0], int))
-    sweeps = number(expect("sweeps")[0], int)
+    scalars = {name: number(expect(key)[0], cast) for key, name, cast in SCALARS}
     facts = {}
     if version < 3:
         number(expect("jitter")[0])  # parsed so a malformed entry is rejected; unused
     else:
-        if expect("stop_reason")[0] != ("rule" if conv else "cap"):
-            fail(f"stop_reason disagrees with converged {int(conv)}")
+        if expect("stop_reason")[0] != ("rule" if scalars["converged"] else "cap"):
+            fail(f"stop_reason disagrees with converged {int(scalars['converged'])}")
         for key, cast in FACTS:
             if lines[pos:pos + 1] and lines[pos].startswith(f"{key} "):
                 facts[key] = number(expect(key)[0], cast)
@@ -362,10 +368,10 @@ def load_model(path) -> ModelFile:
                 data = _mirror(data[np.triu_indices(rows)], rows)
         matrices[name] = data
 
-    X = matrices.get("X")
-    if X is not None:
-        X = np.asfortranarray(X)  # training's layout (see the module docstring)
-    K0 = matrices.get("K0")
+    payload = {key: matrices.get(name) for name, key, _ in BLOCKS}
+    if payload["X"] is not None:  # training's layout (see the module docstring)
+        payload["X"] = np.asfortranarray(payload["X"])
+    X, K0 = payload["X"], payload["K0"]
     if K0 is None and rebuildable(X, spec) and X.shape[1] < 1:
         fail("matrix X holds no points to rebuild K0 from")
     if K0 is None and not rebuildable(X, spec) and (kind == "kernel" or basis_mode == COEFFICIENT):
@@ -387,27 +393,9 @@ def load_model(path) -> ModelFile:
         if basis_mode == COEFFICIENT and version >= 3 and (T is None or T.shape != F.shape):
             fail(f"a coefficient-basis model needs a {basis_k} x {basis_k} matrix T")
 
-    return ModelFile(
-        kind=kind,
-        kernel_spec=spec,
-        thresholds=thresholds,
-        gamma=gamma,
-        seed=seed,
-        converged=conv,
-        sweeps_used=sweeps,
-        W=W,
-        X=X,
-        K0=K0,
-        M=M,
-        constraints=cons,
-        lam=np.array(lam) if cons else None,
-        xi=np.array(xi) if cons else None,
-        basis_mode=basis_mode,
-        basis_matrix=B,
-        F=F,
-        T=T,
-        **facts,
-    )
+    return ModelFile(kind=kind, kernel_spec=spec, thresholds=thresholds, constraints=cons,
+                     lam=np.array(lam) if cons else None, xi=np.array(xi) if cons else None,
+                     basis_mode=basis_mode, **scalars, **facts, **payload)
 
 
 def _mirror(upper: np.ndarray, n: int) -> np.ndarray:

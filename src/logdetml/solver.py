@@ -169,7 +169,6 @@ class LinearModel:
     """Input-space analog of :class:`KernelModel`."""
 
     W: np.ndarray
-    W0: np.ndarray
     dual: DualState
     converged: bool
     sweeps_used: int
@@ -383,16 +382,6 @@ def max_relative_change(before: np.ndarray, after: np.ndarray, p_min: float = 0.
         return float(np.max(np.abs(after[live] - b) / np.abs(b)))
 
 
-def converged(p_before: np.ndarray, p_after: np.ndarray, tol: float,
-              p_min: float = 0.0) -> bool:
-    """The stopping rule on the constrained-pair distances at the end of two
-    successive sweeps: no pair above the skip floor ``p_min`` has moved by
-    more than ``tol`` relative to its earlier distance."""
-    if p_before.shape != p_after.shape:
-        raise InvalidArgumentError("distance vectors are not aligned")
-    return max_relative_change(p_before, p_after, p_min) <= tol
-
-
 def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet,
                 cfg: SolverConfig, distances, block: int = 0):
     """Shared sweep loop: seed-shuffled fixed order, cyclic passes, stopping
@@ -453,7 +442,7 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet
         dual_change = float(np.max(np.abs(lam_after - lam_before) / (1.0 + lam_after)))
         trace.append(SweepStats(change, dual_change, int(np.count_nonzero(lam_after)),
                                 lam_to_zero, noops, skipped, time.perf_counter() - t0))
-        if change <= cfg.tol:  # the rule ``converged`` states
+        if change <= cfg.tol:
             done = True
             break
         p_before = p_after
@@ -518,7 +507,7 @@ def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
 
     dual, done, sweeps, skipped, trace = _run_sweeps(
         project_constraint_linear, W, operands, cs, cfg, distances)
-    return LinearModel(W=symmetrize(W), W0=np.eye(d), dual=dual, converged=done,
+    return LinearModel(W=symmetrize(W), dual=dual, converged=done,
                        sweeps_used=sweeps, skipped=skipped, trace=trace)
 
 
@@ -538,12 +527,12 @@ def fit_linear_with_prior(
     if W0.shape != (d, d):
         raise InvalidArgumentError(f"W0 has shape {W0.shape}, expected ({d}, {d})")
     if np.array_equal(W0, np.eye(d)):
-        return replace(fit_linear(X, cs, cfg), W0=W0)
+        return fit_linear(X, cs, cfg)
     if min_eigenvalue(W0) <= psd_tolerance(W0):
         raise InvalidArgumentError("W0 must be positive definite")
     S = sqrt_psd(W0)
     inner = fit_linear(S @ X, cs, cfg)
-    return replace(inner, W=symmetrize(S @ inner.W @ S), W0=W0)
+    return replace(inner, W=symmetrize(S @ inner.W @ S))
 
 
 def _warn_skipped(skipped: set[int], cs: ConstraintSet) -> None:

@@ -129,7 +129,7 @@ class TestLearnedQueries:
         cs = mixed_constraint_set(X, seed=0)
         km = fit_kernel(K0, cs, SolverConfig(gamma=1.0, tol=1e-8, seed=0))
         model = from_kernel_fit(km, X, spec)
-        assert model.dropped_rank == X.shape[1] - X.shape[0]
+        assert compute_M(km.K0, km.K)[1] == X.shape[1] - X.shape[0]
         W = np.eye(3) + X @ model.M @ X.T
         for _ in range(20):
             z1, z2 = rng.standard_normal(3), rng.standard_normal(3)

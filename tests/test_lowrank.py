@@ -178,7 +178,7 @@ class TestFitAndReconstruct:
         from logdetml.lowrank import LowRankModel
         from logdetml.solver import DualState, LinearModel
 
-        inner = LinearModel(W=np.array([[2.0]]), W0=np.eye(1),
+        inner = LinearModel(W=np.array([[2.0]]),
                             dual=DualState(np.zeros(1), np.ones(1)),
                             converged=True, sweeps_used=1)
         model = LowRankModel(basis=basis, F=np.array([[2.0]]), K0=None, inner=inner)

@@ -709,8 +709,8 @@ def test_loaded_model_serves_the_bits_of_the_fitted_model(small_ionosphere, quer
     space, spec = cli._resolve(args, X)
     K0 = gram(X, spec)
     cs = evaluation.label_constraints(labels, 10, 0, X=X, K0=K0)
-    mf, _, _ = evaluation.fit_model(X, K0, cs, spec, space, SolverConfig(max_sweeps=5),
-                                    args.basis, labels)
+    mf, _ = evaluation.fit_model(X, K0, cs, spec, space, SolverConfig(max_sweeps=5),
+                                 args.basis, labels)
     save_model(tmp_path / "model.txt", mf)
     loaded = load_model(tmp_path / "model.txt")
     # training's column-major layout, in which BLAS sums the kernel products
@@ -842,3 +842,79 @@ def test_empty_matrices_load_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         mf = load_model(path)
     assert mf.W.shape == (0, 0)
+
+
+# -- every field survives a round trip, and a file holds only what serving reads ------
+
+def _fit_labeled(data, case):
+    """``fit_model``'s model for one case, on points or on their Gaussian Gram."""
+    from logdetml.evaluation import fit_labeled, median_pairwise_distance
+
+    X, labels = load_points_csv(data, label_col="last")
+    K0, space, kernel = None, "kernel", KernelSpec.gaussian(median_pairwise_distance(X))
+    if case in ("linear", "topk", "classmeans"):  # input space, as train picks for d <= n
+        space, kernel = "linear", KernelSpec.linear()
+    if case.startswith("precomputed"):
+        K0, X, kernel = gram(X, KernelSpec.gaussian(3.0)), None, KernelSpec.precomputed()
+    basis = {"topk": ("topk", 5), "classmeans": ("classmeans", 2), "kmeans": ("kmeans", 8),
+             "precomputed-kmeans": ("kmeans", 8)}.get(case, (None, 0))
+    return fit_labeled(X, K0, labels, 0, space, kernel, per_class=10, max_sweeps=5,
+                       basis=basis)[0]
+
+
+def _same(a, b) -> bool:
+    """Equal, with arrays and floats compared bit for bit and None only to None."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("case", ["linear", "gaussian", "precomputed", "topk", "kmeans",
+                                  "precomputed-kmeans"])
+def test_every_field_survives_a_round_trip(small_ionosphere, tmp_path, case):
+    import dataclasses
+
+    mf = _fit_labeled(small_ionosphere, case)
+    save_model(tmp_path / "model.txt", mf)
+    loaded = load_model(tmp_path / "model.txt")
+    for f in dataclasses.fields(ModelFile):
+        assert _same(getattr(loaded, f.name), getattr(mf, f.name)), f.name
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("case, basis", [("topk", "topk:5"), ("classmeans", "classmeans:2")])
+def test_an_explicit_basis_file_holds_no_points(small_ionosphere, query_points, tmp_path,
+                                                monkeypatch, case, basis):
+    from logdetml import cli
+
+    path = tmp_path / "trained.model"
+    assert _train(small_ionosphere, path, "--basis", basis) == 0
+    assert "X" not in _matrix_names(path)
+
+    def served(model):
+        out = tmp_path / "distances.csv"
+        assert main(["distance", str(model), "--points", str(query_points),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    want = served(path)
+    in_memory = _fit_labeled(small_ionosphere, case)
+    assert in_memory.X is None
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_model", lambda _: in_memory)
+        assert served("in-memory") == want
+    # a file written before explicit-basis models dropped their points
+    in_memory.X, _ = load_points_csv(small_ionosphere, label_col="last")
+    older = tmp_path / "older.model"
+    save_model(older, in_memory)
+    assert "X" in _matrix_names(older)
+    loaded = load_model(older)
+    assert loaded.X is None and served(older) == want
+    save_model(tmp_path / "resaved.model", loaded)
+    assert (tmp_path / "resaved.model").read_bytes() == path.read_bytes()

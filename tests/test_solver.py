@@ -44,7 +44,6 @@ from logdetml.solver import (
     SolverWarning,
     _projection_scalars,
     _warn_skipped,
-    converged,
     fit_kernel,
     fit_linear,
     fit_linear_with_prior,
@@ -194,6 +193,11 @@ class TestUpdateContract:
         model = fit_kernel(K0, cs, SolverConfig(max_sweeps=20))
         assert not np.array_equal(model.K, model.K0)
         assert np.array_equal(model.K, model.K.T)
+
+
+def converged(before, after, tol, p_min=0.0):
+    """The fits' stopping rule: no pair above ``p_min`` moved by more than tol."""
+    return max_relative_change(before, after, p_min) <= tol
 
 
 class TestConverged:
@@ -601,7 +605,7 @@ def ref_fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = 
     if not np.all(np.isfinite(W)):
         raise NumericalError("non-finite entries in the learned metric")
     _warn_skipped(skipped, cs)
-    return LinearModel(W=symmetrize(W), W0=np.eye(d), dual=dual, converged=done,
+    return LinearModel(W=symmetrize(W), dual=dual, converged=done,
                        sweeps_used=sweeps, skipped=len(skipped))
 
 
@@ -983,7 +987,7 @@ class TestStoppingRule:
 
     @pytest.mark.parametrize("fit", ["kernel", "linear"])
     def test_the_fits_measure_the_change_once_per_sweep(self, rng, fit, monkeypatch):
-        # the rule ``converged`` states, change <= tol, on one measurement per sweep
+        # the stopping rule, change <= tol, on one measurement per sweep
         X, labels = make_blobs(rng, d=6, n=60, nuisance=2)
         cs = ConstraintSet(generate_from_labels(labels, per_class=15, seed=0),
                            compute_thresholds(euclidean_distance_pool(X)))
