@@ -19,9 +19,11 @@ over the last sweep, ``cap`` when the sweep cap ended it (with a WARNING).
 Exit codes: 0 success, 2 malformed data, 3 numerical failure,
 4 bad flags.  Every run logs its full effective configuration to stderr,
 stdout carries only data, and all randomness flows from --seed.  The log
-and the seed fix an output only for one BLAS thread count: the bits of a
-kernel Gram, and so of a kernel-space model file, depend on it
-(``OPENBLAS_NUM_THREADS``).
+and the seed fix an output only for one BLAS thread count
+(``OPENBLAS_NUM_THREADS``): the bits of a kernel Gram, of the M a dense
+kernel fit is served from (``compute_M``'s eigendecomposition and products)
+and of a low-rank fit depend on it, and so do the model files built from
+them.
 
 ``distance`` writes a CSV with the header ``i,j,sq_distance`` and one row
 per pair, each value formatted ``.12g``.  With ``--points`` the rows are

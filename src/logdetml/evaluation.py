@@ -255,7 +255,6 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
             fit = solver.fit_kernel(K0, cs, cfg)
             M, dropped_rank = compute_M(fit.K0, fit.K)
             payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=M,
-                           constraints=cs.constraints, lam=fit.dual.lam, xi=fit.dual.xi,
                            max_violation=solver.max_violation(fit.K, cs, fit.dual),
                            dropped_rank=dropped_rank)
         else:

@@ -11,33 +11,36 @@ Format version 3, in file order:
 * header: ``version``, ``kind``, ``kernel``, the ``SCALARS``,
   ``stop_reason`` (``rule`` or ``cap``, implied by ``converged``), the
   ``FACTS`` ``train`` logs about how the fit ended (each when known),
-  ``identity_coeff``, ``thresholds``, the constraints with their duals and,
-  for a basis, ``basis MODE k``;
-* the ``BLOCKS`` that are set, in table order.  A symmetric block is written
-  once, as ``symmetric NAME n`` and row i holding entries i..n-1, and
+  ``identity_coeff``, ``thresholds``, ``constraints 0`` and, for a basis,
+  ``basis MODE k``;
+* the ``BLOCKS`` that are set, in table order.  A block's row i is written
+  from column 0, as ``matrix NAME rows cols``, or from column i, as
+  ``symmetric NAME n``: a symmetric block holds its upper triangle, and
   ``load_model`` mirrors it; ``save_model`` refuses one that is not exactly
-  symmetric.  Any other block is ``matrix NAME rows cols``.
+  symmetric.
 
-A file holds what serving reads (``ModelFile.__post_init__``):
+A file holds only what serving reads, whatever its kind:
 
 * linear: W;
-* kernel: X or K0, M, and the constraints with their duals;
+* kernel: X or K0, and M;
 * explicit basis: U (block ``B``) and F, for W = I + U (F - I) U^T;
 * coefficient basis: X or K0, J (block ``B``), T = (J^T K0 J)^(-1/2) and F,
   so serving builds no Gram.
 
-K0 is held only when the stored points and the kernel cannot rebuild it: no
-points, or a ``precomputed`` kernel.  A model with points serves every query,
-training indices included, from kernel evaluations.
+No file holds the training constraints or their duals.  K0 is held only
+when the stored points and the kernel cannot rebuild it: no points, or a
+``precomputed`` kernel.  A model with points serves every query, training
+indices included, from kernel evaluations.  A file written before this rule
+may hold more: ``load_model`` checks its constraint lines and drops them, and
+``ModelFile.__post_init__`` drops the blocks serving does not read.
 
 Versions 1 and 2 still load.  They write every matrix in full, record a
 ``jitter`` line in place of the fit facts, and store no T: a coefficient
 basis's T is derived once, when the ``ModelFile`` is made, from K0 built only
 for as long as that takes (``training_gram``).  Version 1 files always carry
-``K0``, and an explicit basis file of any version may carry X; a loaded model
-drops what serving does not read.  Saving a loaded model always writes
-version 3.  Every version carries an ``identity_coeff`` line, always ``1``
-for a LogDet model; ``load_model`` rejects any other value.
+``K0``.  Saving a loaded model always writes version 3.  Every version
+carries an ``identity_coeff`` line, always ``1`` for a LogDet model;
+``load_model`` rejects any other value.
 
 ``load_model`` holds ``ModelFile.X`` column-major (Fortran order), the
 layout training holds it in (``datasets.load_points_csv``): BLAS sums the
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,9 +120,6 @@ class ModelFile:
     X: np.ndarray | None = None
     K0: np.ndarray | None = None  # only when X and the kernel cannot rebuild it
     M: np.ndarray | None = None
-    constraints: list[Constraint] = field(default_factory=list)
-    lam: np.ndarray | None = None
-    xi: np.ndarray | None = None
     basis_mode: str | None = None
     basis_matrix: np.ndarray | None = None
     F: np.ndarray | None = None
@@ -169,23 +169,19 @@ class ModelFile:
         return Basis(self.basis_mode, self.basis_matrix, self.basis_matrix.shape[1], T=self.T)
 
 
-def _write_matrix(write, name: str, A: np.ndarray) -> None:
-    write(f"matrix {name} {A.shape[0]} {A.shape[1]}\n")
-    row, step = " ".join(["%.17g"] * A.shape[1]), max(1, BLOCK_VALUES // max(A.shape[1], 1))
-    for block in (A[a:a + step] for a in range(0, A.shape[0], step)):
-        write("\n".join([row] * len(block)) % tuple(block.ravel().tolist()) + "\n")
-
-
-def _write_symmetric(write, name: str, A: np.ndarray) -> None:
-    """Row i of A's upper triangle, entries i..n-1, on line i of the block."""
-    n = A.shape[0]
-    write(f"symmetric {name} {n}\n")
-    full = " ".join(["%.17g"] * n)  # row i's format is its tail from entry i on
+def _write_block(write, name: str, A: np.ndarray, symmetric: bool) -> None:
+    """Line i of the block holds row i of A from column i on for a symmetric
+    block (its upper triangle), from column 0 on for a matrix; one % formats
+    as many whole rows as fit in BLOCK_VALUES values, and at least one."""
+    rows, cols = A.shape
+    write(f"symmetric {name} {rows}\n" if symmetric else f"matrix {name} {rows} {cols}\n")
+    first = range(rows) if symmetric else [0] * rows  # each row's first column
+    full = " ".join(["%.17g"] * cols)  # a row's format is its tail from its first column on
     a = 0
-    while a < n:
-        b = min(n, a + max(1, BLOCK_VALUES // (n - a)))
-        values = np.concatenate([A[i, i:] for i in range(a, b)]).tolist()
-        write("\n".join([full[6 * i:] for i in range(a, b)]) % tuple(values) + "\n")
+    while a < rows:
+        b = min(rows, a + max(1, BLOCK_VALUES // max(cols - first[a], 1)))
+        values = np.concatenate([A[i, first[i]:] for i in range(a, b)]).tolist()
+        write("\n".join([full[6 * first[i]:] for i in range(a, b)]) % tuple(values) + "\n")
         a = b
 
 
@@ -209,14 +205,7 @@ def save_model(path, mf: ModelFile) -> None:
         lines.append("thresholds none")
     else:
         lines.append(f"thresholds {_fmt(mf.thresholds.u)} {_fmt(mf.thresholds.l)}")
-    if mf.constraints:
-        lines.append(f"constraints {len(mf.constraints)}")
-        for t, con in enumerate(mf.constraints):
-            lam = 0.0 if mf.lam is None else mf.lam[t]
-            xi = 0.0 if mf.xi is None else mf.xi[t]
-            lines.append(f"{con.kind} {con.i} {con.j} {_fmt(lam)} {_fmt(xi)}")
-    else:
-        lines.append("constraints 0")
+    lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
     blocks = [(name, np.atleast_2d(np.asarray(getattr(mf, key), dtype=float)), symmetric)
@@ -229,7 +218,7 @@ def save_model(path, mf: ModelFile) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
         for name, A, symmetric in blocks:
-            (_write_symmetric if symmetric else _write_matrix)(fh.write, name, A)
+            _write_block(fh.write, name, A, symmetric)
         fh.write("end\n")
 
 
@@ -311,15 +300,12 @@ def load_model(path) -> ModelFile:
         thresholds = build(Thresholds, number(tparts[0]), number(tparts[1]))
     else:
         fail("'thresholds' entry needs u and l")
-    m = number(expect("constraints")[0], int)
-    cons, lam, xi = [], [], []
-    for _ in range(m):
+    for _ in range(number(expect("constraints")[0], int)):  # checked, then dropped
         parts = take().split()
         if len(parts) != 5:
             fail("a constraint line needs: kind i j lambda xi")
-        cons.append(build(Constraint, number(parts[1], int), number(parts[2], int), parts[0]))
-        lam.append(number(parts[3]))
-        xi.append(number(parts[4]))
+        build(Constraint, number(parts[1], int), number(parts[2], int), parts[0])
+        number(parts[3]), number(parts[4])
 
     basis_mode, basis_k = None, None
     matrices: dict[str, np.ndarray] = {}
@@ -393,9 +379,8 @@ def load_model(path) -> ModelFile:
         if basis_mode == COEFFICIENT and version >= 3 and (T is None or T.shape != F.shape):
             fail(f"a coefficient-basis model needs a {basis_k} x {basis_k} matrix T")
 
-    return ModelFile(kind=kind, kernel_spec=spec, thresholds=thresholds, constraints=cons,
-                     lam=np.array(lam) if cons else None, xi=np.array(xi) if cons else None,
-                     basis_mode=basis_mode, **scalars, **facts, **payload)
+    return ModelFile(kind=kind, kernel_spec=spec, thresholds=thresholds, basis_mode=basis_mode,
+                     **scalars, **facts, **payload)
 
 
 def _mirror(upper: np.ndarray, n: int) -> np.ndarray:

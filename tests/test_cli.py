@@ -37,6 +37,8 @@ def ionosphere_rows(tmp_path_factory):
     ("train", "--basis", "spectral:3"),
     ("train", "--basis", "topk:x"),
     ("train", "--basis", "topk:0"),
+    ("train", "--gamma", "0"),
+    ("train", "--gamma", "-1"),
     ("eval", "--k", "0"),
     ("eval", "--k", "-3"),
     ("eval", "--loss", "bogus"),
@@ -242,6 +244,51 @@ def test_eval_gaussian_takes_each_training_folds_median_width(ionosphere_every4,
     X, y = load_points_csv(ionosphere_every4, label_col="last")
     learner = evaluation.logdet_kernel_learner(per_class=20)
     assert served == f"{evaluation.two_fold_cv(X, y, learner, seed=seed).accuracy:.12g}"
+
+
+@pytest.mark.parametrize("loss, learner", [
+    ("euclidean", evaluation.euclidean_learner),
+    ("inverse-covariance", evaluation.inverse_covariance_learner),
+])
+def test_eval_baseline_loss_scores_its_learner(ionosphere_every4, capsys, loss, learner):
+    capsys.readouterr()
+    assert main(["eval", "--data", str(ionosphere_every4), "--label-col", "last",
+                 "--mode", "knn", "--loss", loss, "--k", "3", "--seed", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    X, y = load_points_csv(ionosphere_every4, label_col="last")
+    report = evaluation.two_fold_cv(X, y, learner(), k=3, seed=1)
+    assert [(row[2], row[3], row[4]) for row in rows] == [
+        ("accuracy", f"{acc:.12g}", fold) for acc, fold in
+        zip([*report.fold_accuracies, report.accuracy], ["0", "1", "mean"])]
+
+
+def test_gaussian_width_flag_sets_the_kernel_of_train_and_eval(ionosphere_every4, tmp_path,
+                                                                capsys):
+    flags = ["--data", str(ionosphere_every4), "--label-col", "last", "--kernel",
+             "gaussian:2.5", "--per-class", "20", "--seed", "0", "--max-sweeps", "3"]
+    capsys.readouterr()
+    assert main(["train", *flags, "--out", str(tmp_path / "model.txt")]) == 0
+    trained = capsys.readouterr().err
+    assert load_model(tmp_path / "model.txt").kernel_spec == KernelSpec.gaussian(2.5)
+    assert main(["eval", *flags, "--mode", "knn"]) == 0
+    evaluated = capsys.readouterr()
+    assert _logged(trained, "train", "effective_kernel") == "gaussian:2.5"
+    assert _logged(evaluated.err, "eval", "effective_kernel") == "gaussian:2.5"
+    # every fold fits the given width, not its own median
+    X, y = load_points_csv(ionosphere_every4, label_col="last")
+    learner = evaluation.logdet_kernel_learner(KernelSpec.gaussian(2.5), per_class=20,
+                                               max_sweeps=3)
+    served = evaluated.out.splitlines()[-1].split(",")[3]
+    assert served == f"{evaluation.two_fold_cv(X, y, learner, seed=0).accuracy:.12g}"
+
+
+def test_basis_none_trains_the_full_rank_model(ionosphere_rows, tmp_path):
+    for name, flags in (("default", []), ("none", ["--basis", "none"])):
+        assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last",
+                     "--kernel", "gaussian", "--per-class", "5", "--max-sweeps", "3",
+                     "--out", str(tmp_path / f"{name}.model"), *flags]) == 0
+    assert (tmp_path / "none.model").read_bytes() == (tmp_path / "default.model").read_bytes()
+    assert load_model(tmp_path / "none.model").kind == "kernel"
 
 
 @pytest.fixture(scope="module")

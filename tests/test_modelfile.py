@@ -1,11 +1,15 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logdetml
 from logdetml.cli import main
 from logdetml.datasets import load_kernel_csv, load_points_csv
 from logdetml.errors import InvalidArgumentError
@@ -237,10 +241,40 @@ def _drop_matrix(text, name):
     return "\n".join(lines) + "\n"
 
 
+# constraint lines (kind i j lambda xi) as dense kernel files held them before files
+# dropped them; they follow the thresholds
+OLD_CONSTRAINT_LINES = ("constraints 2\nsimilar 0 1 1.5 0.25\n"
+                        "dissimilar 3 2 0 1.2749999999999999\n")
+
+
+def _with_constraint_lines(text, lines=OLD_CONSTRAINT_LINES):
+    return text.replace("\nconstraints 0\n", "\n" + lines, 1)
+
+
 def _malformed(text, case):
-    """(broken file text, 1-based line the error names, message fragment)."""
+    """(broken file text, 1-based line the error names or None for none,
+    message fragment)."""
     if case == "missing-value":
         return _replace_line(text, "version", "version") + ("missing a value",)
+    if case == "version-4":
+        return _replace_line(text, "version", "version 4") + ("unsupported model version 4",)
+    if case == "short-constraint-line":  # the second constraint has no xi
+        short = OLD_CONSTRAINT_LINES.replace(" 1.2749999999999999", "")
+        broken = _with_constraint_lines(text, short)
+        at = broken.splitlines().index("dissimilar 3 2 0")
+        return broken, at + 1, "a constraint line needs: kind i j lambda xi"
+    if case == "one-threshold":
+        return _replace_line(text, "thresholds", "thresholds 0.5") + (
+            "'thresholds' entry needs u and l",)
+    if case == "unexpected-line":
+        broken, at = _replace_line(text, "constraints", "constraints 0\ncolumns 34")
+        return broken, at + 1, "unexpected line 'columns 34'"
+    if case == "negative-size":
+        return _replace_line(text, "matrix X", "matrix X -1 59") + (
+            "matrix X has a negative size",)
+    if case == "truncated":
+        lines = text.splitlines()
+        return "\n".join(lines[:len(lines) // 2]) + "\n", None, "truncated model file"
     if case == "non-numeric-entry":
         lines = text.splitlines()
         at = lines.index(next(line for line in lines if line.startswith("matrix X "))) + 1
@@ -283,7 +317,9 @@ def _malformed(text, case):
 @pytest.mark.parametrize("case", ["missing-value", "non-numeric-entry", "short-triangle-row",
                                   "non-numeric-triangle-entry", "non-integer", "stop-reason",
                                   "unknown-kind", "identity-coeff", "no-points",
-                                  "precomputed-no-K0"])
+                                  "precomputed-no-K0", "version-4", "short-constraint-line",
+                                  "one-threshold", "unexpected-line", "negative-size",
+                                  "truncated"])
 def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, capsys, case):
     text, line, fragment = _malformed(gaussian_model.read_text(), case)
     broken = tmp_path / "broken.model"
@@ -293,8 +329,25 @@ def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, ca
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"{broken}: line {line}:" in captured.err
+    assert (f"{broken}: line {line}:" if line else f"{broken}: {fragment}") in captured.err
     assert fragment in captured.err
+
+
+@pytest.mark.parametrize("old", ["v1", "v3"])
+def test_a_file_with_constraint_lines_serves_alike_and_resaves_without_them(
+        gaussian_model, query_points, tmp_path, old):
+    if old == "v1":
+        path = V1_KERNEL_MODEL
+    else:  # a dense kernel file as written before the constraints were dropped
+        path = tmp_path / "with_constraints.model"
+        path.write_text(_with_constraint_lines(gaussian_model.read_text()))
+    assert "constraints 0" not in path.read_text().splitlines()
+    resaved, _ = _resaved_serves_alike(path, tmp_path, query_points)
+    lines = resaved.read_text().splitlines()
+    assert "constraints 0" in lines
+    assert not [line for line in lines if line.startswith(("similar ", "dissimilar "))]
+    if old == "v3":
+        assert resaved.read_bytes() == gaussian_model.read_bytes()
 
 
 def _swap_matrix(text, name, A):
@@ -918,3 +971,20 @@ def test_an_explicit_basis_file_holds_no_points(small_ionosphere, query_points, 
     assert loaded.X is None and served(older) == want
     save_model(tmp_path / "resaved.model", loaded)
     assert (tmp_path / "resaved.model").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_a_linear_space_file_has_the_same_bytes_on_one_and_two_blas_threads(tmp_path, seed):
+    # a kernel-space file does not: its Gram, its M and a low-rank fit round
+    # differently on another thread count
+    src = str(Path(logdetml.__file__).parents[1])
+    files = []
+    for threads in ("1", "2"):
+        files.append(tmp_path / f"threads{threads}.model")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "logdetml.cli", "train", "--data", str(IONOSPHERE),
+                        "--label-col", "last", "--space", "linear", "--seed", seed,
+                        "--out", str(files[-1])], env=env, capture_output=True, check=True)
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert files[0].read_text().startswith("version 3\nkind linear\n")
