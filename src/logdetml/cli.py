@@ -52,12 +52,11 @@ from .datasets import load_kernel_csv, load_labels_file, load_points_csv
 from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import training_pair_distance
 from .linalg import KernelSpec
-from .modelfile import FACTS, load_model, save_model
+from .modelfile import BLOCK_VALUES, FACTS, load_model, save_model
 
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_FLAGS = 4
-CSV_BLOCK = 4096  # distance CSV rows formatted per write
 BASES = evaluation.FEATURE_BASES | evaluation.KERNEL_BASES  # the --basis names
 
 
@@ -239,9 +238,10 @@ def cmd_distance(args) -> int:
         vals[I == J] = 0.0
     with _output(args.out) as out:
         out.write("i,j,sq_distance\n")
-        for a in range(0, len(vals), CSV_BLOCK):  # one % per block: the bytes of one % per row
-            flat = [None] * (3 * len(vals[a:a + CSV_BLOCK]))
-            flat[0::3], flat[1::3], flat[2::3] = (v[a:a + CSV_BLOCK].tolist() for v in (I, J, vals))
+        step = BLOCK_VALUES // 3  # rows a block, three values each
+        for a in range(0, len(vals), step):  # one % per block: the bytes of one % per row
+            flat = [None] * (3 * len(vals[a:a + step]))
+            flat[0::3], flat[1::3], flat[2::3] = (v[a:a + step].tolist() for v in (I, J, vals))
             out.write(("%d,%d,%.12g\n" * (len(flat) // 3)) % tuple(flat))
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import pair_distance_kernel, percentile
+from .linalg import pair_distance_kernel
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -185,13 +185,14 @@ def compute_thresholds(distances) -> Thresholds:
 
     A non-positive u is clamped to 1e-3 times the smallest positive distance;
     an all-zero pool is rejected as degenerate.  Both order statistics come
-    from one partial sort of the pool, done in place (see ``percentile``):
-    the pools are built for this call, and a full one holds n(n-1)/2 values.
+    from one linear-interpolation ``np.percentile`` call that partially sorts
+    a writeable float64 pool in place (a read-only one is copied): the pools
+    are built for this call, and a full one holds n(n-1)/2 values.
     """
-    d = np.asarray(distances, dtype=float).ravel()
+    d = np.require(distances, dtype=float, requirements="W").ravel()
     if d.size == 0:
         raise InvalidArgumentError("empty distance pool")
-    u, l = percentile(d, (1.0, 99.0))
+    u, l = np.percentile(d, (1.0, 99.0), overwrite_input=True).tolist()
     if u <= 0:
         positive = d[d > 0]
         if positive.size == 0:

@@ -269,22 +269,3 @@ def inv_psd(A: np.ndarray) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("matrix is singular even after jitter") from exc
     return symmetrize(np.linalg.inv(Aj)), shift
-
-
-def percentile(values, p):
-    """Linear-interpolation percentile: rank = p/100 * (len-1), interpolated
-    between the floor and ceil ranks of the ascending-sorted values.
-
-    ``p`` is one percentile (a float is returned) or a sequence of them (a
-    tuple of floats, all taken from one partial sort).  A writeable
-    contiguous float64 array is partially sorted in place instead of copied
-    (the order of its values changes, not their set).
-    """
-    vals = np.require(values, dtype=float, requirements="W").ravel()
-    if vals.size == 0:
-        raise InvalidArgumentError("percentile of an empty list")
-    q = np.asarray(p, dtype=float)
-    if not np.all((0.0 <= q) & (q <= 100.0)):
-        raise InvalidArgumentError(f"percentile p must be in [0, 100], got {p}")
-    out = np.percentile(vals, q, overwrite_input=True)
-    return float(out) if q.ndim == 0 else tuple(out.tolist())

@@ -213,7 +213,7 @@ def reduce_problem(data: np.ndarray, basis: Basis, cs: ConstraintSet, *,
 
 
 def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
-                 cfg: SolverConfig | None = None) -> LowRankModel:
+                 cfg: SolverConfig) -> LowRankModel:
     """Solve the reduced k x k problem; constraints whose adjusted threshold
     is non-positive are unreachable in this parameterization and skipped with
     a warning.
@@ -224,7 +224,6 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
     minimizer: F = I_k, ``inner.converged`` is True, ``inner.sweeps_used``
     is 0 and ``inner.dual`` is empty.
     """
-    cfg = cfg or SolverConfig()
     data = np.asarray(data, dtype=float)
     Xp, reduced, basis = reduce_problem(data, basis, cs, with_basis=True)  # serving reads its T
     keep = reduced.xi0 > 0

@@ -241,7 +241,8 @@ def load_model(path) -> ModelFile:
     def take() -> str:
         nonlocal pos
         if pos >= len(lines):
-            raise InvalidArgumentError(f"{path}: truncated model file")
+            pos = len(lines) + 1
+            fail("truncated model file")
         line = lines[pos]
         pos += 1
         return line

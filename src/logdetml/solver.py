@@ -452,7 +452,7 @@ def _run_sweeps(project, A: np.ndarray, operands: list[tuple], cs: ConstraintSet
     return DualState(lam=lam_after, xi=xi_after), done, sweeps, len(skipped_pairs), trace
 
 
-def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> KernelModel:
+def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig) -> KernelModel:
     """Learn a kernel matrix satisfying the pairwise constraints while staying
     LogDet-close to ``K0``.
 
@@ -467,7 +467,6 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
     triangle, so K stays exactly symmetric.  A block of one is the eager
     update; the learned K agrees with the eager loop's to round-off.
     """
-    cfg = cfg or SolverConfig()
     K0 = symmetrize(np.asarray(K0, dtype=float))
     if not is_psd(K0):
         raise InvalidArgumentError("K0 must be positive semidefinite")
@@ -486,10 +485,9 @@ def fit_kernel(K0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = Non
                        sweeps_used=sweeps, skipped=skipped, trace=trace)
 
 
-def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None) -> LinearModel:
+def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig) -> LinearModel:
     """Learn a d x d Mahalanobis matrix W (prior: identity) satisfying the
     pairwise constraints; input-space analog of :func:`fit_kernel`."""
-    cfg = cfg or SolverConfig()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise InvalidArgumentError("X must be a (d, n) matrix")
@@ -512,7 +510,7 @@ def fit_linear(X: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
 
 
 def fit_linear_with_prior(
-    X: np.ndarray, W0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig | None = None
+    X: np.ndarray, W0: np.ndarray, cs: ConstraintSet, cfg: SolverConfig
 ) -> LinearModel:
     """Learn W regularized toward an arbitrary positive definite prior W0.
 
@@ -520,7 +518,6 @@ def fit_linear_with_prior(
     S X and map the result A back as W = S A S.  For W0 = I this is exactly
     :func:`fit_linear`.
     """
-    cfg = cfg or SolverConfig()
     X = np.asarray(X, dtype=float)
     W0 = symmetrize(np.asarray(W0, dtype=float))
     d = X.shape[0]

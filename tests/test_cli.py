@@ -11,7 +11,7 @@ from logdetml.constraints import (DEFAULT_PER_CLASS, ConstraintGenerationWarning
                                   generate_from_labels)
 from logdetml.datasets import load_points_csv
 from logdetml.linalg import KernelSpec, gram
-from logdetml.modelfile import load_model
+from logdetml.modelfile import BLOCK_VALUES, load_model
 
 IONOSPHERE = Path(__file__).parent / "data" / "ionosphere.csv"
 
@@ -710,7 +710,8 @@ def test_eval_rejects_fit_flags_where_nothing_takes_them(tmp_path, capsys, flags
                          ids=["linear", "kernel"])
 def test_distance_csv_across_write_blocks_is_the_per_row_format(ionosphere_rows, tmp_path,
                                                                 capsys, flags):
-    # 130 query points: 8,515 rows, two whole blocks of CSV_BLOCK rows and a remainder
+    # 130 query points: 8,515 rows, three whole blocks of BLOCK_VALUES // 3 = 2,730 rows
+    # (three values a row) and a remainder of 325
     model = tmp_path / "trained.model"
     assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last",
                  "--per-class", "10", "--max-sweeps", "3", "--out", str(model), *flags]) == 0
@@ -721,7 +722,8 @@ def test_distance_csv_across_write_blocks_is_the_per_row_format(ionosphere_rows,
     D = evaluation.serve(load_model(model)).pairwise(Z, Z)
     rows = [(i, j, 0.0 if i == j else float(D[i, j]))
             for i in range(Z.shape[1]) for j in range(i, Z.shape[1])]
-    assert len(rows) > 2 * cli.CSV_BLOCK and len(rows) % cli.CSV_BLOCK
+    step = BLOCK_VALUES // 3
+    assert len(rows) > 2 * step and len(rows) % step
     expected = "i,j,sq_distance\n" + "".join("%d,%d,%.12g\n" % row for row in rows)
 
     out = tmp_path / "distances.csv"

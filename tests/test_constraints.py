@@ -103,6 +103,18 @@ class TestComputeThresholds:
         with pytest.raises(InvalidArgumentError):
             compute_thresholds([0.0, 0.0, 0.0])
 
+    def test_empty_pool_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="empty distance pool"):
+            compute_thresholds(np.empty(0))
+
+    def test_read_only_pool_is_left_unchanged(self):
+        pool = np.random.default_rng(6).exponential(size=1001)
+        expected = compute_thresholds(pool.copy())
+        before = pool.copy()
+        pool.flags.writeable = False
+        assert compute_thresholds(pool) == expected
+        assert np.array_equal(pool, before)
+
     def test_zero_percentile_clamped_to_positive(self):
         # enough zeros to push the 1st percentile to 0
         dists = [0.0] * 50 + [1.0] * 50

@@ -14,7 +14,6 @@ from logdetml.linalg import (
     min_eigenvalue,
     pair_distance_kernel,
     pairwise_sq_dists,
-    percentile,
     sqrt_psd,
 )
 
@@ -206,38 +205,6 @@ class TestEigPrimitives:
         assert used > 0.0
         with pytest.raises(NumericalError):
             inv_psd(np.zeros((2, 2)))
-
-
-class TestPercentile:
-    def test_single_value(self):
-        assert percentile([5.0], 37.0) == 5.0
-
-    def test_midpoint_interpolation(self):
-        assert percentile([0.0, 10.0], 50.0) == pytest.approx(5.0)
-
-    def test_extremes(self):
-        assert percentile([1, 2, 3, 4], 0.0) == 1.0
-        assert percentile([1, 2, 3, 4], 100.0) == 4.0
-
-    def test_rank_interpolation(self):
-        vals = [0.01 * k for k in range(1, 102)]  # 0.01 .. 1.01
-        assert percentile(vals, 1.0) == pytest.approx(0.02, abs=1e-12)
-        assert percentile(vals, 99.0) == pytest.approx(1.00, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            percentile([], 50.0)
-
-    def test_a_sequence_gives_each_percentile_from_one_sort(self):
-        vals = np.random.default_rng(3).exponential(size=1001)
-        got = percentile(vals.copy(), [1.0, 50.0, 99.0])
-        assert got == tuple(percentile(vals.copy(), p) for p in (1.0, 50.0, 99.0))
-        assert all(type(v) is float for v in got)
-
-    @pytest.mark.parametrize("p", [-1.0, 100.5, [1.0, 101.0], [np.nan]])
-    def test_out_of_range_rejected(self, p):
-        with pytest.raises(InvalidArgumentError, match="must be in"):
-            percentile([1.0, 2.0], p)
 
 
 # -- the row-block passes against the same whole-matrix references -------------

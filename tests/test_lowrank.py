@@ -149,7 +149,7 @@ class TestFitAndReconstruct:
         d01 = float(np.sum((X[:, 0] - X[:, 1]) ** 2))
         cs = ConstraintSet([Constraint(0, 1, SIMILAR)], Thresholds(2 * d01, 2 * d01))
         basis = select_basis_feature(X, "topk-svd", 2, seed=0)
-        model = fit_low_rank(X, basis, cs)
+        model = fit_low_rank(X, basis, cs, SolverConfig())
         assert np.array_equal(model.F, np.eye(2))
 
     def test_full_basis_matches_unrestricted_solver(self, rng):
@@ -237,7 +237,7 @@ class TestFitAndReconstruct:
         basis = Basis(EXPLICIT, np.array([[0.0], [1.0]]), 1)
         cs = ConstraintSet([Constraint(0, 1, SIMILAR)], Thresholds(1.0, 1.0))
         with pytest.warns(BasisWarning):
-            model = fit_low_rank(X, basis, cs)
+            model = fit_low_rank(X, basis, cs, SolverConfig())
         assert np.array_equal(model.F, np.eye(1))
         rebuilt = reconstruct(model)
         assert np.array_equal(rebuilt.W, np.eye(2))
@@ -252,7 +252,7 @@ class TestFitAndReconstruct:
         basis = Basis(COEFFICIENT, np.eye(3)[:, :1], 1)
         cs = ConstraintSet([Constraint(1, 2, SIMILAR)], Thresholds(1.0, 1.0))
         with pytest.warns(BasisWarning):
-            low = fit_low_rank(K0, basis, cs)
+            low = fit_low_rank(K0, basis, cs, SolverConfig())
         assert np.array_equal(low.F, np.eye(1))
         model = reconstruct(low, X=X, kernel_spec=KernelSpec.linear())
         assert np.array_equal(model.m_core, np.zeros((1, 1)))
@@ -268,5 +268,5 @@ class TestFitAndReconstruct:
         X[:, con.j] = X[:, con.i]
         basis = select_basis_feature(X, "topk-svd", 5, seed=0)
         with pytest.warns(SolverWarning):
-            low = fit_low_rank(X, basis, cs)
+            low = fit_low_rank(X, basis, cs, SolverConfig())
         assert reconstruct(low).skipped == low.inner.skipped == 1

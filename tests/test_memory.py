@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logdetml.constraints import euclidean_distance_pool, kernel_distance_pool
+from logdetml.constraints import compute_thresholds, euclidean_distance_pool, kernel_distance_pool
 from logdetml.evaluation import median_pairwise_distance
 from logdetml.learned_kernel import learned_sq_distances
 from logdetml.linalg import KernelSpec, gram
@@ -50,6 +50,13 @@ def test_kernel_pool_holds_only_the_triangle(points):
 @pytest.mark.parametrize("fn", [euclidean_distance_pool, median_pairwise_distance])
 def test_euclidean_pool_holds_the_product_and_the_triangle(points, fn):
     assert peak_in_n2(1000, fn, points) <= 1.6  # was 2.5
+
+
+def test_thresholds_sort_a_writeable_pool_in_place(points):
+    pool = euclidean_distance_pool(points)  # 499,500 writeable float64 values
+    assert pool.size == 499_500 and pool.dtype == np.float64 and pool.flags.writeable
+    half_the_pool = 0.5 * pool.nbytes / (8.0 * 1000 * 1000)
+    assert peak_in_n2(1000, compute_thresholds, pool) < half_the_pool  # a copy: the whole pool
 
 
 def test_serving_against_the_training_points_holds_no_n2_buffer():

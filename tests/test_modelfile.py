@@ -252,8 +252,7 @@ def _with_constraint_lines(text, lines=OLD_CONSTRAINT_LINES):
 
 
 def _malformed(text, case):
-    """(broken file text, 1-based line the error names or None for none,
-    message fragment)."""
+    """(broken file text, 1-based line the error names, message fragment)."""
     if case == "missing-value":
         return _replace_line(text, "version", "version") + ("missing a value",)
     if case == "version-4":
@@ -273,8 +272,9 @@ def _malformed(text, case):
         return _replace_line(text, "matrix X", "matrix X -1 59") + (
             "matrix X has a negative size",)
     if case == "truncated":
-        lines = text.splitlines()
-        return "\n".join(lines[:len(lines) // 2]) + "\n", None, "truncated model file"
+        kept = text.splitlines()
+        kept = kept[:len(kept) // 2]
+        return "\n".join(kept) + "\n", len(kept) + 1, "truncated model file"
     if case == "non-numeric-entry":
         lines = text.splitlines()
         at = lines.index(next(line for line in lines if line.startswith("matrix X "))) + 1
@@ -329,7 +329,7 @@ def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, ca
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert (f"{broken}: line {line}:" if line else f"{broken}: {fragment}") in captured.err
+    assert f"{broken}: line {line}:" in captured.err
     assert fragment in captured.err
 
 

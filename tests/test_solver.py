@@ -278,12 +278,12 @@ class TestFitKernel:
     def test_rejects_non_psd_input(self):
         cs = ConstraintSet([Constraint(0, 1, SIMILAR)], Thresholds(1.0, 1.0))
         with pytest.raises(InvalidArgumentError):
-            fit_kernel(np.diag([1.0, -1.0]), cs)
+            fit_kernel(np.diag([1.0, -1.0]), cs, SolverConfig())
 
     def test_rejects_empty_constraints(self):
         cs = ConstraintSet([], Thresholds(1.0, 1.0))
         with pytest.raises(InvalidArgumentError):
-            fit_kernel(np.eye(2), cs)
+            fit_kernel(np.eye(2), cs, SolverConfig())
 
 
 class TestFitLinear:
@@ -292,7 +292,7 @@ class TestFitLinear:
         cs = ConstraintSet(
             [Constraint(0, 1, SIMILAR)], Thresholds(5.0, 5.0)
         )
-        model = fit_linear(X, cs)
+        model = fit_linear(X, cs, SolverConfig())
         assert np.array_equal(model.W, np.eye(3))
 
     def test_unit_points_single_constraint(self):
@@ -372,7 +372,7 @@ class TestFitLinearWithPrior:
         X = rng.standard_normal((3, 6))
         cs = mixed_constraint_set(X, seed=7)
         with pytest.raises(InvalidArgumentError):
-            fit_linear_with_prior(X, np.diag([1.0, 1.0, 0.0]), cs)
+            fit_linear_with_prior(X, np.diag([1.0, 1.0, 0.0]), cs, SolverConfig())
 
 
 # -- reference: the sweep loop and projections as they were before the
