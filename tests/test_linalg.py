@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from logdetml.constraints import compute_thresholds
 from logdetml.errors import InvalidArgumentError, NumericalError
 from logdetml.linalg import (
     KernelSpec,
@@ -205,6 +206,31 @@ class TestEigPrimitives:
         assert used > 0.0
         with pytest.raises(NumericalError):
             inv_psd(np.zeros((2, 2)))
+
+
+class TestPercentile:
+    """The 1st/99th-percentile rule that compute_thresholds applies to a pool."""
+
+    def test_single_value(self):
+        t = compute_thresholds([5.0])
+        assert t.u == t.l == 5.0
+
+    def test_midpoint_interpolation(self):
+        t = compute_thresholds([0.0, 10.0])
+        assert t.u == pytest.approx(0.1)
+        assert t.l == pytest.approx(9.9)
+
+    def test_rank_interpolation(self):
+        vals = np.random.default_rng(2).permutation([0.01 * k for k in range(1, 102)])
+        t = compute_thresholds(vals)
+        assert t.u == pytest.approx(0.02, abs=1e-12)
+        assert t.l == pytest.approx(1.00, abs=1e-12)
+
+    def test_a_sequence_gives_each_percentile_from_one_sort(self):
+        vals = np.random.default_rng(3).exponential(size=1001)
+        t = compute_thresholds(vals.copy())
+        assert (t.u, t.l) == tuple(float(np.percentile(vals, p)) for p in (1.0, 99.0))
+        assert type(t.u) is float and type(t.l) is float
 
 
 # -- the row-block passes against the same whole-matrix references -------------
