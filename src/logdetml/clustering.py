@@ -17,8 +17,11 @@ members' own such values over |c|, and the squared feature-space distances
 to all k means are ``diag(K)[:, None] - 2 S^T / |c| + mean_within``.  S is
 formed by one BLAS product after the initial assignment.  A Lloyd pass then
 adds the row of K of each point that moved to its new cluster's sums and
-subtracts it from its old cluster's, in one small product, so a late pass,
-in which few points move, costs far less than one n x n x k product.
+subtracts it from its old cluster's, by small products over chunks of about
+``linalg.BLOCK_ELEMENTS`` gathered entries, so a late pass, in which few
+points move, costs far less than one n x n x k product, and an early one,
+in which many move, never gathers their rows of K whole.  The n x k
+distance matrix is formed in the buffer of the mean kernel values.
 
 ``scipy.optimize`` (for the Hungarian matching in ``matching_error``) is
 imported inside that function: it is this package's only scipy.optimize
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import pairwise_sq_dists
+from .linalg import BLOCK_ELEMENTS, pairwise_sq_dists
 
 MAX_ITERS = 50  # Lloyd passes of either k-means
 
@@ -119,13 +122,16 @@ def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0):
     B = np.zeros((k, n))
     B[labels, rows] = 1.0
     S = B @ K  # S[c, i]: the sum of K[i, j] over the members j of cluster c
+    chunk = max(1, BLOCK_ELEMENTS // n)  # rows of K gathered per update of S
     for _ in range(MAX_ITERS):
         counts = np.bincount(labels, minlength=k)
         empty = counts == 0
         inv = 1.0 / np.where(empty, 1, counts)
-        KZ = S.T * inv
-        mean_all = np.bincount(labels, weights=KZ[rows, labels], minlength=k) * inv
-        D = diag[:, None] - 2.0 * KZ + mean_all
+        D = S.T * inv  # KZ: a point's mean kernel value against each cluster
+        mean_all = np.bincount(labels, weights=D[rows, labels], minlength=k) * inv
+        D *= 2.0  # D = diag - 2 KZ + mean_all, in place
+        np.subtract(diag[:, None], D, out=D)
+        D += mean_all
         # a seed shared by two clusters (duplicate points) leaves one of them
         # empty before the first pass; it has no mean until the reseed refills it
         D[:, empty] = np.inf
@@ -136,7 +142,8 @@ def kernel_kmeans(K: np.ndarray, k: int, seed: int = 0):
         step = np.zeros((moved.size, k))  # +1 in each moved point's new cluster, -1 in its old
         step[np.arange(moved.size), new_labels[moved]] = 1.0
         step[np.arange(moved.size), labels[moved]] = -1.0
-        S += step.T @ K[moved]
+        for r0 in range(0, moved.size, chunk):  # never the rows of all movers at once
+            S += step[r0:r0 + chunk].T @ K[moved[r0:r0 + chunk]]
         labels = new_labels
     return labels
 

@@ -4,6 +4,12 @@ Constraints are generated from class labels: pairs inside a class must end
 up closer than an upper threshold ``u``, pairs straddling classes farther
 than a lower threshold ``l``.  Thresholds come from the 1st and 99th
 percentiles of baseline distances.
+
+A full Euclidean pool (and the gaussian pool mapped from it) is packed row
+by row into the n x n product X^T X it reads and returned as a view over
+it: it peaks at that one buffer, and holding the pool keeps all n^2 doubles
+alive.  The pool of a Gram matrix goes to a fresh array, since the caller's
+K must come back unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import pair_distance_kernel
+from .linalg import gaussian_in_place, pair_distance_kernel
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -201,13 +207,17 @@ def compute_thresholds(distances) -> Thresholds:
     return Thresholds(u=u, l=max(l, u))
 
 
-def _upper_triangle_sq_dists(g: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _upper_triangle_sq_dists(g: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``clip(g_i + g_j - 2 P_ij, 0)`` for every pair i < j, in row-major
     order: the upper triangle of the squared-distance matrix of inner
-    products P with self products g, filled row by row without forming it.
+    products P with self products g, written row by row into ``out`` (the
+    first n(n-1)/2 values of it) without forming the matrix.
+
+    ``out`` may be P's own C-ordered buffer: packed row i ends at
+    (i+1)(n-1) - i(i+1)/2 <= (i+1)n, before any product row still to be read.
     """
     n = P.shape[0]
-    out = np.empty(n * (n - 1) // 2)
+    out = out[:n * (n - 1) // 2]
     pos = 0
     for i in range(n - 1):
         row = out[pos:pos + n - 1 - i]
@@ -221,14 +231,14 @@ def kernel_distance_pool(K: np.ndarray, seed: int = 0) -> np.ndarray:
     """Pool of pairwise baseline distances read off a Gram matrix.
 
     All n(n-1)/2 pairs when n <= FULL_POOL_MAX_N, otherwise a seeded uniform
-    sample of SAMPLED_PAIRS pairs.
+    sample of SAMPLED_PAIRS pairs.  K is only read.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
     if n < 2:
         raise InvalidArgumentError("need at least 2 points for a distance pool")
     if n <= FULL_POOL_MAX_N:
-        return _upper_triangle_sq_dists(np.diag(K), K)
+        return _upper_triangle_sq_dists(np.diag(K), K, np.empty(n * (n - 1) // 2))
     return np.clip(pair_distance_kernel(K, *_sampled_pairs(n, seed)), 0.0, None)
 
 
@@ -236,17 +246,38 @@ def euclidean_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
     """Pool of squared Euclidean pairwise distances between columns of X.
 
     For a non-identity baseline metric W0, pass X pre-transformed by the
-    square root of W0.
+    square root of W0.  A full pool is packed into the product X^T X it is
+    read from and returned as a view over that n x n buffer.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if n < 2:
         raise InvalidArgumentError("need at least 2 points for a distance pool")
     if n <= FULL_POOL_MAX_N:
-        return _upper_triangle_sq_dists(np.sum(X * X, axis=0), X.T @ X)
+        P = X.T @ X
+        return _upper_triangle_sq_dists(np.sum(X * X, axis=0), P, P.reshape(-1))
     i, j = _sampled_pairs(n, seed)
     diff = X[:, i] - X[:, j]
     return np.sum(diff * diff, axis=0)
+
+
+def gaussian_distance_pool(X: np.ndarray, sigma: float) -> np.ndarray:
+    """Pool of gaussian-kernel distances 2 - 2 k(x_i, x_j) between columns of
+    X, read off the points with no Gram.
+
+    For n <= FULL_POOL_MAX_N it is ``kernel_distance_pool(gram(X, spec))``
+    bit for bit.  ``gram`` forms K[i, j] from the same product X^T X, by the
+    same operations, as the Euclidean pool's (i, j) distance, then maps it
+    with ``gaussian_in_place``; that product is exactly symmetric, so gram's
+    symmetrize changes nothing, and K's diagonal is exactly 1.  Mapping the
+    Euclidean pool in place and taking clip((1 + 1) - 2 k, 0) gives the
+    Gram's pool with only the product's buffer held.  A sampled pool (larger
+    n) is not the Gram's sample bit for bit: those thresholds read K0.
+    """
+    D = gaussian_in_place(euclidean_distance_pool(X), sigma)
+    D *= 2.0
+    np.subtract(2.0, D, out=D)
+    return np.clip(D, 0.0, None, out=D)
 
 
 def _sampled_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

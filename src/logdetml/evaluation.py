@@ -23,9 +23,11 @@ from . import lowrank, solver
 from .clustering import kmeans, matching_error
 from .constraints import (
     DEFAULT_PER_CLASS,
+    FULL_POOL_MAX_N,
     ConstraintSet,
     compute_thresholds,
     euclidean_distance_pool,
+    gaussian_distance_pool,
     generate_from_labels,
     generate_pairs_random,
     kernel_distance_pool,
@@ -178,7 +180,8 @@ def inverse_covariance_baseline(X: np.ndarray) -> np.ndarray:
 
 def median_pairwise_distance(X: np.ndarray) -> float:
     """Median Euclidean pairwise distance; the default gaussian width.
-    The root and the median are taken in place in the pool."""
+    The root and the median are taken in place in the pool, which is packed
+    into the n x n product it is read from, so this peaks at that buffer."""
     D = euclidean_distance_pool(X)
     np.sqrt(D, out=D)
     med = float(np.median(D, overwrite_input=True))
@@ -203,13 +206,18 @@ def inverse_covariance_learner():
     return learn
 
 
-def label_constraints(labels, per_class: int, seed: int, X=None, K0=None) -> ConstraintSet:
+def label_constraints(labels, per_class: int, seed: int, X=None, K0=None,
+                      sigma=None) -> ConstraintSet:
     """The constraint set a LogDet fit trains on: pairs drawn from the
     labels, thresholds from the distance profile of K0 when the fit is in
-    kernel space (K0 given), of the points X otherwise."""
+    kernel space (K0 given), of the gaussian kernel of width sigma on the
+    points X when K0 is still to be built (``gaussian_distance_pool``: a full
+    pool, bit for bit the one K0 would give), of the points X otherwise."""
     cons = generate_from_labels(labels, per_class=per_class, seed=seed)
     if K0 is not None:
         pool = kernel_distance_pool(K0, seed=seed)
+    elif sigma is not None:
+        pool = gaussian_distance_pool(X, sigma)
     else:
         pool = euclidean_distance_pool(X, seed=seed)
     return ConstraintSet(cons, compute_thresholds(pool))
@@ -279,16 +287,24 @@ def fit_labeled(X, K0, labels, seed: int, space: str, spec: KernelSpec | None,
                 k: int = 10, basis=(None, 0)):
     """``fit_model`` from labelled points (or K0) and fit options: ``gamma='cv'``
     tunes the slack by an inner CV of k-NN with this k, ``spec=None`` takes a
-    gaussian kernel at the points' median-distance width."""
+    gaussian kernel at the points' median-distance width.
+
+    A gaussian kernel-space fit with no K0 and a full pool takes its
+    thresholds off the points, bit for bit those of the Gram
+    (``constraints.gaussian_distance_pool``), before ``fit_model`` builds K0,
+    so it never holds the pool and K0 at once.  Other kernel-space fits build
+    K0 first and read their thresholds off it."""
     if gamma == "cv":
         if X is None:
             raise InvalidArgumentError("--gamma cv needs explicit points")
         gamma = crossvalidate_gamma(X, labels, lambda g: logdet_learner(
             space, spec, per_class, g, tol, max_sweeps, k, basis), k=k, seed=seed)
     spec = spec or KernelSpec.gaussian(median_pairwise_distance(X))
-    if K0 is None and space == "kernel":
+    build = K0 is None and space == "kernel"
+    early = build and spec.kind == "gaussian" and X.shape[1] <= FULL_POOL_MAX_N
+    if build and not early:
         K0 = gram(X, spec)
-    cs = label_constraints(labels, per_class, seed, X=X, K0=K0)
+    cs = label_constraints(labels, per_class, seed, X=X, K0=K0, sigma=spec.sigma if early else None)
     cfg = solver.SolverConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps, seed=seed)
     return fit_model(X, K0, cs, spec, space, cfg, basis, labels)
 

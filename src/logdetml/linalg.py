@@ -147,7 +147,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return sq_dists_from_products(np.sum(A * A, axis=0), np.sum(B * B, axis=0), A.T @ B)
 
 
-def _gaussian_in_place(D: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_in_place(D: np.ndarray, sigma: float) -> np.ndarray:
     """Overwrite squared distances D with exp(-D / (2 sigma^2)); returns D."""
     np.negative(D, out=D)
     np.divide(D, 2.0 * sigma**2, out=D)
@@ -187,7 +187,7 @@ def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise InvalidArgumentError("cannot build a Gram matrix from a precomputed spec")
     if spec.kind == "linear":
         return symmetrize_in_place(X.T @ X)
-    K = _gaussian_in_place(pairwise_sq_dists(X, X), spec.sigma)
+    K = gaussian_in_place(pairwise_sq_dists(X, X), spec.sigma)
     np.fill_diagonal(K, 1.0)
     return symmetrize_in_place(K)
 
@@ -204,7 +204,7 @@ def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise InvalidArgumentError("precomputed kernels cannot evaluate new points")
     if spec.kind == "linear":
         return X.T @ Z
-    return _gaussian_in_place(pairwise_sq_dists(X, Z), spec.sigma)
+    return gaussian_in_place(pairwise_sq_dists(X, Z), spec.sigma)
 
 
 def pair_distance_kernel(K: np.ndarray, i, j):

@@ -13,7 +13,7 @@ from logdetml.clustering import (_farthest_point_init, _reseed_empty, cluster_in
 from logdetml.datasets import load_points_csv
 from logdetml.errors import InvalidArgumentError, NumericalError
 from logdetml.evaluation import median_pairwise_distance
-from logdetml.linalg import KernelSpec, gram
+from logdetml.linalg import BLOCK_ELEMENTS, KernelSpec, gram
 from logdetml.lowrank import select_basis_kernel
 
 from conftest import make_blobs
@@ -133,6 +133,18 @@ class TestKernelKmeans:
         K = gaussian_gram(X)
         assert np.array_equal(kernel_kmeans(K, 50, seed=2301),
                               matrix_form_kernel_kmeans(K, 50, seed=2301))
+
+    def test_a_pass_moving_more_points_than_one_chunk_matches_both_loops(self):
+        # the first Lloyd pass moves 314 points, so the moved rows of K are
+        # added to the running sums in several chunks of BLOCK_ELEMENTS // n rows
+        X, _ = make_blobs(np.random.default_rng(1901), n=1000)
+        K = gaussian_gram(X)
+        first_pass = (matrix_form_kernel_kmeans(K, 10, seed=0, max_iters=1)
+                      != matrix_form_kernel_kmeans(K, 10, seed=0, max_iters=0))
+        assert np.count_nonzero(first_pass) > 2 * (BLOCK_ELEMENTS // 1000)
+        labels = kernel_kmeans(K, 10, seed=0)
+        assert np.array_equal(labels, matrix_form_kernel_kmeans(K, 10, seed=0))
+        assert np.array_equal(labels, reference_kernel_kmeans(K, 10, seed=0))
 
     def test_more_clusters_than_distinct_points(self):
         # a reseed that took a cluster's only member left that cluster empty;

@@ -10,11 +10,14 @@ from logdetml.constraints import (
     Thresholds,
     compute_thresholds,
     euclidean_distance_pool,
+    gaussian_distance_pool,
     generate_from_labels,
     generate_pairs_random,
     kernel_distance_pool,
 )
 from logdetml.errors import InvalidArgumentError
+
+from conftest import make_blobs
 
 
 def test_constraint_rejects_self_pair():
@@ -203,6 +206,15 @@ def _reference_euclidean_pool(X):
     return D[np.triu_indices(X.shape[1], k=1)]
 
 
+def _thresholds_or_error(pool):
+    """``(u, l)`` of a pool, or the message of the error that refuses it."""
+    try:
+        t = compute_thresholds(pool)
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return t.u, t.l
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n", [2, 3, 17, 240])
 def test_pools_are_bitwise_the_triu_expressions(n, order):
@@ -212,9 +224,48 @@ def test_pools_are_bitwise_the_triu_expressions(n, order):
     X = rng.standard_normal((5, n)) * 3.0
     X[:, -1] = X[:, 0]  # a coincident pair
     X = np.asfortranarray(X) if order == "F" else np.ascontiguousarray(X)
-    assert np.array_equal(euclidean_distance_pool(X), _reference_euclidean_pool(X))
-    for K in (gram(X, KernelSpec.gaussian(1.3)), X.T @ X):
-        assert np.array_equal(kernel_distance_pool(K), _reference_kernel_pool(K))
+    # a third of the points on one spot: the 1st percentile is 0, so u is clamped
+    # (at n = 2 every distance is 0, and both thresholds refuse the pool)
+    crowded = X.copy(order="K")
+    crowded[:, ::3] = X[:, :1]
+    for P in (X, crowded):
+        assert np.array_equal(euclidean_distance_pool(P), _reference_euclidean_pool(P))
+        spec = KernelSpec.gaussian(1.3)
+        for K in (gram(P, spec), P.T @ P):
+            assert np.array_equal(kernel_distance_pool(K), _reference_kernel_pool(K))
+        # the gaussian pool read off the points is the pool of their Gram
+        from_gram = kernel_distance_pool(gram(P, spec))
+        assert np.array_equal(gaussian_distance_pool(P, spec.sigma), from_gram)
+        assert (_thresholds_or_error(gaussian_distance_pool(P, spec.sigma))
+                == _thresholds_or_error(from_gram))
+    if n >= 17:
+        pool = gaussian_distance_pool(crowded, 1.3)
+        assert compute_thresholds(pool.copy()).u == 1e-3 * pool[pool > 0].min()
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_pools_leave_the_caller_s_matrices_unchanged():
+    # the Euclidean pool is packed into the product it owns; a Gram's pool must
+    # go elsewhere, since callers (the benchmark's check among them) reuse K0
+    from logdetml.evaluation import fit_labeled, label_constraints, median_pairwise_distance
+    from logdetml.linalg import KernelSpec, gram
+
+    X, labels = make_blobs(np.random.default_rng(8), n=90)
+    spec = KernelSpec.gaussian(median_pairwise_distance(X))
+    K0 = gram(X, spec)
+    X_bits, K0_bits = X.tobytes(), K0.tobytes()
+    euclidean_distance_pool(X)
+    gaussian_distance_pool(X, spec.sigma)
+    kernel_distance_pool(K0)
+    cs = label_constraints(labels, 10, 0, X=X, K0=K0)
+    for basis in ((None, 0), ("kmeans", 6)):
+        mf, _ = fit_labeled(X, K0, labels, 0, "kernel", spec, per_class=10, max_sweeps=2,
+                            basis=basis)
+        # thresholds read off K0 are those fit_labeled takes off the points before K0
+        assert mf.thresholds == cs.thresholds == fit_labeled(
+            X, None, labels, 0, "kernel", spec, per_class=10, max_sweeps=2,
+            basis=basis)[0].thresholds
+    assert X.tobytes() == X_bits and K0.tobytes() == K0_bits
 
 
 def test_thresholds_in_place_equal_thresholds_of_a_copy():

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from logdetml.constraints import compute_thresholds, euclidean_distance_pool, kernel_distance_pool
-from logdetml.evaluation import median_pairwise_distance
+from logdetml.clustering import kernel_kmeans
+from logdetml.evaluation import fit_labeled, label_constraints, median_pairwise_distance
 from logdetml.learned_kernel import learned_sq_distances
 from logdetml.linalg import KernelSpec, gram
 from logdetml.lowrank import COEFFICIENT
 from logdetml.modelfile import ModelFile
+
+from conftest import make_blobs
 
 
 def peak_in_n2(n, fn, *args):
@@ -48,8 +51,38 @@ def test_kernel_pool_holds_only_the_triangle(points):
 
 
 @pytest.mark.parametrize("fn", [euclidean_distance_pool, median_pairwise_distance])
-def test_euclidean_pool_holds_the_product_and_the_triangle(points, fn):
-    assert peak_in_n2(1000, fn, points) <= 1.6  # was 2.5
+def test_euclidean_pool_is_packed_into_its_product(points, fn):
+    assert peak_in_n2(1000, fn, points) <= 1.2  # was 1.5 (product and triangle), 2.5 before
+
+
+def test_gaussian_thresholds_hold_no_pool_beside_K0(points):
+    # fit_labeled takes them off the points, then builds K0: the two never coexist
+    labels = np.arange(1000) % 3
+
+    def thresholds_then_K0():
+        cs = label_constraints(labels, 100, 0, X=points, sigma=3.0)
+        return cs, gram(points, KernelSpec.gaussian(3.0))
+
+    beside = peak_in_n2(1000, thresholds_then_K0) - peak_in_n2(1000, gram, points,
+                                                                KernelSpec.gaussian(3.0))
+    assert beside <= 0.1  # was 0.36: the kernel pool read off a K0 already held
+
+
+def test_kernel_kmeans_never_gathers_the_rows_of_all_movers():
+    # its first Lloyd pass moves 314 of 1000 points (test_clustering); the
+    # running sums take their rows of K a chunk at a time
+    X, _ = make_blobs(np.random.default_rng(1901), n=1000)
+    K = gram(X, KernelSpec.gaussian(median_pairwise_distance(X)))
+    assert peak_in_n2(1000, kernel_kmeans, K, 10, 0) <= 0.2  # was 0.38
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+def test_a_kmeans_basis_fit_holds_one_n2_buffer():
+    # the benchmark's shape at half its n: K0, plus the basis, clustering and fit
+    X, labels = make_blobs(np.random.default_rng(1901), n=1000)
+    spec = KernelSpec.gaussian(median_pairwise_distance(X))
+    assert peak_in_n2(1000, fit_labeled, X, None, labels, 0, "kernel", spec, 100, 1.0, 5e-2,
+                      None, 10, ("kmeans", 50)) <= 1.42  # was 1.66
 
 
 def test_thresholds_sort_a_writeable_pool_in_place(points):
