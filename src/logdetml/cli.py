@@ -25,13 +25,20 @@ kernel fit is served from (``compute_M``'s eigendecomposition and products)
 and of a low-rank fit depend on it, and so do the model files built from
 them.
 
+A precomputed kernel's points are its indices: ``--kernel precomputed``
+reads the n x n table and trains, evaluates and tunes on the index points
+0 .. n-1 as on any other points, except that ``eval --loss euclidean`` and
+``--loss inverse-covariance`` refuse it with exit 2 (indices are not
+features).
+
 ``distance`` writes a CSV with the header ``i,j,sq_distance`` and one row
 per pair, each value formatted ``.12g``.  With ``--points`` the rows are
 every pair i <= j of the query points in row-major order (i ascending, then
 j), the diagonal written as 0; with ``--pairs`` they are the given training
 index pairs in file order, each index served as the stored point it names,
-by the rule that serves ``--points`` (a precomputed-kernel model reads its
-stored K0).
+by the rule that serves ``--points``.  So a precomputed-kernel model serves
+a one-column ``--points`` file of training indices as those points, and
+refuses any other row.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .constraints import DEFAULT_PER_CLASS
 from .datasets import load_kernel_csv, load_labels_file, load_points_csv
 from .errors import InvalidArgumentError, NumericalError
 from .learned_kernel import training_pair_distance
-from .linalg import KernelSpec
+from .linalg import KernelSpec, index_points
 from .modelfile import BLOCK_VALUES, FACTS, load_model, save_model
 
 EXIT_DATA = 2
@@ -120,34 +127,35 @@ def _basis_arg(text: str):
 
 
 def _load_dataset(args, need_labels: bool):
+    """``(X, table, labels)``: the points, and for a precomputed kernel the
+    table read from ``--data``, whose points are its indices."""
     if args.kernel == "precomputed":
-        K0 = load_kernel_csv(args.data)
-        X = None
+        table = load_kernel_csv(args.data)
+        X = index_points(len(table))
         labels = load_labels_file(args.labels) if args.labels else None
     else:
         X, labels = load_points_csv(args.data, label_col=args.label_col)
         if args.labels:
             labels = load_labels_file(args.labels)
-        K0 = None
+        table = None
     if need_labels and labels is None:
         raise InvalidArgumentError("labels are required (--labels or --label-col last)")
-    if labels is not None:
-        n = K0.shape[0] if X is None else X.shape[1]
-        if len(labels) != n:
-            raise InvalidArgumentError(f"{len(labels)} labels for {n} points")
-    return X, K0, labels
+    if labels is not None and len(labels) != X.shape[1]:
+        raise InvalidArgumentError(f"{len(labels)} labels for {X.shape[1]} points")
+    return X, table, labels
 
 
-def _resolve(args, X):
+def _resolve(args, X, table=None):
     """``(space, spec)`` for the ``--space`` and ``--kernel`` flags: a
     non-linear kernel forces kernel space, and ``auto`` picks linear space
     when d <= n.  ``train`` and ``eval`` both resolve here.  A gaussian
     kernel with no width takes the median distance of the points it trains
     on: all of them for ``train``; for ``eval`` the spec is None, and each
     training fold takes its own (``evaluation.logdet_learner``), so no fold's
-    kernel depends on its held-out points."""
+    kernel depends on its held-out points.  A precomputed kernel is the
+    ``table`` that ``_load_dataset`` read."""
     if args.kernel == "precomputed":
-        spec = KernelSpec.precomputed()
+        spec = KernelSpec.precomputed(table)
     elif args.kernel == "linear":
         spec = KernelSpec.linear()
     elif args.kernel == "gaussian":
@@ -179,15 +187,15 @@ def _log_effective(args, space, spec):
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    X, K0, labels = _load_dataset(args, need_labels=True)
-    space, spec = _resolve(args, X)
+    X, table, labels = _load_dataset(args, need_labels=True)
+    space, spec = _resolve(args, X, table)
 
     for key in ("data", "space", "kernel", "gamma", "per_class", "basis",
                 "tol", "max_sweeps", "seed", "out"):
         _log(args, key, getattr(args, key, None))
     _log_effective(args, space, spec)
 
-    mf, fit = evaluation.fit_labeled(X, K0, labels, args.seed, space, spec, args.per_class,
+    mf, fit = evaluation.fit_labeled(X, labels, args.seed, space, spec, args.per_class,
                                      args.gamma, args.tol, args.max_sweeps, basis=args.basis)
     _log(args, "thresholds", f"u={mf.thresholds.u:.6g} l={mf.thresholds.l:.6g}")
     if args.gamma == "cv":
@@ -286,10 +294,11 @@ def cmd_eval(args) -> int:
     if bad := _eval_flag_error(args):
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_FLAGS
-    X, K0, labels = _load_dataset(args, need_labels=True)
-    if X is None:
-        raise InvalidArgumentError("eval requires explicit points")
-    space, spec = _resolve(args, X)
+    X, table, labels = _load_dataset(args, need_labels=True)
+    if table is not None and args.loss != "logdet":
+        raise InvalidArgumentError(f"--loss {args.loss} needs explicit points: "
+                                   "a precomputed kernel's points are indices, not features")
+    space, spec = _resolve(args, X, table)
     if args.mode == "knn":
         learner = _eval_learner(args, space, spec)
         report = evaluation.two_fold_cv(X, labels, learner, k=args.k, seed=args.seed)

@@ -2,9 +2,10 @@
 distances, two-fold CV, slack cross-validation, and semi-supervised k-means
 clustering error.
 
-``fit_model`` takes points or K0, constraints and fit options to a model
-file, and ``serve`` takes any model file to a distance oracle.  ``train``
-and ``eval`` share ``fit_labeled``, labelled points and fit flags to
+``fit_model`` takes points, constraints and fit options to a model file,
+and ``serve`` takes any model file to a distance oracle; a precomputed
+kernel's points are its indices (``linalg.index_points``).  ``train`` and
+``eval`` share ``fit_labeled``, labelled points and fit flags to
 ``fit_model``: ``train`` saves what it returns, the k-NN learner
 (``logdet_learner``) serves it on each training fold.
 
@@ -230,22 +231,22 @@ KERNEL_BASES = {"random": "random-J", "subset": "subset", "kmeans": "kernel-kmea
 
 def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
               cfg: solver.SolverConfig, basis=(None, 0), labels=None):
-    """The one LogDet fit from (points or K0, constraints, fit options) to a
+    """The one LogDet fit from (points, constraints, fit options) to a
     model: ``train`` saves what it returns and ``serve`` answers queries.
 
     ``space`` is ``linear`` or ``kernel``; ``basis`` is ``(name, k)`` with a
-    ``--basis`` name, or ``(None, 0)`` for a full-rank fit.  K0 is built
-    from X and ``spec`` when a kernel-space or coefficient-basis fit needs it
-    and none is given.  Returns ``(ModelFile, fit)``: the model, with the
-    facts ``train`` logs about how the fit ended (``modelfile.FACTS``), and
-    the solver's fit (dual, sweeps, trace).
+    ``--basis`` name, or ``(None, 0)`` for a full-rank fit.  K0, the Gram of
+    X under ``spec``, is built when a kernel-space or coefficient-basis fit
+    needs it and none is given.  Returns ``(ModelFile, fit)``: the model,
+    with the facts ``train`` logs about how the fit ended
+    (``modelfile.FACTS``), and the solver's fit (dual, sweeps, trace).
     """
     name, k = basis
     if name is None and space == "linear":
         fit = solver.fit_linear(X, cs, cfg)
         payload = dict(kind="linear", kernel_spec=None, W=fit.W)
     elif name in FEATURE_BASES:
-        if spec.kind != "linear":  # X is None only with a precomputed kernel
+        if spec.kind != "linear":  # a precomputed kernel's points are indices, not features
             raise InvalidArgumentError(f"--basis {name} requires explicit points and a linear kernel")
         b = lowrank.select_basis_feature(X, FEATURE_BASES[name], k, seed=cfg.seed, labels=labels)
         low = lowrank.fit_low_rank(X, b, cs, cfg)
@@ -254,7 +255,7 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
         if name is None:
             fit = solver.fit_kernel(K0, cs, cfg)
             M, dropped_rank = compute_M(fit.K0, fit.K)
-            payload = dict(kind="kernel", kernel_spec=spec, X=X, K0=fit.K0, M=M,
+            payload = dict(kind="kernel", kernel_spec=spec, X=X, M=M,
                            max_violation=solver.max_violation(fit.K, cs, fit.dual),
                            dropped_rank=dropped_rank)
         else:
@@ -264,7 +265,7 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
         fit = low.inner
         # the dual state covers only the constraints the basis can reach
         payload = dict(kind="iplr", kernel_spec=spec if b.mode == lowrank.COEFFICIENT else None,
-                       X=X, K0=low.K0, basis_mode=b.mode, basis_matrix=b.matrix, F=low.F,
+                       X=X, basis_mode=b.mode, basis_matrix=b.matrix, F=low.F,
                        T=low.basis.T, dropped=len(cs) - len(fit.dual.lam))
     mf = ModelFile(thresholds=cs.thresholds, gamma=cfg.gamma, seed=cfg.seed,
                    converged=fit.converged, sweeps_used=fit.sweeps_used,
@@ -281,29 +282,25 @@ def serve(mf: ModelFile):
     return LearnedKernelOracle(mf.to_learned_kernel())
 
 
-def fit_labeled(X, K0, labels, seed: int, space: str, spec: KernelSpec | None,
+def fit_labeled(X, labels, seed: int, space: str, spec: KernelSpec | None,
                 per_class: int = DEFAULT_PER_CLASS, gamma: float | str = 1.0,
                 tol: float = solver.DEFAULT_TOL, max_sweeps: int | None = None,
                 k: int = 10, basis=(None, 0)):
-    """``fit_model`` from labelled points (or K0) and fit options: ``gamma='cv'``
+    """``fit_model`` from labelled points and fit options: ``gamma='cv'``
     tunes the slack by an inner CV of k-NN with this k, ``spec=None`` takes a
     gaussian kernel at the points' median-distance width.
 
-    A gaussian kernel-space fit with no K0 and a full pool takes its
-    thresholds off the points, bit for bit those of the Gram
+    A gaussian kernel-space fit with a full pool takes its thresholds off the
+    points, bit for bit those of the Gram
     (``constraints.gaussian_distance_pool``), before ``fit_model`` builds K0,
     so it never holds the pool and K0 at once.  Other kernel-space fits build
     K0 first and read their thresholds off it."""
     if gamma == "cv":
-        if X is None:
-            raise InvalidArgumentError("--gamma cv needs explicit points")
         gamma = crossvalidate_gamma(X, labels, lambda g: logdet_learner(
             space, spec, per_class, g, tol, max_sweeps, k, basis), k=k, seed=seed)
     spec = spec or KernelSpec.gaussian(median_pairwise_distance(X))
-    build = K0 is None and space == "kernel"
-    early = build and spec.kind == "gaussian" and X.shape[1] <= FULL_POOL_MAX_N
-    if build and not early:
-        K0 = gram(X, spec)
+    early = space == "kernel" and spec.kind == "gaussian" and X.shape[1] <= FULL_POOL_MAX_N
+    K0 = gram(X, spec) if space == "kernel" and not early else None
     cs = label_constraints(labels, per_class, seed, X=X, K0=K0, sigma=spec.sigma if early else None)
     cfg = solver.SolverConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps, seed=seed)
     return fit_model(X, K0, cs, spec, space, cfg, basis, labels)
@@ -320,7 +317,7 @@ def logdet_learner(space: str, spec: KernelSpec | None, per_class: int = DEFAULT
         if size > X.shape[1]:
             raise InvalidArgumentError(f"--basis {name}:{size} is larger than a CV fold "
                                        f"({X.shape[1]} training points)")
-        return serve(fit_labeled(X, None, labels, seed, space, spec, per_class, gamma, tol,
+        return serve(fit_labeled(X, labels, seed, space, spec, per_class, gamma, tol,
                                  max_sweeps, k, basis)[0])
 
     return learn

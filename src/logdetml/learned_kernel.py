@@ -8,18 +8,18 @@ kernel evaluations:
     <z1, z2>_W = kappa(z1, z2) + k1^T M k2,
     k_i = [kappa(z_i, x_1), ..., kappa(z_i, x_n)]^T
 
-so distances extend to unseen data.  M is materialized once when the model
-is finalized, and a dense model is served in n dimensions: the core C = M
-acts on the kernel vectors P = k.  A low-rank model keeps M factored,
-M = J' C J'^T with C = m_core (k x k) and J' = m_factor (n x k), and is
-served in its k-dimensional factor space: a query point's coordinates are
-P = J'^T k, and <z1, z2>_W = kappa(z1, z2) + p1^T C p2.  That costs O(nk)
-per query point (its kernel vector projected once, then C applied in
-O(k^2)) and O(k) per pair, where applying M to the kernel vectors costs
-O(nk) per point and O(n) per pair; the n x n matrix M is never built.
-Every query -- a batch, one pair, a training-index pair -- goes through the
-same terms (``_coordinates`` and ``_core``), so each model has one formula.
-A training index names a stored point and is served as that point.
+so distances extend to unseen data.  Every model is one form: its training
+points X, a core C and an optional factor B, with M = C, or M = B C B^T
+(n x k, k x k) for a low-rank model.  A query point's coordinates are its
+kernel vector p = k, or p = B^T k with a factor, and
+<z1, z2>_W = kappa(z1, z2) + p1^T C p2.  With a factor that costs O(nk) per
+query point (its kernel vector projected once, then C applied in O(k^2))
+and O(k) per pair, where applying M to the kernel vectors costs O(nk) per
+point and O(n) per pair; the n x n matrix M is never built.  Every query --
+a batch, one pair, a training-index pair -- goes through the same terms
+(``kernel_terms``), so each model has one formula.  A training index names
+a stored point and is served as that point.  A precomputed kernel is no
+exception: its points are the indices of its table (``linalg.index_points``).
 
 K0^+ is a pseudo-inverse (see ``compute_M``): Gaussian Grams are often
 singular in floating point, and an inverse would amplify their round-off.
@@ -27,12 +27,11 @@ A batch query evaluates each point set once -- coordinates, the core
 applied to them, self products -- and shares them when both sides are the
 same set.
 
-Memory: a model that holds its training points serves every query from
-kernel evaluations and holds no n x n Gram; only a precomputed-kernel model,
-which has no points, holds K0 and reads its kernel vectors off it.  A query
-against a second, different point set processes that set in blocks of
-COLUMN_BLOCK columns, so serving against the n training points never forms
-their n x n kernel vectors.
+Memory: a model serves every query from kernel evaluations against its
+points and holds no n x n Gram (a precomputed kernel's table is the kernel
+itself, held by its spec).  A query against a second, different point set
+processes that set in blocks of COLUMN_BLOCK columns, so serving against
+the n training points never forms their n x n kernel vectors.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import KernelSpec, cross_gram, sq_dists_from_products, symmetrize
+from .linalg import KernelSpec, cross_gram, kernel_diagonal, sq_dists_from_products, symmetrize
 
 # Columns of the second point set a query evaluates at once.  Whether a
 # block's BLAS products carry the bits of the whole-matrix products is up to
@@ -80,43 +79,18 @@ def compute_M(K0: np.ndarray, K: np.ndarray):
 
 @dataclass
 class LearnedKernelModel:
-    """Learned kernel function over the training points.
-
-    Either ``M`` (dense n x n) or the factored pair ``(m_factor, m_core)``
-    with M = m_factor @ m_core @ m_factor.T is set, never both.  ``K0`` is
-    read only when X is None (a precomputed kernel).
-    """
+    """Learned kernel function over the training points X (columns):
+    M = core, or M = factor @ core @ factor.T when a factor is set."""
 
     kernel_spec: KernelSpec
-    X: np.ndarray | None
-    K0: np.ndarray | None = None
-    M: np.ndarray | None = None
-    m_factor: np.ndarray | None = None
-    m_core: np.ndarray | None = None
-
-    def __post_init__(self):
-        dense = self.M is not None
-        factored = self.m_factor is not None and self.m_core is not None
-        if dense == factored:
-            raise InvalidArgumentError("exactly one of M or (m_factor, m_core) must be set")
-        if self.kernel_spec.kind != "precomputed" and self.X is None:
-            raise InvalidArgumentError("explicit training points are required unless the kernel is precomputed")
-
-    def kernel_vectors(self, Z: np.ndarray) -> np.ndarray:
-        """Input-kernel values (n_train, n_query) against the training points."""
-        if self.X is None:
-            raise InvalidArgumentError("precomputed-kernel models cannot score new points")
-        return cross_gram(self.X, Z, self.kernel_spec)
+    X: np.ndarray
+    core: np.ndarray
+    factor: np.ndarray | None = None
 
 
-def from_kernel_fit(km, X: np.ndarray | None, spec: KernelSpec) -> LearnedKernelModel:
+def from_kernel_fit(km, X: np.ndarray, spec: KernelSpec) -> LearnedKernelModel:
     """Finalize a solver result into a queryable model (materializes M)."""
-    return LearnedKernelModel(
-        kernel_spec=spec,
-        X=None if X is None else np.asarray(X, dtype=float),
-        K0=km.K0,
-        M=compute_M(km.K0, km.K)[0],
-    )
+    return LearnedKernelModel(spec, np.asarray(X, dtype=float), compute_M(km.K0, km.K)[0])
 
 
 def _pair_columns(z1, z2) -> np.ndarray:
@@ -148,13 +122,10 @@ def learned_distance(model: LearnedKernelModel, z1, z2) -> float:
 def learned_gram(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray | None = None) -> np.ndarray:
     """Matrix of learned inner products between two point sets (columns)."""
     Z1 = np.asarray(Z1, dtype=float)
-    P1 = _coordinates(model, model.kernel_vectors(Z1))
-    if Z2 is None:
-        Z2, P2 = Z1, P1
-    else:
-        Z2 = np.asarray(Z2, dtype=float)
-        P2 = _coordinates(model, model.kernel_vectors(Z2))
-    return cross_gram(Z1, Z2, model.kernel_spec) + P1.T @ (_core(model) @ P2)
+    Z2 = Z1 if Z2 is None else np.asarray(Z2, dtype=float)
+    P1, CP1 = kernel_terms(model, Z1)
+    CP2 = CP1 if Z2 is Z1 else kernel_terms(model, Z2)[1]
+    return cross_gram(Z1, Z2, model.kernel_spec) + P1.T @ CP2
 
 
 def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -164,7 +135,7 @@ def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarr
     pass the same object twice for the distances within one set.  A
     different Z2 is evaluated COLUMN_BLOCK columns at a time, each block's
     kernel terms dropped once its columns of G12 and g2 are written."""
-    P1, CP1 = _kernel_terms(model, Z1)
+    P1, CP1 = kernel_terms(model, Z1)
     if Z2 is Z1:
         G12 = cross_gram(Z1, Z1, model.kernel_spec) + P1.T @ CP1
         g1 = g2 = _self_products(model, Z1, P1, CP1)
@@ -173,7 +144,7 @@ def learned_sq_distances(model: LearnedKernelModel, Z1: np.ndarray, Z2: np.ndarr
         G12 = np.empty((P1.shape[1], Z2.shape[1]))
         g2 = np.empty(Z2.shape[1])
         for cols in _column_blocks(Z2.shape[1]):
-            P2, CP2 = _kernel_terms(model, Z2[:, cols])
+            P2, CP2 = kernel_terms(model, Z2[:, cols])
             G12[:, cols] = cross_gram(Z1, Z2[:, cols], model.kernel_spec) + P1.T @ CP2
             g2[cols] = _self_products(model, Z2[:, cols], P2, CP2)
             del P2, CP2  # before the next block's are built
@@ -188,33 +159,21 @@ def _column_blocks(n: int):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _coordinates(model: LearnedKernelModel, K: np.ndarray) -> np.ndarray:
-    """Kernel vectors K (n x q) in the coordinates the model's core acts on:
-    K itself for a dense model, P = m_factor^T K (k x q) for a factored one."""
-    return K if model.M is not None else model.m_factor.T @ K
-
-
-def _core(model: LearnedKernelModel) -> np.ndarray:
-    """C in <z1, z2>_W = kappa(z1, z2) + p1^T C p2: M, or the k x k m_core."""
-    return model.M if model.M is not None else model.m_core
-
-
-def _kernel_terms(model: LearnedKernelModel, Z) -> tuple[np.ndarray, np.ndarray]:
-    """``(P, C P)``: the coordinates of the columns of Z and the core applied to them."""
-    P = _coordinates(model, model.kernel_vectors(Z))
-    return P, _core(model) @ P
+def kernel_terms(model: LearnedKernelModel, Z) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, C P)``: the coordinates of the columns of Z -- their kernel
+    vectors k against the training points, or factor^T k -- and the core C
+    applied to them."""
+    P = cross_gram(model.X, Z, model.kernel_spec)
+    if model.factor is not None:
+        P = model.factor.T @ P
+    return P, model.core @ P
 
 
 def _self_products(model: LearnedKernelModel, Z, P: np.ndarray, CP: np.ndarray) -> np.ndarray:
     """Learned self products ``<z, z>_W`` of the columns of Z from their
     kernel terms; CP is spent (overwritten with P * CP) to spare a
     temporary of its size."""
-    Z = np.asarray(Z, dtype=float)
-    if model.kernel_spec.kind == "gaussian":
-        base = np.ones(Z.shape[1])
-    else:
-        base = np.sum(Z * Z, axis=0)
-    return base + np.sum(np.multiply(P, CP, out=CP), axis=0)
+    return kernel_diagonal(Z, model.kernel_spec) + np.sum(np.multiply(P, CP, out=CP), axis=0)
 
 
 def training_pair_distance(model: LearnedKernelModel, a, b):
@@ -225,31 +184,24 @@ def training_pair_distance(model: LearnedKernelModel, a, b):
     A training index names a stored point and is served as that point, by
     the terms ``learned_sq_distances`` uses: the pairs' distinct points are
     evaluated once, COLUMN_BLOCK at a time, and each pair's input-kernel value
-    is the diagonal of ``cross_gram`` over a block of pairs.  A model with no
-    points (a precomputed kernel) reads both off its K0.
+    is the diagonal of ``cross_gram`` over a block of pairs.
     """
-    points = model.X is not None
-    if not points and model.K0 is None:
-        raise InvalidArgumentError("model does not carry K0")
-    n = (model.X if points else model.K0).shape[1]
+    n = model.X.shape[1]
     i, j = (np.ravel(v) for v in np.broadcast_arrays(a, b))
     if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
         raise InvalidArgumentError(f"training index out of range for n={n}")
     u, at = np.unique(np.concatenate([i, j]), return_inverse=True)
     ui, uj = np.split(at.ravel(), 2)
-    P, CP = np.empty((2, u.size, _core(model).shape[0]))  # a row per point
+    P, CP = np.empty((2, u.size, model.core.shape[0]))  # a row per point
     g = np.empty(u.size)
     for cols in _column_blocks(u.size):
-        Z = model.X[:, u[cols]] if points else None
-        Pb = _coordinates(model, model.kernel_vectors(Z) if points else model.K0[:, u[cols]])
-        CPb = _core(model) @ Pb
+        Z = model.X[:, u[cols]]
+        Pb, CPb = kernel_terms(model, Z)
         P[cols], CP[cols] = Pb.T, CPb.T
-        g[cols] = _self_products(model, Z, Pb, CPb) if points else \
-            model.K0[u[cols], u[cols]] + np.sum(Pb * CPb, axis=0)
+        g[cols] = _self_products(model, Z, Pb, CPb)
     G = np.empty(i.size)
     for p in _column_blocks(i.size):
-        K = np.diagonal(cross_gram(model.X[:, i[p]], model.X[:, j[p]], model.kernel_spec)) \
-            if points else model.K0[i[p], j[p]]
+        K = np.diagonal(cross_gram(model.X[:, i[p]], model.X[:, j[p]], model.kernel_spec))
         G[p] = K + np.sum(P[ui[p]] * CP[uj[p]], axis=1)
     d = np.clip(g[ui] + g[uj] - 2.0 * G, 0.0, None)
     d[i == j] = 0.0

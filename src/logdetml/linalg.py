@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +34,13 @@ BLOCK_ELEMENTS = 1 << 16
 @dataclass(frozen=True)
 class KernelSpec:
     """Input kernel description: ``linear``, ``gaussian`` (with width sigma),
-    or ``precomputed`` (Gram matrix supplied directly)."""
+    or ``precomputed``: a kernel known only by its table of values, whose
+    points are the indices of the table's rows (``index_points``).  The table
+    is not part of ``==``: specs of one kind and width compare equal."""
 
     kind: str
     sigma: float | None = None
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian", "precomputed"):
@@ -57,8 +60,24 @@ class KernelSpec:
         return cls("gaussian", float(sigma))
 
     @classmethod
-    def precomputed(cls) -> "KernelSpec":
-        return cls("precomputed")
+    def precomputed(cls, table) -> "KernelSpec":
+        return cls("precomputed", table=np.asarray(table, dtype=float))
+
+
+def index_points(n: int) -> np.ndarray:
+    """The points of a precomputed kernel over n values: the 1 x n row of
+    indices 0 .. n-1."""
+    return np.arange(n, dtype=float)[None, :]
+
+
+def _table_rows(Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The rows of a precomputed kernel's table that the points Z name; a
+    query that is not a row of in-range integer indices is refused."""
+    Z = np.asarray(Z, dtype=float)
+    n = len(spec.table)
+    if Z.ndim != 2 or Z.shape[0] != 1 or not np.all((Z == np.trunc(Z)) & (Z >= 0) & (Z < n)):
+        raise InvalidArgumentError("precomputed-kernel models cannot score new points")
+    return Z[0].astype(np.intp)
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
@@ -174,17 +193,19 @@ def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     linear   -> X.T @ X
     gaussian -> exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal
 
-    Both are built in the one n x n buffer of the product X^T X, in place and
-    a row block at a time: the IEEE operations and their order are those of
-    ``symmetrize(X.T @ X)`` and of
+    precomputed -> the table's rows and columns the index points X name
+
+    Linear and gaussian are built in the one n x n buffer of the product
+    X^T X, in place and a row block at a time: the IEEE operations and their
+    order are those of ``symmetrize(X.T @ X)`` and of
     ``symmetrize(exp(-clip(aa + bb - 2 X^T X, 0) / (2 sigma^2)))`` with a
     unit diagonal, so the result is bit-identical to them.
     """
+    if spec.kind == "precomputed":
+        return cross_gram(X, X, spec)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise InvalidArgumentError("X must be a (d, n) matrix with n >= 1")
-    if spec.kind == "precomputed":
-        raise InvalidArgumentError("cannot build a Gram matrix from a precomputed spec")
     if spec.kind == "linear":
         return symmetrize_in_place(X.T @ X)
     K = gaussian_in_place(pairwise_sq_dists(X, X), spec.sigma)
@@ -194,17 +215,28 @@ def gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def cross_gram(X: np.ndarray, Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel values kappa(x_i, z_j) between columns of X and columns of Z."""
+    if spec.kind == "precomputed":
+        return spec.table[np.ix_(_table_rows(X, spec), _table_rows(Z, spec))]
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.shape[0] != Z.shape[0]:
         raise InvalidArgumentError(
             f"point dimension mismatch: {X.shape[0]} vs {Z.shape[0]}"
         )
-    if spec.kind == "precomputed":
-        raise InvalidArgumentError("precomputed kernels cannot evaluate new points")
     if spec.kind == "linear":
         return X.T @ Z
     return gaussian_in_place(pairwise_sq_dists(X, Z), spec.sigma)
+
+
+def kernel_diagonal(Z: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel values kappa(z, z) of the columns of Z."""
+    if spec.kind == "precomputed":
+        rows = _table_rows(Z, spec)
+        return spec.table[rows, rows]
+    Z = np.asarray(Z, dtype=float)
+    if spec.kind == "gaussian":
+        return np.ones(Z.shape[1])
+    return np.sum(Z * Z, axis=0)
 
 
 def pair_distance_kernel(K: np.ndarray, i, j):

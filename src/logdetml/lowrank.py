@@ -63,7 +63,6 @@ class Basis:
 class LowRankModel:
     basis: Basis
     F: np.ndarray           # k x k learned factor (I + L)
-    K0: np.ndarray | None   # kernel mode only
     inner: LinearModel      # reduced-problem solve (dual state, convergence)
 
 
@@ -247,37 +246,26 @@ def fit_low_rank(data: np.ndarray, basis: Basis, cs: ConstraintSet,
         )
     else:
         inner = fit_linear(Xp, reduced, cfg)
-    return LowRankModel(
-        basis=basis,
-        F=inner.W,
-        K0=data if basis.mode == COEFFICIENT else None,
-        inner=inner,
-    )
+    return LowRankModel(basis=basis, F=inner.W, inner=inner)
 
 
-def expand(basis: Basis, F: np.ndarray, K0: np.ndarray | None = None,
-           X: np.ndarray | None = None, kernel_spec: KernelSpec | None = None):
+def expand(basis: Basis, F: np.ndarray, X: np.ndarray | None = None,
+           kernel_spec: KernelSpec | None = None):
     """The full form of a solved k x k factor F.
 
     Explicit basis: the d x d matrix W = I + U (F - I) U^T.
-    Coefficient basis: a LearnedKernelModel whose mixing matrix is kept
-    factored, M = J' (F - I) J'^T with J' = J T.  Queries are served in the
+    Coefficient basis: the LearnedKernelModel over the training points X
+    under ``kernel_spec`` whose mixing matrix is kept factored,
+    M = J' (F - I) J'^T with J' = J T.  Queries are served in the
     k-dimensional factor space, the core F - I acting on the projected points
     x' = J'^T k(x) (``learned_kernel``), so no n x n matrix is ever
-    materialized.  T is read from the model (the basis), so no Gram is built
-    here; K0 is needed only when X is None (a precomputed kernel).
+    materialized.  T is read from the basis, so no Gram is built here.
     """
     core = F - np.eye(F.shape[0])
     if basis.mode == EXPLICIT:
         U = basis.matrix
         return symmetrize(np.eye(U.shape[0]) + U @ core @ U.T)
-    return LearnedKernelModel(
-        kernel_spec=kernel_spec or KernelSpec.precomputed(),
-        X=None if X is None else np.asarray(X, dtype=float),
-        K0=K0,
-        m_factor=basis.matrix @ basis.T,
-        m_core=core,
-    )
+    return LearnedKernelModel(kernel_spec, np.asarray(X, dtype=float), core, basis.matrix @ basis.T)
 
 
 def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
@@ -285,8 +273,8 @@ def reconstruct(model: LowRankModel, X: np.ndarray | None = None,
     """Expand the solved factor back to full form (see ``expand``).
 
     Explicit basis: returns the d x d LinearModel with W = I + U (F - I) U^T.
-    Coefficient basis: returns the factored LearnedKernelModel.
+    Coefficient basis: returns the factored LearnedKernelModel over X.
     """
     if model.basis.mode == EXPLICIT:
         return replace(model.inner, W=expand(model.basis, model.F))
-    return expand(model.basis, model.F, model.K0, X=X, kernel_spec=kernel_spec)
+    return expand(model.basis, model.F, X, kernel_spec)

@@ -22,17 +22,19 @@ Format version 3, in file order:
 A file holds only what serving reads, whatever its kind:
 
 * linear: W;
-* kernel: X or K0, and M;
+* kernel: X, and M;
 * explicit basis: U (block ``B``) and F, for W = I + U (F - I) U^T;
-* coefficient basis: X or K0, J (block ``B``), T = (J^T K0 J)^(-1/2) and F,
+* coefficient basis: X, J (block ``B``), T = (J^T K0 J)^(-1/2) and F,
   so serving builds no Gram.
 
-No file holds the training constraints or their duals.  K0 is held only
-when the stored points and the kernel cannot rebuild it: no points, or a
-``precomputed`` kernel.  A model with points serves every query, training
-indices included, from kernel evaluations.  A file written before this rule
-may hold more: ``load_model`` checks its constraint lines and drops them, and
-``ModelFile.__post_init__`` drops the blocks serving does not read.
+No file holds the training constraints or their duals.  A ``precomputed``
+kernel's points are its indices (``linalg.index_points``): its file holds
+the Gram of those points, block ``K0``, in place of X, and ``load_model``
+reads that block back as the kernel's table over ``index_points(n)``.  A
+model serves every query, training indices included, from kernel
+evaluations.  A file written before this rule may hold more: ``load_model``
+checks its constraint lines and drops them, and ``ModelFile.__post_init__``
+drops the blocks serving does not read.
 
 Versions 1 and 2 still load.  They write every matrix in full, record a
 ``jitter`` line in place of the fit facts, and store no T: a coefficient
@@ -59,7 +61,7 @@ import numpy as np
 from .constraints import Constraint, Thresholds
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel
-from .linalg import KernelSpec, gram
+from .linalg import KernelSpec, gram, index_points
 from .lowrank import COEFFICIENT, EXPLICIT, Basis, coefficient_T, expand
 
 VERSION = 3
@@ -76,11 +78,6 @@ FACTS = (("distance_change", float), ("max_violation", float), ("dropped_rank", 
 # payload blocks: (name in the file, ModelFile field, written as its upper triangle)
 BLOCKS = (("W", "W", True), ("X", "X", False), ("K0", "K0", True), ("M", "M", True),
           ("F", "F", True), ("T", "T", True), ("B", "basis_matrix", False))
-
-
-def rebuildable(X, spec: KernelSpec | None) -> bool:
-    """True when K0 is a function of stored points X and the kernel."""
-    return X is not None and spec is not None and spec.kind != "precomputed"
 
 
 def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -118,7 +115,7 @@ class ModelFile:
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
-    K0: np.ndarray | None = None  # only when X and the kernel cannot rebuild it
+    K0: np.ndarray | None = None  # an older file's Gram, read only to derive T
     M: np.ndarray | None = None
     basis_mode: str | None = None
     basis_matrix: np.ndarray | None = None
@@ -137,8 +134,7 @@ class ModelFile:
             # a version 1 or 2 file: derive T once, from a K0 kept only for that
             K0 = self.K0 if self.K0 is not None else training_gram(self.X, self.kernel_spec)
             self.T = coefficient_T(self.basis_matrix, self.basis_matrix.T @ K0)
-        if rebuildable(self.X, self.kernel_spec):
-            self.K0 = None  # serving reads the points, not their Gram
+        self.K0 = None  # serving reads the points, not their Gram
         if self.basis_mode == EXPLICIT:
             self.X = None  # serving reads U and F, not the points
 
@@ -152,9 +148,9 @@ class ModelFile:
         """Rebuild the out-of-sample model (kernel and iplr kinds); no Gram
         is built."""
         if self.kind == "kernel":
-            return LearnedKernelModel(kernel_spec=self.kernel_spec, X=self.X, K0=self.K0, M=self.M)
+            return LearnedKernelModel(self.kernel_spec, self.X, self.M)
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
-            return expand(self._basis(), self.F, self.K0, X=self.X, kernel_spec=self.kernel_spec)
+            return expand(self._basis(), self.F, self.X, self.kernel_spec)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no kernel form")
 
     def to_mahalanobis(self) -> np.ndarray:
@@ -208,8 +204,12 @@ def save_model(path, mf: ModelFile) -> None:
     lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
-    blocks = [(name, np.atleast_2d(np.asarray(getattr(mf, key), dtype=float)), symmetric)
-              for name, key, symmetric in BLOCKS if getattr(mf, key) is not None]
+    payload = {key: getattr(mf, key) for _, key, _ in BLOCKS}
+    if mf.kernel_spec is not None and mf.kernel_spec.kind == "precomputed":
+        # the points are indices: the file holds their Gram, the kernel's table
+        payload["X"], payload["K0"] = None, gram(mf.X, mf.kernel_spec)
+    blocks = [(name, np.atleast_2d(np.asarray(payload[key], dtype=float)), symmetric)
+              for name, key, symmetric in BLOCKS if payload[key] is not None]
     for name, A, symmetric in blocks:
         # bit patterns, so that -0.0 and 0.0 differ: the file keeps one of each pair
         if symmetric and (A.shape[0] != A.shape[1] or
@@ -358,12 +358,17 @@ def load_model(path) -> ModelFile:
     payload = {key: matrices.get(name) for name, key, _ in BLOCKS}
     if payload["X"] is not None:  # training's layout (see the module docstring)
         payload["X"] = np.asfortranarray(payload["X"])
-    X, K0 = payload["X"], payload["K0"]
-    if K0 is None and rebuildable(X, spec) and X.shape[1] < 1:
-        fail("matrix X holds no points to rebuild K0 from")
-    if K0 is None and not rebuildable(X, spec) and (kind == "kernel" or basis_mode == COEFFICIENT):
-        fail(f"{kind} model has no K0 block and no points and kernel to rebuild it from")
-    d, n = X.shape if X is not None else (None, None if K0 is None else K0.shape[0])
+    if spec is not None and spec.kind == "precomputed":
+        if payload["K0"] is None:
+            fail(f"{kind} model has no K0 block to hold its precomputed kernel")
+        spec = KernelSpec.precomputed(payload["K0"])
+        payload["X"], payload["K0"] = index_points(len(spec.table)), None
+    X = payload["X"]
+    if (kind == "kernel" or basis_mode == COEFFICIENT) and (X is None or spec is None or
+                                                            X.shape[1] < 1):
+        fail(f"{kind} model has no points to serve from: no X block with a kernel, "
+             "and no K0 block of a precomputed kernel")
+    d, n = X.shape if X is not None else (None, None)
     W, M, B, F, T = (matrices.get(name) for name in "WMBFT")
     if kind == "linear" and (W is None or W.shape[0] != W.shape[1]):
         fail("a linear model needs a square matrix W")

@@ -442,7 +442,44 @@ def test_constant_feature_trains_and_evaluates(constant_column, tmp_path, capsys
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["cluster-cv", "precomputed-cv", "precomputed-eval",
+@pytest.fixture(scope="module")
+def ionosphere_gram(tmp_path_factory):
+    """Ionosphere's Gaussian Gram at width 3 as a precomputed kernel CSV, and
+    its labels file."""
+    X, labels = load_points_csv(IONOSPHERE, label_col="last")
+    K = gram(X, KernelSpec.gaussian(3.0))
+    root = tmp_path_factory.mktemp("gram")
+    _write_rows(root / "kernel.csv", [[f"{v:.17g}" for v in row] for row in K])
+    (root / "labels.txt").write_text("\n".join(labels) + "\n")
+    return root / "kernel.csv", root / "labels.txt"
+
+
+@pytest.mark.parametrize("seed", ["0", "1901"])
+def test_a_precomputed_gram_evaluates_and_tunes_as_the_kernel_it_holds(ionosphere_gram, tmp_path,
+                                                                       capsys, seed):
+    # its points are its indices, so a fold's training kernel and the kernel
+    # vectors of its held-out points are slices of the table
+    kernel, labels = ionosphere_gram
+    runs = {"precomputed": ["--data", str(kernel), "--labels", str(labels),
+                            "--kernel", "precomputed"],
+            "gaussian": ["--data", str(IONOSPHERE), "--label-col", "last",
+                         "--kernel", "gaussian:3.0"]}
+    folds, gammas = {}, {}
+    for name, data in runs.items():
+        capsys.readouterr()
+        assert main(["eval", *data, "--mode", "knn", "--max-sweeps", "20", "--seed", seed]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        folds[name] = [row.split(",")[3:5] for row in rows]
+        assert main(["train", *data, "--gamma", "cv", "--max-sweeps", "3", "--per-class", "20",
+                     "--seed", seed, "--out", str(tmp_path / f"{name}.model")]) == 0
+        gammas[name] = _logged(capsys.readouterr().err, "train", "gamma_selected")
+    assert folds["precomputed"] == folds["gaussian"]
+    assert [fold for _, fold in folds["gaussian"]] == ["0", "1", "mean"]
+    assert gammas["precomputed"] == gammas["gaussian"]
+
+
+@pytest.mark.parametrize("case", ["cluster-cv", "precomputed-loss-euclidean",
+                                  "precomputed-loss-inverse-covariance", "precomputed-topk",
                                   "no-labels", "label-count", "missing-file",
                                   "topk-gaussian"])
 def test_rejected_run_exits_with_a_message(ionosphere_rows, tmp_path, capsys, case):
@@ -457,10 +494,15 @@ def test_rejected_run_exits_with_a_message(ionosphere_rows, tmp_path, capsys, ca
     argv, code, message = {
         "cluster-cv": (["eval", *data, "--mode", "cluster", "--gamma", "cv"],
                        EXIT_FLAGS, "--gamma cv is not supported in cluster mode"),
-        "precomputed-cv": (["train", *precomputed, "--gamma", "cv", *out],
-                           EXIT_DATA, "--gamma cv needs explicit points"),
-        "precomputed-eval": (["eval", *precomputed, "--mode", "knn"],
-                             EXIT_DATA, "eval requires explicit points"),
+        # a precomputed kernel's points are indices, not features
+        "precomputed-loss-euclidean": (
+            ["eval", *precomputed, "--mode", "knn", "--loss", "euclidean"],
+            EXIT_DATA, "--loss euclidean needs explicit points"),
+        "precomputed-loss-inverse-covariance": (
+            ["eval", *precomputed, "--mode", "knn", "--loss", "inverse-covariance"],
+            EXIT_DATA, "--loss inverse-covariance needs explicit points"),
+        "precomputed-topk": (["train", *precomputed, "--basis", "topk:2", *out],
+                             EXIT_DATA, "--basis topk requires explicit points and a linear kernel"),
         "no-labels": (["train", "--data", str(kernel), *out],
                       EXIT_DATA, "labels are required"),
         "label-count": (["train", "--data", str(kernel), "--labels", str(four), *out],

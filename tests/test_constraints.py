@@ -248,7 +248,7 @@ def test_pools_leave_the_caller_s_matrices_unchanged():
     # the Euclidean pool is packed into the product it owns; a Gram's pool must
     # go elsewhere, since callers (the benchmark's check among them) reuse K0
     from logdetml.evaluation import fit_labeled, label_constraints, median_pairwise_distance
-    from logdetml.linalg import KernelSpec, gram
+    from logdetml.linalg import KernelSpec, gram, index_points
 
     X, labels = make_blobs(np.random.default_rng(8), n=90)
     spec = KernelSpec.gaussian(median_pairwise_distance(X))
@@ -259,11 +259,12 @@ def test_pools_leave_the_caller_s_matrices_unchanged():
     kernel_distance_pool(K0)
     cs = label_constraints(labels, 10, 0, X=X, K0=K0)
     for basis in ((None, 0), ("kmeans", 6)):
-        mf, _ = fit_labeled(X, K0, labels, 0, "kernel", spec, per_class=10, max_sweeps=2,
-                            basis=basis)
+        # K0 as a precomputed kernel: its thresholds are read off the Gram of its index points
+        mf, _ = fit_labeled(index_points(X.shape[1]), labels, 0, "kernel",
+                            KernelSpec.precomputed(K0), per_class=10, max_sweeps=2, basis=basis)
         # thresholds read off K0 are those fit_labeled takes off the points before K0
         assert mf.thresholds == cs.thresholds == fit_labeled(
-            X, None, labels, 0, "kernel", spec, per_class=10, max_sweeps=2,
+            X, labels, 0, "kernel", spec, per_class=10, max_sweeps=2,
             basis=basis)[0].thresholds
     assert X.tobytes() == X_bits and K0.tobytes() == K0_bits
 

@@ -244,7 +244,7 @@ def test_train_writes_the_model_fit_labeled_returns(tmp_path, flags, space, basi
     X, labels = load_points_csv(data, label_col="last")
     spec = (KernelSpec.linear() if space == "linear"
             else KernelSpec.gaussian(median_pairwise_distance(X)))
-    mf, _ = fit_labeled(X, None, labels, 3, space, spec, per_class=10, basis=basis)
+    mf, _ = fit_labeled(X, labels, 3, space, spec, per_class=10, basis=basis)
     saved = tmp_path / "fit_labeled.model"
     save_model(saved, mf)
     assert saved.read_bytes() == trained.read_bytes()

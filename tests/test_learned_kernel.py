@@ -18,7 +18,7 @@ from logdetml.learned_kernel import (
     learned_sq_distances,
     training_pair_distance,
 )
-from logdetml.linalg import KernelSpec, gram, pair_distance_kernel
+from logdetml.linalg import KernelSpec, gram, index_points, pair_distance_kernel
 from logdetml.linalg import cross_gram
 from logdetml.solver import SolverConfig, fit_kernel
 
@@ -69,8 +69,7 @@ class TestLearnedQueries:
     def test_zero_M_reduces_to_input_kernel(self, rng):
         X = rng.standard_normal((3, 5))
         spec = KernelSpec.gaussian(1.3)
-        model = LearnedKernelModel(kernel_spec=spec, X=X, K0=gram(X, spec),
-                                   M=np.zeros((5, 5)))
+        model = LearnedKernelModel(kernel_spec=spec, X=X, core=np.zeros((5, 5)))
         z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
         from logdetml.linalg import cross_gram
 
@@ -79,8 +78,7 @@ class TestLearnedQueries:
 
     def test_zero_M_linear_distance_is_euclidean(self, rng):
         X = rng.standard_normal((4, 6))
-        model = LearnedKernelModel(kernel_spec=KernelSpec.linear(), X=X,
-                                   K0=X.T @ X, M=np.zeros((6, 6)))
+        model = LearnedKernelModel(kernel_spec=KernelSpec.linear(), X=X, core=np.zeros((6, 6)))
         z1, z2 = rng.standard_normal(4), rng.standard_normal(4)
         assert learned_distance(model, z1, z2) == pytest.approx(
             float(np.sum((z1 - z2) ** 2)), abs=1e-10
@@ -113,7 +111,7 @@ class TestLearnedQueries:
     def test_linear_kernel_matches_explicit_metric(self, rng):
         X, model, km = trained_model(rng, KernelSpec.linear())
         d = X.shape[0]
-        W = np.eye(d) + X @ model.M @ X.T
+        W = np.eye(d) + X @ model.core @ X.T
         for _ in range(20):
             z1, z2 = rng.standard_normal(d), rng.standard_normal(d)
             assert learned_inner_product(model, z1, z2) == pytest.approx(
@@ -130,7 +128,7 @@ class TestLearnedQueries:
         km = fit_kernel(K0, cs, SolverConfig(gamma=1.0, tol=1e-8, seed=0))
         model = from_kernel_fit(km, X, spec)
         assert compute_M(km.K0, km.K)[1] == X.shape[1] - X.shape[0]
-        W = np.eye(3) + X @ model.M @ X.T
+        W = np.eye(3) + X @ model.core @ X.T
         for _ in range(20):
             z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
             assert learned_inner_product(model, z1, z2) == pytest.approx(
@@ -170,7 +168,8 @@ class TestLearnedQueries:
 
     def test_consistency_invariant(self, rng):
         _, model, km = trained_model(rng, KernelSpec.linear())
-        resid = np.linalg.norm(model.K0 + model.K0 @ model.M @ model.K0 - km.K)
+        K0 = gram(model.X, model.kernel_spec)
+        resid = np.linalg.norm(K0 + K0 @ model.core @ K0 - km.K)
         assert resid / np.linalg.norm(km.K) <= 1e-6
 
     def test_dimension_mismatch_rejected(self, rng):
@@ -185,12 +184,15 @@ class TestLearnedQueries:
         lambda m, Z: learned_sq_distances(m, Z, Z),
     ], ids=["inner_product", "distance", "gram", "sq_distances"])
     def test_precomputed_model_refuses_new_points_with_one_message(self, rng, query):
-        K0 = random_pd(rng, 4)
-        for form in (dict(M=np.zeros((4, 4))), dict(m_factor=np.eye(4, 2), m_core=np.eye(2))):
-            model = LearnedKernelModel(kernel_spec=KernelSpec.precomputed(), X=None, K0=K0, **form)
-            with pytest.raises(InvalidArgumentError,
-                               match="^precomputed-kernel models cannot score new points$"):
-                query(model, rng.standard_normal((3, 2)))
+        # its points are the indices 0..3: features, fractions and indices out
+        # of range name none of them
+        spec = KernelSpec.precomputed(random_pd(rng, 4))
+        for form in (dict(core=np.zeros((4, 4))), dict(core=np.eye(2), factor=np.eye(4, 2))):
+            model = LearnedKernelModel(kernel_spec=spec, X=index_points(4), **form)
+            for Z in (rng.standard_normal((3, 2)), np.array([[0.0, 1.5]]), np.array([[4.0, 0.0]])):
+                with pytest.raises(InvalidArgumentError,
+                                   match="^precomputed-kernel models cannot score new points$"):
+                    query(model, Z)
 
     def test_factored_model_matches_dense(self, rng):
         X = rng.standard_normal((3, 6))
@@ -198,9 +200,8 @@ class TestLearnedQueries:
         B = rng.standard_normal((6, 2))
         core = np.diag([0.5, -0.2])
         M = B @ core @ B.T
-        dense = LearnedKernelModel(kernel_spec=spec, X=X, K0=gram(X, spec), M=M)
-        fact = LearnedKernelModel(kernel_spec=spec, X=X, K0=gram(X, spec),
-                                  m_factor=B, m_core=core)
+        dense = LearnedKernelModel(kernel_spec=spec, X=X, core=M)
+        fact = LearnedKernelModel(kernel_spec=spec, X=X, core=core, factor=B)
         z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
         assert learned_inner_product(fact, z1, z2) == pytest.approx(
             learned_inner_product(dense, z1, z2), abs=1e-10)
@@ -244,23 +245,27 @@ def test_dropped_rank_of_a_singular_K0():
 
 # -- the one-pass query equals the three-pass code it replaced -----------------
 #
-# The reference writes each form out longhand: k1^T M k2 for a dense model,
-# and for a factored one its k-dimensional coordinates p = m_factor^T k with
-# p1^T C p2, C = m_core.
+# The reference writes each form out longhand: k1^T M k2 for a dense model
+# (M = core), and for a factored one its k-dimensional coordinates
+# p = factor^T k with p1^T C p2, C = core.
+
+def _kernel_vectors(model, Z):
+    return cross_gram(model.X, Z, model.kernel_spec)
+
 
 def _reference_terms(model, K):
-    if model.M is not None:
-        return K, model.M @ K
-    P = model.m_factor.T @ K
-    return P, model.m_core @ P
+    if model.factor is None:
+        return K, model.core @ K
+    P = model.factor.T @ K
+    return P, model.core @ P
 
 
 def reference_learned_gram(model, Z1, Z2=None):
     Z1 = np.asarray(Z1, dtype=float)
     Z2same = Z2 is None
     Z2 = Z1 if Z2same else np.asarray(Z2, dtype=float)
-    K1 = model.kernel_vectors(Z1)
-    K2 = K1 if Z2same else model.kernel_vectors(Z2)
+    K1 = _kernel_vectors(model, Z1)
+    K2 = K1 if Z2same else _kernel_vectors(model, Z2)
     base = cross_gram(Z1, Z2, model.kernel_spec)
     P1, _ = _reference_terms(model, K1)
     _, CP2 = _reference_terms(model, K2)
@@ -276,7 +281,7 @@ def reference_learned_sq_distances(model, Z1, Z2):
 
 
 def _reference_learned_self_products(model, Z):
-    P, CP = _reference_terms(model, model.kernel_vectors(Z))
+    P, CP = _reference_terms(model, _kernel_vectors(model, Z))
     if model.kernel_spec.kind == "gaussian":
         base = np.ones(Z.shape[1])
     else:
@@ -288,16 +293,18 @@ def reference_training_pair_distances(model, I, J):
     """Training index pairs served as the stored points they name, pair by
     pair: kappa(x_i, x_j) + p_i^T C p_j against the learned self products of
     the pairs' distinct points, with kappa and the points' terms evaluated
-    over all pairs at once.  A precomputed model reads them off K0, and a
-    point's distance to itself is 0."""
+    over all pairs at once.  A precomputed model, whose points are the indices
+    of its table, reads them off the table, and a point's distance to itself
+    is 0."""
     u = sorted(set(I) | set(J))
     col = {v: c for c, v in enumerate(u)}
-    if model.X is None:
-        P, CP = _reference_terms(model, model.K0[:, u])
-        g = model.K0[u, u] + np.sum(P * CP, axis=0)
-        kappa = model.K0[I, J]
+    if model.kernel_spec.kind == "precomputed":
+        table = model.kernel_spec.table
+        P, CP = _reference_terms(model, table[:, u])
+        g = table[u, u] + np.sum(P * CP, axis=0)
+        kappa = table[I, J]
     else:
-        P, CP = _reference_terms(model, model.kernel_vectors(model.X[:, u]))
+        P, CP = _reference_terms(model, _kernel_vectors(model, model.X[:, u]))
         g = _reference_learned_self_products(model, model.X[:, u])
         kappa = np.diagonal(cross_gram(model.X[:, I], model.X[:, J], model.kernel_spec))
     out = []
@@ -310,16 +317,16 @@ def reference_training_pair_distances(model, I, J):
 
 def n_space_sq_distances(model, Z1, Z2):
     """A factored model's distances in n dimensions, with M applied to the
-    kernel vectors as m_factor (m_core (m_factor^T k)): the form a factored
-    model was served in before it was served in its factor space."""
+    kernel vectors as factor (core (factor^T k)): the form a factored model
+    was served in before it was served in its factor space."""
     def apply_M(K):
-        return model.m_factor @ (model.m_core @ (model.m_factor.T @ K))
+        return model.factor @ (model.core @ (model.factor.T @ K))
 
     def self_products(Z, K):
         base = np.ones(Z.shape[1]) if model.kernel_spec.kind == "gaussian" else np.sum(Z * Z, axis=0)
         return base + np.sum(K * apply_M(K), axis=0)
 
-    K1, K2 = model.kernel_vectors(Z1), model.kernel_vectors(Z2)
+    K1, K2 = _kernel_vectors(model, Z1), _kernel_vectors(model, Z2)
     G12 = cross_gram(Z1, Z2, model.kernel_spec) + K1.T @ apply_M(K2)
     D = self_products(Z1, K1)[:, None] + self_products(Z2, K2)[None, :] - 2.0 * G12
     return np.clip(D, 0.0, None)
@@ -327,12 +334,11 @@ def n_space_sq_distances(model, Z1, Z2):
 
 def _query_model(rng, spec, form, n=12, d=4):
     X = rng.standard_normal((d, n))
-    K0 = gram(X, spec)
     B = rng.standard_normal((n, 3))
     core = np.diag([0.4, -0.1, 0.05])
     if form == "dense":
-        return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, M=B @ core @ B.T)
-    return LearnedKernelModel(kernel_spec=spec, X=X, K0=K0, m_factor=B, m_core=core)
+        return LearnedKernelModel(kernel_spec=spec, X=X, core=B @ core @ B.T)
+    return LearnedKernelModel(kernel_spec=spec, X=X, core=core, factor=B)
 
 
 @pytest.mark.parametrize("form", ["dense", "factored"])
@@ -379,8 +385,8 @@ def _cross_formula_cases():
     n, k = 2000, 50
     model = LearnedKernelModel(kernel_spec=KernelSpec.gaussian(2.1),
                                X=rng.standard_normal((20, n)),
-                               m_factor=rng.standard_normal((n, k)),
-                               m_core=np.diag(rng.uniform(-0.2, 0.3, k)))
+                               factor=rng.standard_normal((n, k)),
+                               core=np.diag(rng.uniform(-0.2, 0.3, k)))
     yield model, rng.standard_normal((20, 100))
 
 
@@ -411,8 +417,8 @@ def test_serving_the_training_points_in_blocks_is_bitwise_reference():
     n, k = 2000, 50
     model = LearnedKernelModel(kernel_spec=KernelSpec.gaussian(2.1),
                                X=rng.standard_normal((20, n)),
-                               m_factor=rng.standard_normal((n, k)),
-                               m_core=np.diag(rng.uniform(-0.2, 0.3, k)))
+                               factor=rng.standard_normal((n, k)),
+                               core=np.diag(rng.uniform(-0.2, 0.3, k)))
     Z = rng.standard_normal((20, 100))
     assert np.array_equal(learned_sq_distances(model, Z, model.X),
                           reference_learned_sq_distances(model, Z, model.X))
@@ -447,8 +453,9 @@ def _training_pair_model(kind, form):
     rng = np.random.default_rng(5)
     model = _query_model(rng, KernelSpec.linear() if kind == "linear" else KernelSpec.gaussian(1.7),
                          form)
-    if kind == "precomputed":
-        model.kernel_spec, model.X = KernelSpec.precomputed(), None
+    if kind == "precomputed":  # the Gram of its points, known only by its values
+        table = gram(model.X, model.kernel_spec)
+        model.kernel_spec, model.X = KernelSpec.precomputed(table), index_points(len(table))
     return model
 
 
@@ -482,12 +489,22 @@ def test_training_pairs_match_the_points_they_name(monkeypatch, block):
         assert np.max(np.abs(served - ref)) <= 1e-12 * np.median(ref)
 
 
-def test_training_pairs_refuse_an_index_out_of_range_and_a_model_without_K0():
-    model = _training_pair_model("gaussian", "factored")
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_a_precomputed_model_serves_its_indices_as_the_points_they_name(form):
+    # the table is the Gram of the gaussian model's points: index i is point i
+    points = _training_pair_model("gaussian", form)
+    indices = _training_pair_model("precomputed", form)
+    sub = [3, 0, 11, 3]
+    served = learned_sq_distances(indices, indices.X[:, sub], indices.X)
+    ref = learned_sq_distances(points, points.X[:, sub], points.X)
+    assert np.max(np.abs(served - ref)) <= 1e-12 * np.median(ref)
+    G = learned_gram(indices, indices.X[:, sub])
+    assert np.max(np.abs(G - learned_gram(points, points.X[:, sub]))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "precomputed"])
+def test_training_pairs_refuse_an_index_out_of_range(kind):
+    model = _training_pair_model(kind, "factored")
     for I, J in (([0, 12], [1, 2]), (-1, 0)):
         with pytest.raises(InvalidArgumentError, match="training index out of range for n=12"):
             training_pair_distance(model, I, J)
-    pre = LearnedKernelModel(kernel_spec=KernelSpec.precomputed(), X=None,
-                             M=np.zeros((8, 8)))
-    with pytest.raises(InvalidArgumentError, match="does not carry K0"):
-        training_pair_distance(pre, 0, 1)

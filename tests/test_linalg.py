@@ -9,8 +9,10 @@ from logdetml.linalg import (
     KernelSpec,
     cross_gram,
     gram,
+    index_points,
     inv_psd,
     inv_sqrt,
+    kernel_diagonal,
     logdet_divergence,
     min_eigenvalue,
     pair_distance_kernel,
@@ -77,8 +79,37 @@ class TestGram:
         assert K[0, 0] == 1.0
 
     def test_precomputed_rejected(self):
+        # points that are not a row of indices into the table
         with pytest.raises(InvalidArgumentError):
-            gram(np.eye(2), KernelSpec.precomputed())
+            gram(np.eye(2), KernelSpec.precomputed(np.eye(2)))
+
+    def test_precomputed_kernel_slices_its_table(self, rng):
+        table = random_pd(rng, 6)
+        spec = KernelSpec.precomputed(table)
+        X = index_points(6)
+        assert X.shape == (1, 6) and np.array_equal(X[0], np.arange(6))
+        assert np.array_equal(gram(X, spec), table)
+        a, b = X[:, [4, 1, 1]], X[:, [0, 5]]
+        assert np.array_equal(cross_gram(a, b, spec), table[np.ix_([4, 1, 1], [0, 5])])
+        assert np.array_equal(kernel_diagonal(a, spec), table[[4, 1, 1], [4, 1, 1]])
+        for Z in (X[:, :3] + 0.5, X + 6, -X[:, 1:], np.vstack([X, X]), np.full((1, 2), np.nan)):
+            for evaluate in (lambda: gram(Z, spec), lambda: cross_gram(X, Z, spec),
+                             lambda: kernel_diagonal(Z, spec)):
+                with pytest.raises(InvalidArgumentError,
+                                   match="^precomputed-kernel models cannot score new points$"):
+                    evaluate()
+
+    def test_a_precomputed_table_is_not_part_of_equality(self, rng):
+        a, b = KernelSpec.precomputed(np.eye(3)), KernelSpec.precomputed(random_pd(rng, 4))
+        assert a == b and hash(a) == hash(b)
+        assert a != KernelSpec.linear()
+
+    def test_kernel_diagonal_is_the_gram_diagonal(self, rng):
+        X = rng.standard_normal((3, 7))
+        for spec in (KernelSpec.linear(), KernelSpec.gaussian(0.9)):
+            # the BLAS product and np.sum may add a linear diagonal in other orders
+            assert np.allclose(kernel_diagonal(X, spec), np.diagonal(gram(X, spec)),
+                               rtol=1e-14, atol=0)
 
     def test_cross_gram_matches_gram_blocks(self, rng):
         X = rng.standard_normal((3, 5))

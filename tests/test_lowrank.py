@@ -181,7 +181,7 @@ class TestFitAndReconstruct:
         inner = LinearModel(W=np.array([[2.0]]),
                             dual=DualState(np.zeros(1), np.ones(1)),
                             converged=True, sweeps_used=1)
-        model = LowRankModel(basis=basis, F=np.array([[2.0]]), K0=None, inner=inner)
+        model = LowRankModel(basis=basis, F=np.array([[2.0]]), inner=inner)
         rebuilt = reconstruct(model)
         assert np.allclose(rebuilt.W, np.diag([2.0, 1.0, 1.0]))
 
@@ -196,7 +196,7 @@ class TestFitAndReconstruct:
         model = reconstruct(low, X=X, kernel_spec=KernelSpec.linear())
         full = fit_kernel(K0, cs, cfg)
         # K* = K0 + K0 M K0 with factored M
-        MK = model.m_factor @ (model.m_core @ (model.m_factor.T @ K0))
+        MK = model.factor @ (model.core @ (model.factor.T @ K0))
         K_low = K0 + K0 @ MK
         rel = np.linalg.norm(K_low - full.K) / np.linalg.norm(full.K)
         assert rel <= 1e-4
@@ -209,9 +209,9 @@ class TestFitAndReconstruct:
         basis = select_basis_kernel(K0, "random-J", k, seed=0)
         low = fit_low_rank(K0, basis, cs, SolverConfig(tol=1e-6))
         model = reconstruct(low, X=X, kernel_spec=KernelSpec.linear())
-        assert model.M is None
-        assert model.m_factor.shape == (n, k)
-        assert model.m_core.shape == (k, k)
+        # M = factor core factor^T is held as its n x k and k x k parts
+        assert model.factor.shape == (n, k)
+        assert model.core.shape == (k, k)
         # queries still work through the factored form
         D = learned_sq_distances(model, X[:, :3], X[:, :3])
         assert D.shape == (3, 3)
@@ -255,7 +255,7 @@ class TestFitAndReconstruct:
             low = fit_low_rank(K0, basis, cs, SolverConfig())
         assert np.array_equal(low.F, np.eye(1))
         model = reconstruct(low, X=X, kernel_spec=KernelSpec.linear())
-        assert np.array_equal(model.m_core, np.zeros((1, 1)))
+        assert np.array_equal(model.core, np.zeros((1, 1)))
         D = learned_sq_distances(model, X, X)
         euclid = np.sum((X[:, :, None] - X[:, None, :]) ** 2, axis=0)
         assert np.allclose(D, euclid, atol=1e-12)

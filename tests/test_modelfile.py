@@ -13,7 +13,7 @@ import logdetml
 from logdetml.cli import main
 from logdetml.datasets import load_kernel_csv, load_points_csv
 from logdetml.errors import InvalidArgumentError
-from logdetml.linalg import KernelSpec, gram
+from logdetml.linalg import KernelSpec, gram, index_points
 from logdetml.linalg import symmetrize
 from logdetml.modelfile import BLOCK_VALUES, ModelFile, load_model, save_model, training_gram
 
@@ -62,6 +62,15 @@ V1_KERNEL_MODEL = Path(__file__).parent / "data" / "ionosphere_kernel_v1.model"
 #   logdetml train --data <every 18th ionosphere row> --label-col last
 #       --kernel gaussian --basis kmeans:4 --per-class 5 --max-sweeps 5
 V2_IPLR_MODEL = Path(__file__).parent / "data" / "ionosphere_iplr_v2.model"
+# Written when a precomputed-kernel model held K0 and no points, with
+#   logdetml train --data <the width-3 Gaussian Gram of every 18th ionosphere row>
+#       --labels <its labels> --kernel precomputed --per-class 5 --max-sweeps 5
+#       [--basis kmeans:4]
+# and served, next to each, as MODEL_pairs.csv by
+#   logdetml distance MODEL --pairs <PRECOMPUTED_PAIRS>
+PRECOMPUTED_MODELS = [Path(__file__).parent / "data" / f"ionosphere_precomputed_{form}.model"
+                      for form in ("dense", "kmeans")]
+PRECOMPUTED_PAIRS = "0,1\n2,19\n5,5\n13,7\n"
 
 
 def _train(data, out, *flags):
@@ -108,7 +117,7 @@ def test_v2_drops_K0_and_rebuilds_it_bit_identically(small_ionosphere, tmp_path,
     mf = load_model(path)
     X_csv, _ = load_points_csv(small_ionosphere, label_col="last")
     assert np.array_equal(mf.X, X_csv)
-    assert mf.K0 is None and mf.to_learned_kernel().K0 is None
+    assert mf.K0 is None  # the model serves its points, and holds no Gram of them
     assert np.array_equal(training_gram(mf.X, mf.kernel_spec), gram(X_csv, mf.kernel_spec))
 
 
@@ -142,7 +151,10 @@ def test_precomputed_kernel_keeps_K0(small_ionosphere, tmp_path, flags):
     assert "K0" in _matrix_names(trained)
     assert "X" not in _matrix_names(trained)
     mf = load_model(trained)
-    assert np.array_equal(mf.K0, load_kernel_csv(kernel_csv))
+    # the K0 block is read back as the kernel's table, over the index points
+    table = load_kernel_csv(kernel_csv)
+    assert mf.kernel_spec.table.tobytes() == table.tobytes()
+    assert np.array_equal(mf.X, index_points(len(table))) and mf.K0 is None
     resaved = tmp_path / "resaved.model"
     save_model(resaved, mf)
     assert resaved.read_bytes() == trained.read_bytes()
@@ -221,6 +233,48 @@ def test_v1_model_serves_the_distances_it_always_served(tmp_path, query_points):
                 (5, 13): 0.548331169525, (9, 13): 0.556883602652, (19, 19): 0.0}
     for pair, d in expected.items():
         assert served[pair] == pytest.approx(d, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("golden", PRECOMPUTED_MODELS, ids=["dense", "kmeans"])
+def test_a_precomputed_model_file_serves_and_resaves_its_bytes(tmp_path, golden):
+    # its K0 block is its kernel's table over the index points 0 .. 19
+    mf = load_model(golden)
+    assert np.array_equal(mf.X, index_points(20)) and mf.kernel_spec.table.shape == (20, 20)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(PRECOMPUTED_PAIRS)
+    out = tmp_path / "pairs_out.csv"
+    assert main(["distance", str(golden), "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.with_name(f"{golden.stem}_pairs.csv").read_bytes()
+    resaved = tmp_path / "resaved.model"
+    save_model(resaved, mf)
+    assert resaved.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("golden", PRECOMPUTED_MODELS, ids=["dense", "kmeans"])
+def test_a_precomputed_model_serves_a_column_of_training_indices_as_those_points(
+        tmp_path, capsys, golden):
+    indices = [0, 2, 5, 13, 19, 7]
+    points = tmp_path / "indices.csv"
+    points.write_text("".join(f"{i}\n" for i in indices))
+    pairs = tmp_path / "pairs.csv"
+    I, J = np.triu_indices(len(indices))
+    pairs.write_text("".join(f"{indices[i]},{indices[j]}\n" for i, j in zip(I, J)))
+    served = {}
+    for query, path in (("--points", points), ("--pairs", pairs)):
+        out = tmp_path / f"{query[2:]}.csv"
+        assert main(["distance", str(golden), query, str(path), "--out", str(out)]) == 0
+        served[query] = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(served["--points"][:, :2], np.stack([I, J], axis=1))
+    # one sum of products, or one product per pair: the same distances to round-off
+    np.testing.assert_allclose(served["--points"][:, 2], served["--pairs"][:, 2],
+                               rtol=1e-9, atol=1e-12)
+    for text in ("0\n20\n", "0\n1.5\n", "0,1\n"):  # out of range, no index, two columns
+        points.write_text(text)
+        capsys.readouterr()
+        assert main(["distance", str(golden), "--points", str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: precomputed-kernel models cannot score new points" in captured.err
 
 
 # -- malformed model files exit 2 with a message ------------------------------
@@ -904,14 +958,14 @@ def _fit_labeled(data, case):
     from logdetml.evaluation import fit_labeled, median_pairwise_distance
 
     X, labels = load_points_csv(data, label_col="last")
-    K0, space, kernel = None, "kernel", KernelSpec.gaussian(median_pairwise_distance(X))
+    space, kernel = "kernel", KernelSpec.gaussian(median_pairwise_distance(X))
     if case in ("linear", "topk", "classmeans"):  # input space, as train picks for d <= n
         space, kernel = "linear", KernelSpec.linear()
     if case.startswith("precomputed"):
-        K0, X, kernel = gram(X, KernelSpec.gaussian(3.0)), None, KernelSpec.precomputed()
+        X, kernel = index_points(X.shape[1]), KernelSpec.precomputed(gram(X, KernelSpec.gaussian(3.0)))
     basis = {"topk": ("topk", 5), "classmeans": ("classmeans", 2), "kmeans": ("kmeans", 8),
              "precomputed-kmeans": ("kmeans", 8)}.get(case, (None, 0))
-    return fit_labeled(X, K0, labels, 0, space, kernel, per_class=10, max_sweeps=5,
+    return fit_labeled(X, labels, 0, space, kernel, per_class=10, max_sweeps=5,
                        basis=basis)[0]
 
 
@@ -938,6 +992,8 @@ def test_every_field_survives_a_round_trip(small_ionosphere, tmp_path, case):
     loaded = load_model(tmp_path / "model.txt")
     for f in dataclasses.fields(ModelFile):
         assert _same(getattr(loaded, f.name), getattr(mf, f.name)), f.name
+    if case.startswith("precomputed"):  # a kernel spec's == leaves out its table
+        assert _same(loaded.kernel_spec.table, mf.kernel_spec.table)
 
 
 @pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
