@@ -15,6 +15,14 @@ non-linear ``--kernel``, a baseline ``--loss``, ``--gamma cv``,
 ``--per-class`` and ``--max-sweeps`` with exit 4.  ``train`` logs why the fit
 stopped: ``rule`` when no constrained distance moved by more than ``--tol``
 over the last sweep, ``cap`` when the sweep cap ended it (with a WARNING).
+A gaussian width left unset is logged as ``gaussian:median`` with the
+rest of the configuration, before the fit; the fit takes the width off the
+pool it reads its thresholds from, and ``train`` logs it as
+``median_width`` after the fit.
+
+A full-rank kernel-space model is fitted on, and its M covers, the
+constrained points only; its file keeps every training point, so
+``distance --pairs`` serves any training index (``modelfile``).
 
 Exit codes: 0 success, 2 malformed data, 3 numerical failure,
 4 bad flags.  Every run logs its full effective configuration to stderr,
@@ -150,17 +158,19 @@ def _resolve(args, X, table=None):
     non-linear kernel forces kernel space, and ``auto`` picks linear space
     when d <= n.  ``train`` and ``eval`` both resolve here.  A gaussian
     kernel with no width takes the median distance of the points it trains
-    on: all of them for ``train``; for ``eval`` the spec is None, and each
-    training fold takes its own (``evaluation.logdet_learner``), so no fold's
-    kernel depends on its held-out points.  A precomputed kernel is the
-    ``table`` that ``_load_dataset`` read."""
+    on: the spec is None, and ``evaluation.fit_labeled`` takes the width off
+    the pool it reads its thresholds from, of all the points for ``train``
+    and of each training fold for ``eval``, so no fold's kernel depends on
+    its held-out points.  ``train --gamma cv`` takes the width of all its
+    points here, so its inner folds fit at that width.  A precomputed kernel
+    is the ``table`` that ``_load_dataset`` read."""
     if args.kernel == "precomputed":
         spec = KernelSpec.precomputed(table)
     elif args.kernel == "linear":
         spec = KernelSpec.linear()
     elif args.kernel == "gaussian":
-        spec = None if args.command == "eval" else KernelSpec.gaussian(
-            evaluation.median_pairwise_distance(X))
+        spec = KernelSpec.gaussian(evaluation.median_pairwise_distance(X)) \
+            if args.command == "train" and args.gamma == "cv" else None
     else:
         spec = KernelSpec.gaussian(float(args.kernel.split(":", 1)[1]))
     space = args.space
@@ -178,8 +188,9 @@ def _log(args, key, value):
 
 def _log_effective(args, space, spec):
     _log(args, "effective_space", space)
-    if spec is None:
-        _log(args, "effective_kernel", "gaussian:fold-median")
+    if spec is None:  # the fit takes the median width of its points (each fold's for eval)
+        _log(args, "effective_kernel",
+             "gaussian:fold-median" if args.command == "eval" else "gaussian:median")
     else:
         _log(args, "effective_kernel",
              f"{spec.kind}" + (f":{spec.sigma:.6g}" if spec.kind == "gaussian" else ""))
@@ -197,6 +208,8 @@ def cmd_train(args) -> int:
 
     mf, fit = evaluation.fit_labeled(X, labels, args.seed, space, spec, args.per_class,
                                      args.gamma, args.tol, args.max_sweeps, basis=args.basis)
+    if spec is None:
+        _log(args, "median_width", f"{mf.kernel_spec.sigma:.6g}")
     _log(args, "thresholds", f"u={mf.thresholds.u:.6g} l={mf.thresholds.l:.6g}")
     if args.gamma == "cv":
         _log(args, "gamma_selected", mf.gamma)
@@ -222,7 +235,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    oracle = evaluation.serve(load_model(args.model))
+    mf = load_model(args.model)
+    oracle = evaluation.serve(mf)
     model = getattr(oracle, "model", None)  # the learned kernel; None for a d x d metric
     if args.pairs:
         pairs, _ = load_points_csv(args.pairs)
@@ -236,7 +250,7 @@ def cmd_distance(args) -> int:
             raise InvalidArgumentError("index pairs need a model trained with stored points")
         # an index past any int64 names no point either: -1 keeps it out of range
         I, J = np.where(np.abs(pairs[:, :k]) < 2.0**62, pairs[:, :k], -1).astype(int)
-        vals = training_pair_distance(model, I, J) if k else None
+        vals = training_pair_distance(model, mf.X, I, J) if k else None
         if k < pairs.shape[1]:
             raise InvalidArgumentError(f"{args.pairs}: non-integer index in pair {k + 1}")
     else:

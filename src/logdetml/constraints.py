@@ -103,6 +103,19 @@ class ConstraintSet:
         if bad.size:
             raise InvalidArgumentError(f"constraint ({I[bad[0]]}, {J[bad[0]]}) out of range for n={n}")
 
+    def on_support(self, n: int) -> tuple[np.ndarray, "ConstraintSet"]:
+        """``(C, cs)``: the support C, the ascending indices of the points the
+        constraints join (of n points), and the same constraints, in order,
+        over positions in C."""
+        self.validate_indices(n)
+        if not self.constraints:
+            raise InvalidArgumentError("constraint set is empty")
+        I, J, _ = self.pairs()
+        C = np.unique(np.concatenate([I, J]))
+        at = zip(np.searchsorted(C, I).tolist(), np.searchsorted(C, J).tolist(), self.constraints)
+        return C, ConstraintSet([Constraint(i, j, c.kind) for i, j, c in at], self.thresholds,
+                                self.xi0)
+
 
 def _draw_pair(rng, first_pool, second_pool, seen, retries: int = 10):
     """Draw (i, j) with i != j, retrying up to `retries` times to avoid an
@@ -261,9 +274,10 @@ def euclidean_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.sum(diff * diff, axis=0)
 
 
-def gaussian_distance_pool(X: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_distance_pool(D: np.ndarray, sigma: float) -> np.ndarray:
     """Pool of gaussian-kernel distances 2 - 2 k(x_i, x_j) between columns of
-    X, read off the points with no Gram.
+    X, read off the points with no Gram: their Euclidean pool D
+    (``euclidean_distance_pool(X, seed)``, in any order) mapped in place.
 
     For n <= FULL_POOL_MAX_N it is ``kernel_distance_pool(gram(X, spec))``
     bit for bit.  ``gram`` forms K[i, j] from the same product X^T X, by the
@@ -272,9 +286,10 @@ def gaussian_distance_pool(X: np.ndarray, sigma: float) -> np.ndarray:
     symmetrize changes nothing, and K's diagonal is exactly 1.  Mapping the
     Euclidean pool in place and taking clip((1 + 1) - 2 k, 0) gives the
     Gram's pool with only the product's buffer held.  A sampled pool (larger
-    n) is not the Gram's sample bit for bit: those thresholds read K0.
+    n) holds the pairs ``kernel_distance_pool`` draws for this seed, each
+    distance summed off the points, so it agrees with the Gram's to round-off.
     """
-    D = gaussian_in_place(euclidean_distance_pool(X), sigma)
+    D = gaussian_in_place(D, sigma)
     D *= 2.0
     np.subtract(2.0, D, out=D)
     return np.clip(D, 0.0, None, out=D)

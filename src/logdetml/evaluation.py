@@ -181,11 +181,19 @@ def inverse_covariance_baseline(X: np.ndarray) -> np.ndarray:
 
 def median_pairwise_distance(X: np.ndarray) -> float:
     """Median Euclidean pairwise distance; the default gaussian width.
-    The root and the median are taken in place in the pool, which is packed
-    into the n x n product it is read from, so this peaks at that buffer."""
-    D = euclidean_distance_pool(X)
-    np.sqrt(D, out=D)
-    med = float(np.median(D, overwrite_input=True))
+    Read off the pool, which is packed into the n x n product it is read
+    from, so this peaks at that buffer (``median_width``)."""
+    return median_width(euclidean_distance_pool(X))
+
+
+def median_width(pool: np.ndarray) -> float:
+    """The median of the square roots of a pool of squared distances,
+    ``np.median(np.sqrt(pool))`` bit for bit: the root is monotone, so the
+    pool is partitioned in place at its middle rank(s) and only those are
+    rooted and averaged.  The pool keeps its values, in another order."""
+    kth = [(pool.size - 1) // 2, pool.size // 2]
+    pool.partition(kth)
+    med = float(np.mean(np.sqrt(pool[kth])))
     if med <= 0:
         raise InvalidArgumentError("all points coincide; no usable kernel width")
     return med
@@ -207,20 +215,11 @@ def inverse_covariance_learner():
     return learn
 
 
-def label_constraints(labels, per_class: int, seed: int, X=None, K0=None,
-                      sigma=None) -> ConstraintSet:
+def label_constraints(labels, per_class: int, seed: int, pool) -> ConstraintSet:
     """The constraint set a LogDet fit trains on: pairs drawn from the
-    labels, thresholds from the distance profile of K0 when the fit is in
-    kernel space (K0 given), of the gaussian kernel of width sigma on the
-    points X when K0 is still to be built (``gaussian_distance_pool``: a full
-    pool, bit for bit the one K0 would give), of the points X otherwise."""
+    labels, thresholds from ``pool``, the distances of the fit's baseline
+    (``fit_labeled``), which is partially sorted in place."""
     cons = generate_from_labels(labels, per_class=per_class, seed=seed)
-    if K0 is not None:
-        pool = kernel_distance_pool(K0, seed=seed)
-    elif sigma is not None:
-        pool = gaussian_distance_pool(X, sigma)
-    else:
-        pool = euclidean_distance_pool(X, seed=seed)
     return ConstraintSet(cons, compute_thresholds(pool))
 
 
@@ -236,10 +235,14 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
 
     ``space`` is ``linear`` or ``kernel``; ``basis`` is ``(name, k)`` with a
     ``--basis`` name, or ``(None, 0)`` for a full-rank fit.  K0, the Gram of
-    X under ``spec``, is built when a kernel-space or coefficient-basis fit
-    needs it and none is given.  Returns ``(ModelFile, fit)``: the model,
-    with the facts ``train`` logs about how the fit ended
-    (``modelfile.FACTS``), and the solver's fit (dual, sweeps, trace).
+    X under ``spec``, is built for a coefficient-basis fit when none is
+    given.  A full-rank kernel fit reads no K0: each projection moves K only
+    on the two points its constraint joins, so it fits the Gram of the
+    support C alone (the constrained points, ``ConstraintSet.on_support``),
+    built from a Fortran-order copy of X[:, C], and its M is |C| x |C|
+    (``learned_kernel``).  Returns ``(ModelFile, fit)``: the model, with the
+    facts ``train`` logs about how the fit ended (``modelfile.FACTS``), and
+    the solver's fit (dual, sweeps, trace).
     """
     name, k = basis
     if name is None and space == "linear":
@@ -250,17 +253,18 @@ def fit_model(X, K0, cs: ConstraintSet, spec: KernelSpec, space: str,
             raise InvalidArgumentError(f"--basis {name} requires explicit points and a linear kernel")
         b = lowrank.select_basis_feature(X, FEATURE_BASES[name], k, seed=cfg.seed, labels=labels)
         low = lowrank.fit_low_rank(X, b, cs, cfg)
+    elif name is None:
+        C, cs = cs.on_support(X.shape[1])
+        fit = solver.fit_kernel(gram(np.asfortranarray(X[:, C]), spec), cs, cfg)
+        M, dropped_rank = compute_M(fit.K0, fit.K)
+        payload = dict(kind="kernel", kernel_spec=spec, X=X, M=M,
+                       support=C if C.size < X.shape[1] else None,
+                       max_violation=solver.max_violation(fit.K, cs, fit.dual),
+                       dropped_rank=dropped_rank)
     else:
         K0 = gram(X, spec) if K0 is None else K0
-        if name is None:
-            fit = solver.fit_kernel(K0, cs, cfg)
-            M, dropped_rank = compute_M(fit.K0, fit.K)
-            payload = dict(kind="kernel", kernel_spec=spec, X=X, M=M,
-                           max_violation=solver.max_violation(fit.K, cs, fit.dual),
-                           dropped_rank=dropped_rank)
-        else:
-            b = lowrank.select_basis_kernel(K0, KERNEL_BASES[name], k, seed=cfg.seed)
-            low = lowrank.fit_low_rank(K0, b, cs, cfg)
+        b = lowrank.select_basis_kernel(K0, KERNEL_BASES[name], k, seed=cfg.seed)
+        low = lowrank.fit_low_rank(K0, b, cs, cfg)
     if name is not None:
         fit = low.inner
         # the dual state covers only the constraints the basis can reach
@@ -290,18 +294,33 @@ def fit_labeled(X, labels, seed: int, space: str, spec: KernelSpec | None,
     tunes the slack by an inner CV of k-NN with this k, ``spec=None`` takes a
     gaussian kernel at the points' median-distance width.
 
-    A gaussian kernel-space fit with a full pool takes its thresholds off the
-    points, bit for bit those of the Gram
-    (``constraints.gaussian_distance_pool``), before ``fit_model`` builds K0,
-    so it never holds the pool and K0 at once.  Other kernel-space fits build
-    K0 first and read their thresholds off it."""
+    The thresholds come off one pool of baseline distances.  In linear
+    space it is the points' Euclidean pool.  A gaussian kernel maps that
+    pool in place (``constraints.gaussian_distance_pool``: a full pool is
+    the Gram's bit for bit), with no width given the very pool the width is
+    the median of (``median_width``), so a train forms one pool.  Any other
+    kernel reads the pool of K0 = ``gram(X, spec)``: for a precomputed
+    kernel the table itself when X is all of its points, and a training
+    fold's rows and columns of it when X is a fold's.  A gaussian basis fit
+    builds K0 only after that (``fit_model``), once the pool is dropped."""
     if gamma == "cv":
         gamma = crossvalidate_gamma(X, labels, lambda g: logdet_learner(
             space, spec, per_class, g, tol, max_sweeps, k, basis), k=k, seed=seed)
-    spec = spec or KernelSpec.gaussian(median_pairwise_distance(X))
-    early = space == "kernel" and spec.kind == "gaussian" and X.shape[1] <= FULL_POOL_MAX_N
-    K0 = gram(X, spec) if space == "kernel" and not early else None
-    cs = label_constraints(labels, per_class, seed, X=X, K0=K0, sigma=spec.sigma if early else None)
+    pool = K0 = None
+    if spec is None:
+        pool = euclidean_distance_pool(X)
+        spec = KernelSpec.gaussian(median_width(pool))
+        if X.shape[1] > FULL_POOL_MAX_N:
+            pool = None  # a sample drawn for seed 0: the thresholds draw this seed's
+    if space == "kernel" and spec.kind != "gaussian":
+        K0 = gram(X, spec)
+        pool = kernel_distance_pool(K0, seed=seed)
+    else:
+        pool = euclidean_distance_pool(X, seed=seed) if pool is None else pool
+        if space == "kernel":
+            pool = gaussian_distance_pool(pool, spec.sigma)
+    cs = label_constraints(labels, per_class, seed, pool)
+    del pool  # dropped before fit_model builds a Gram
     cfg = solver.SolverConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps, seed=seed)
     return fit_model(X, K0, cs, spec, space, cfg, basis, labels)
 

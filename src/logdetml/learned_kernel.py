@@ -8,17 +8,26 @@ kernel evaluations:
     <z1, z2>_W = kappa(z1, z2) + k1^T M k2,
     k_i = [kappa(z_i, x_1), ..., kappa(z_i, x_n)]^T
 
-so distances extend to unseen data.  Every model is one form: its training
-points X, a core C and an optional factor B, with M = C, or M = B C B^T
-(n x k, k x k) for a low-rank model.  A query point's coordinates are its
-kernel vector p = k, or p = B^T k with a factor, and
+so distances extend to unseen data.  M is supported on the constrained
+points: every projection moves K along K0 (e_i - e_j) for a constrained
+pair (i, j), so K - K0 = K0[:, C] S K0[C, :] for the support C, the points
+the constraints join, and K[C, C] evolves from K0[C, C] alone (Kulis, Sustik
+& Dhillon, JMLR 2009, make the same range argument).  A dense fit therefore
+solves on the |C| x |C| Gram K0[C, C] and serves M = K0[C, C]^+ (K[C, C] -
+K0[C, C]) K0[C, C]^+ over the points X[:, C]; the rest of the training
+points are served as any new point is.  Every model is one form: the
+points X it serves from (the support, or all n training points for a
+low-rank model), a core C and an optional factor B, with M = C, or
+M = B C B^T (n x k, k x k) for a low-rank model.  A query point's
+coordinates are its kernel vector p = k, or p = B^T k with a factor, and
 <z1, z2>_W = kappa(z1, z2) + p1^T C p2.  With a factor that costs O(nk) per
 query point (its kernel vector projected once, then C applied in O(k^2))
 and O(k) per pair, where applying M to the kernel vectors costs O(nk) per
 point and O(n) per pair; the n x n matrix M is never built.  Every query --
 a batch, one pair, a training-index pair -- goes through the same terms
 (``kernel_terms``), so each model has one formula.  A training index names
-a stored point and is served as that point.  A precomputed kernel is no
+a stored training point, which need not be one the model serves from, and
+is served as that point.  A precomputed kernel is no
 exception: its points are the indices of its table (``linalg.index_points``).
 
 K0^+ is a pseudo-inverse (see ``compute_M``): Gaussian Grams are often
@@ -79,8 +88,9 @@ def compute_M(K0: np.ndarray, K: np.ndarray):
 
 @dataclass
 class LearnedKernelModel:
-    """Learned kernel function over the training points X (columns):
-    M = core, or M = factor @ core @ factor.T when a factor is set."""
+    """Learned kernel function over the points X (columns) it serves from
+    (a dense fit's support, a low-rank fit's training points): M = core, or
+    M = factor @ core @ factor.T when a factor is set."""
 
     kernel_spec: KernelSpec
     X: np.ndarray
@@ -176,17 +186,19 @@ def _self_products(model: LearnedKernelModel, Z, P: np.ndarray, CP: np.ndarray) 
     return kernel_diagonal(Z, model.kernel_spec) + np.sum(np.multiply(P, CP, out=CP), axis=0)
 
 
-def training_pair_distance(model: LearnedKernelModel, a, b):
-    """Learned squared distance between training points by index: a float
-    for two indices, an array, pair by pair, for two index arrays (as
-    ``linalg.pair_distance_kernel``); a point's distance to itself is 0.
+def training_pair_distance(model: LearnedKernelModel, points: np.ndarray, a, b):
+    """Learned squared distance between training points by index into
+    ``points`` (all the training points, of which the model may serve from
+    a subset): a float for two indices, an array, pair by pair, for two
+    index arrays (as ``linalg.pair_distance_kernel``); a point's distance to
+    itself is 0.
 
-    A training index names a stored point and is served as that point, by
-    the terms ``learned_sq_distances`` uses: the pairs' distinct points are
-    evaluated once, COLUMN_BLOCK at a time, and each pair's input-kernel value
-    is the diagonal of ``cross_gram`` over a block of pairs.
+    An index names a stored point and is served as that point, by the terms
+    ``learned_sq_distances`` uses: the pairs' distinct points are evaluated
+    once, COLUMN_BLOCK at a time, and each pair's input-kernel value is the
+    diagonal of ``cross_gram`` over a block of pairs.
     """
-    n = model.X.shape[1]
+    n = points.shape[1]
     i, j = (np.ravel(v) for v in np.broadcast_arrays(a, b))
     if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
         raise InvalidArgumentError(f"training index out of range for n={n}")
@@ -195,13 +207,13 @@ def training_pair_distance(model: LearnedKernelModel, a, b):
     P, CP = np.empty((2, u.size, model.core.shape[0]))  # a row per point
     g = np.empty(u.size)
     for cols in _column_blocks(u.size):
-        Z = model.X[:, u[cols]]
+        Z = points[:, u[cols]]
         Pb, CPb = kernel_terms(model, Z)
         P[cols], CP[cols] = Pb.T, CPb.T
         g[cols] = _self_products(model, Z, Pb, CPb)
     G = np.empty(i.size)
     for p in _column_blocks(i.size):
-        K = np.diagonal(cross_gram(model.X[:, i[p]], model.X[:, j[p]], model.kernel_spec))
+        K = np.diagonal(cross_gram(points[:, i[p]], points[:, j[p]], model.kernel_spec))
         G[p] = K + np.sum(P[ui[p]] * CP[uj[p]], axis=1)
     d = np.clip(g[ui] + g[uj] - 2.0 * G, 0.0, None)
     d[i == j] = 0.0

@@ -22,15 +22,18 @@ Format version 3, in file order:
 A file holds only what serving reads, whatever its kind:
 
 * linear: W;
-* kernel: X, and M;
+* kernel: X, every training point; S, the support C that M is on, as the
+  ascending indices of its points in X, written only when C is not all of
+  them (a ``matrix S 1 |C|`` block, one row of integers); and M, |C| x |C|
+  (n x n with no S);
 * explicit basis: U (block ``B``) and F, for W = I + U (F - I) U^T;
 * coefficient basis: X, J (block ``B``), T = (J^T K0 J)^(-1/2) and F,
   so serving builds no Gram.
 
 No file holds the training constraints or their duals.  A ``precomputed``
 kernel's points are its indices (``linalg.index_points``): its file holds
-the Gram of those points, block ``K0``, in place of X, and ``load_model``
-reads that block back as the kernel's table over ``index_points(n)``.  A
+the kernel's table as it is, block ``K0``, in place of X, and
+``load_model`` reads that block back as the table over ``index_points(n)``.  A
 model serves every query, training indices included, from kernel
 evaluations.  A file written before this rule may hold more: ``load_model``
 checks its constraint lines and drops them, and ``ModelFile.__post_init__``
@@ -76,8 +79,8 @@ SCALARS = (("gamma", "gamma", float), ("seed", "seed", int), ("converged", "conv
 FACTS = (("distance_change", float), ("max_violation", float), ("dropped_rank", int),
          ("dropped", int))
 # payload blocks: (name in the file, ModelFile field, written as its upper triangle)
-BLOCKS = (("W", "W", True), ("X", "X", False), ("K0", "K0", True), ("M", "M", True),
-          ("F", "F", True), ("T", "T", True), ("B", "basis_matrix", False))
+BLOCKS = (("W", "W", True), ("X", "X", False), ("S", "support", False), ("K0", "K0", True),
+          ("M", "M", True), ("F", "F", True), ("T", "T", True), ("B", "basis_matrix", False))
 
 
 def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -115,6 +118,7 @@ class ModelFile:
     # payload (presence depends on kind)
     W: np.ndarray | None = None
     X: np.ndarray | None = None
+    support: np.ndarray | None = None  # kernel: the indices of X that M is on; None: all
     K0: np.ndarray | None = None  # an older file's Gram, read only to derive T
     M: np.ndarray | None = None
     basis_mode: str | None = None
@@ -148,7 +152,8 @@ class ModelFile:
         """Rebuild the out-of-sample model (kernel and iplr kinds); no Gram
         is built."""
         if self.kind == "kernel":
-            return LearnedKernelModel(self.kernel_spec, self.X, self.M)
+            X = self.X if self.support is None else np.asfortranarray(self.X[:, self.support])
+            return LearnedKernelModel(self.kernel_spec, X, self.M)
         if self.kind == "iplr" and self.basis_mode == COEFFICIENT:
             return expand(self._basis(), self.F, self.X, self.kernel_spec)
         raise InvalidArgumentError(f"model kind {self.kind!r} has no kernel form")
@@ -205,9 +210,11 @@ def save_model(path, mf: ModelFile) -> None:
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
     payload = {key: getattr(mf, key) for _, key, _ in BLOCKS}
-    if mf.kernel_spec is not None and mf.kernel_spec.kind == "precomputed":
-        # the points are indices: the file holds their Gram, the kernel's table
-        payload["X"], payload["K0"] = None, gram(mf.X, mf.kernel_spec)
+    spec = mf.kernel_spec
+    if spec is not None and spec.kind == "precomputed":
+        # the points are indices: the file holds their Gram, for all of them the
+        # kernel's table as it is held (``gram``)
+        payload["X"], payload["K0"] = None, gram(mf.X, spec)
     blocks = [(name, np.atleast_2d(np.asarray(payload[key], dtype=float)), symmetric)
               for name, key, symmetric in BLOCKS if payload[key] is not None]
     for name, A, symmetric in blocks:
@@ -235,8 +242,8 @@ def load_model(path) -> ModelFile:
         raise InvalidArgumentError(f"{path}: not a text model file") from exc
     pos = 0
 
-    def fail(message: str):
-        raise InvalidArgumentError(f"{path}: line {pos}: {message}")
+    def fail(message: str, line: int | None = None):
+        raise InvalidArgumentError(f"{path}: line {pos if line is None else line}: {message}")
 
     def take() -> str:
         nonlocal pos
@@ -310,6 +317,7 @@ def load_model(path) -> ModelFile:
 
     basis_mode, basis_k = None, None
     matrices: dict[str, np.ndarray] = {}
+    support_line = None  # the 1-based line of the S block's row
     while True:
         line = take()
         if line == "end":
@@ -327,6 +335,8 @@ def load_model(path) -> ModelFile:
             fail(f"unexpected line {line!r}")
         if rows < 0 or cols < 0:
             fail(f"{parts[0]} {name} has a negative size")
+        if name == "S":
+            support_line = pos + 1
         block = lines[pos:pos + rows]
         data = None
         with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
@@ -369,11 +379,25 @@ def load_model(path) -> ModelFile:
         fail(f"{kind} model has no points to serve from: no X block with a kernel, "
              "and no K0 block of a precomputed kernel")
     d, n = X.shape if X is not None else (None, None)
-    W, M, B, F, T = (matrices.get(name) for name in "WMBFT")
+    W, M, B, F, T, S = (matrices.get(name) for name in "WMBFTS")
     if kind == "linear" and (W is None or W.shape[0] != W.shape[1]):
         fail("a linear model needs a square matrix W")
-    if kind == "kernel" and (M is None or M.shape != (n, n)):
-        fail(f"a kernel model needs a {n} x {n} matrix M for its {n} points")
+    payload["support"] = None
+    if kind == "kernel" and S is not None:
+        if S.shape[0] != 1 or S.shape[1] < 1:
+            fail("matrix S must list the points of the support in one row", support_line - 1)
+        C = S[0]
+        if not np.all(C == np.trunc(C)):
+            fail("matrix S has a non-integer entry", support_line)
+        if C.min() < 0 or C.max() >= n:
+            fail(f"matrix S names a point out of range for the {n} points", support_line)
+        if np.any(C[1:] <= C[:-1]):
+            fail("matrix S repeats an index or is out of order", support_line)
+        payload["support"] = C.astype(np.intp)
+    size = n if payload["support"] is None else payload["support"].size
+    if kind == "kernel" and (M is None or M.shape != (size, size)):
+        fail(f"a kernel model needs a {size} x {size} matrix M for the {size} points of its "
+             "support")
     if kind == "iplr":
         if basis_mode not in (EXPLICIT, COEFFICIENT):
             fail(f"an iplr model needs a 'basis {EXPLICIT}|{COEFFICIENT} k' line")

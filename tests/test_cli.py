@@ -8,7 +8,8 @@ import pytest
 from logdetml import cli, evaluation, lowrank, solver
 from logdetml.cli import EXIT_DATA, EXIT_FLAGS, EXIT_NUMERIC, build_parser, main
 from logdetml.constraints import (DEFAULT_PER_CLASS, ConstraintGenerationWarning,
-                                  generate_from_labels)
+                                  euclidean_distance_pool, generate_from_labels,
+                                  kernel_distance_pool)
 from logdetml.datasets import load_points_csv
 from logdetml.linalg import KernelSpec, gram
 from logdetml.modelfile import BLOCK_VALUES, load_model
@@ -188,7 +189,8 @@ def test_train_logs_dropped_constraints_on_coincident_points(tmp_path, capsys):
                  "--out", str(tmp_path / "model.txt")]) == 0
     X, y = load_points_csv(data, label_col="last")
     basis = lowrank.select_basis_feature(X, "topk-svd", 2)
-    expected = _unreachable(X, basis, evaluation.label_constraints(y, 100, 0, X=X))
+    expected = _unreachable(X, basis, evaluation.label_constraints(
+        y, 100, 0, euclidean_distance_pool(X)))
     assert expected > 0
     assert int(_logged(capsys.readouterr().err, "train", "dropped")) == expected
 
@@ -202,7 +204,8 @@ def test_train_logs_dropped_constraints_on_ionosphere(ionosphere_rows, tmp_path,
     X, y = load_points_csv(ionosphere_rows, label_col="last")
     K0 = gram(X, KernelSpec.gaussian(evaluation.median_pairwise_distance(X)))
     basis = lowrank.select_basis_kernel(K0, "kernel-kmeans", 10)
-    expected = _unreachable(K0, basis, evaluation.label_constraints(y, 10, 0, K0=K0))
+    expected = _unreachable(K0, basis, evaluation.label_constraints(
+        y, 10, 0, kernel_distance_pool(K0)))
     assert int(_logged(capsys.readouterr().err, "train", "dropped")) == expected
 
 
@@ -291,6 +294,23 @@ def test_basis_none_trains_the_full_rank_model(ionosphere_rows, tmp_path):
     assert load_model(tmp_path / "none.model").kind == "kernel"
 
 
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("flags", [[], ["--basis", "kmeans:5"]], ids=["dense", "kmeans"])
+def test_a_gaussian_train_forms_one_euclidean_pool(ionosphere_rows, tmp_path, monkeypatch,
+                                                   flags):
+    # the median width and the thresholds are read off the same pool
+    from logdetml import constraints
+
+    pool, calls = constraints.euclidean_distance_pool, []
+    for module in (constraints, evaluation):
+        monkeypatch.setattr(module, "euclidean_distance_pool",
+                            lambda *a, **kw: calls.append(a) or pool(*a, **kw))
+    assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last",
+                 "--kernel", "gaussian", "--per-class", "5", "--max-sweeps", "2",
+                 "--out", str(tmp_path / "model.txt"), *flags]) == 0
+    assert len(calls) == 1
+
+
 @pytest.fixture(scope="module")
 def wide_rows(tmp_path_factory):
     """16 points in 20 dimensions (d > n), two classes."""
@@ -320,7 +340,10 @@ def test_train_and_eval_resolve_space_and_kernel_alike(ionosphere_rows, wide_row
     assert _logged(evaluated, "eval", "effective_space") == _logged(trained, "train", "effective_space")
     if kernel == "gaussian":
         # train takes the median width of all its points, eval that of each training fold
-        assert _logged(trained, "train", "effective_kernel").startswith("gaussian:")
+        assert _logged(trained, "train", "effective_kernel") == "gaussian:median"
+        X, _ = load_points_csv(data, label_col="last")
+        assert (_logged(trained, "train", "median_width")
+                == f"{evaluation.median_pairwise_distance(X):.6g}")
         assert _logged(evaluated, "eval", "effective_kernel") == "gaussian:fold-median"
     else:
         assert _logged(evaluated, "eval", "effective_kernel") == _logged(trained, "train", "effective_kernel")
@@ -350,6 +373,9 @@ def test_coincident_points_with_gaussian_kernel_exit_2(tmp_path, capsys):
                                   "--kernel", "gaussian")
     assert code == EXIT_DATA
     assert "all points coincide" in err
+    # the effective configuration is logged before the fit that fails
+    assert _logged(err, "train", "effective_space") == "kernel"
+    assert _logged(err, "train", "effective_kernel") == "gaussian:median"
 
 
 @pytest.mark.parametrize("defect, message", [
@@ -454,6 +480,7 @@ def ionosphere_gram(tmp_path_factory):
     return root / "kernel.csv", root / "labels.txt"
 
 
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
 @pytest.mark.parametrize("seed", ["0", "1901"])
 def test_a_precomputed_gram_evaluates_and_tunes_as_the_kernel_it_holds(ionosphere_gram, tmp_path,
                                                                        capsys, seed):
@@ -470,12 +497,15 @@ def test_a_precomputed_gram_evaluates_and_tunes_as_the_kernel_it_holds(ionospher
         assert main(["eval", *data, "--mode", "knn", "--max-sweeps", "20", "--seed", seed]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         folds[name] = [row.split(",")[3:5] for row in rows]
-        assert main(["train", *data, "--gamma", "cv", "--max-sweeps", "3", "--per-class", "20",
-                     "--seed", seed, "--out", str(tmp_path / f"{name}.model")]) == 0
-        gammas[name] = _logged(capsys.readouterr().err, "train", "gamma_selected")
+        for basis in ("none", "kmeans:5"):  # a kernel basis is chosen on each fold's table
+            assert main(["train", *data, "--gamma", "cv", "--max-sweeps", "3", "--per-class",
+                         "20", "--basis", basis, "--seed", seed,
+                         "--out", str(tmp_path / f"{name}.model")]) == 0
+            gammas[name, basis] = _logged(capsys.readouterr().err, "train", "gamma_selected")
     assert folds["precomputed"] == folds["gaussian"]
     assert [fold for _, fold in folds["gaussian"]] == ["0", "1", "mean"]
-    assert gammas["precomputed"] == gammas["gaussian"]
+    for basis in ("none", "kmeans:5"):
+        assert gammas["precomputed", basis] == gammas["gaussian", basis]
 
 
 @pytest.mark.parametrize("case", ["cluster-cv", "precomputed-loss-euclidean",

@@ -235,11 +235,13 @@ def test_pools_are_bitwise_the_triu_expressions(n, order):
             assert np.array_equal(kernel_distance_pool(K), _reference_kernel_pool(K))
         # the gaussian pool read off the points is the pool of their Gram
         from_gram = kernel_distance_pool(gram(P, spec))
-        assert np.array_equal(gaussian_distance_pool(P, spec.sigma), from_gram)
-        assert (_thresholds_or_error(gaussian_distance_pool(P, spec.sigma))
+        assert np.array_equal(gaussian_distance_pool(euclidean_distance_pool(P), spec.sigma),
+                              from_gram)
+        assert (_thresholds_or_error(gaussian_distance_pool(euclidean_distance_pool(P),
+                                                             spec.sigma))
                 == _thresholds_or_error(from_gram))
     if n >= 17:
-        pool = gaussian_distance_pool(crowded, 1.3)
+        pool = gaussian_distance_pool(euclidean_distance_pool(crowded), 1.3)
         assert compute_thresholds(pool.copy()).u == 1e-3 * pool[pool > 0].min()
 
 
@@ -255,9 +257,9 @@ def test_pools_leave_the_caller_s_matrices_unchanged():
     K0 = gram(X, spec)
     X_bits, K0_bits = X.tobytes(), K0.tobytes()
     euclidean_distance_pool(X)
-    gaussian_distance_pool(X, spec.sigma)
+    gaussian_distance_pool(euclidean_distance_pool(X), spec.sigma)
     kernel_distance_pool(K0)
-    cs = label_constraints(labels, 10, 0, X=X, K0=K0)
+    cs = label_constraints(labels, 10, 0, kernel_distance_pool(K0))
     for basis in ((None, 0), ("kmeans", 6)):
         # K0 as a precomputed kernel: its thresholds are read off the Gram of its index points
         mf, _ = fit_labeled(index_points(X.shape[1]), labels, 0, "kernel",
@@ -296,3 +298,22 @@ def test_median_width_is_bitwise_the_median_of_the_root_pool():
 
     X = np.random.default_rng(5).standard_normal((4, 301))
     assert median_pairwise_distance(X) == float(np.median(np.sqrt(_reference_euclidean_pool(X))))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [17, 18, 241, 242], ids=["136", "153", "28920", "29161"])
+def test_one_pool_gives_the_width_and_thresholds_of_two(n, order):
+    # pools of an even and an odd number of values: the median is the mean of
+    # two middle values, or one
+    from logdetml.evaluation import fit_labeled, median_width
+
+    X = np.random.default_rng(n).standard_normal((5, n)) * 3.0
+    X = np.asfortranarray(X) if order == "F" else np.ascontiguousarray(X)
+    width = float(np.median(np.sqrt(_reference_euclidean_pool(X))))  # the two-pool path
+    thresholds = compute_thresholds(gaussian_distance_pool(euclidean_distance_pool(X), width))
+    pool = euclidean_distance_pool(X)
+    assert median_width(pool) == width
+    # the partitioned pool, mapped in place, holds the same values in another order
+    assert compute_thresholds(gaussian_distance_pool(pool, width)) == thresholds
+    mf, _ = fit_labeled(X, np.arange(n) % 2, 0, "kernel", None, per_class=3, max_sweeps=1)
+    assert mf.kernel_spec.sigma == width and mf.thresholds == thresholds

@@ -6,7 +6,8 @@ import pytest
 from logdetml import evaluation
 from logdetml.cli import main
 from logdetml.constraints import (SIMILAR, ConstraintSet, compute_thresholds,
-                                  euclidean_distance_pool, generate_from_labels)
+                                  euclidean_distance_pool, generate_from_labels,
+                                  kernel_distance_pool)
 from logdetml.datasets import load_points_csv
 from logdetml.evaluation import (
     GAMMA_GRID,
@@ -19,9 +20,10 @@ from logdetml.evaluation import (
     knn_classify,
     logdet_kernel_learner,
     median_pairwise_distance,
+    stratified_split,
     two_fold_cv,
 )
-from logdetml.linalg import KernelSpec, pair_distance_kernel, pairwise_sq_dists
+from logdetml.linalg import KernelSpec, gram, index_points, pair_distance_kernel, pairwise_sq_dists
 from logdetml.modelfile import save_model
 from logdetml.solver import SolverConfig, fit_kernel, max_violation
 
@@ -140,6 +142,46 @@ def test_learned_kernel_beats_euclidean_on_ionosphere():
             - two_fold_cv(X, labels, euclidean_learner(), k=10, seed=seed).accuracy
             for seed in range(4)]
     assert np.mean(gaps) >= 0.05
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_fit_on_the_support_is_the_fit_on_the_whole_gram(seed):
+    # the benchmark's ionosphere fit: M sits on the constrained points alone
+    from logdetml.linalg import gram
+    from logdetml.solver import fit_kernel
+
+    X, labels = load_points_csv(IONOSPHERE, label_col="last")
+    mf, on_C = fit_labeled(X, labels, seed, "kernel", None, max_sweeps=20)
+    C = mf.support
+    assert 280 < C.size < X.shape[1] and mf.M.shape == (C.size, C.size)
+    K0 = gram(X, mf.kernel_spec)
+    whole = fit_kernel(K0, evaluation.label_constraints(
+        labels, 100, seed, kernel_distance_pool(K0, seed=seed)),
+                       SolverConfig(max_sweeps=20, seed=seed))
+    assert (on_C.sweeps_used, on_C.converged) == (whole.sweeps_used, whole.converged)
+    # the delayed updates of two problem sizes sum in other orders: 5e-13 seen
+    assert np.max(np.abs(on_C.K - whole.K[np.ix_(C, C)])) <= 1e-11
+
+
+@pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")
+@pytest.mark.parametrize("basis", [(None, 0), ("kmeans", 5)], ids=["dense", "kmeans"])
+def test_a_precomputed_fold_fits_on_its_own_rows_and_columns_of_the_table(basis):
+    # no fold's fit depends on its held-out points: a training fold of index
+    # points fits as a table that holds that fold alone
+    X, labels = load_points_csv(IONOSPHERE, label_col="last")
+    table = gram(X, KernelSpec.gaussian(3.0))
+    points = index_points(X.shape[1])
+    for tr in stratified_split(labels, seed=0):
+        fold, _ = fit_labeled(points[:, tr], labels[tr], 0, "kernel",
+                              KernelSpec.precomputed(table), max_sweeps=3, basis=basis)
+        alone, _ = fit_labeled(index_points(tr.size), labels[tr], 0, "kernel",
+                               KernelSpec.precomputed(table[np.ix_(tr, tr)]), max_sweeps=3,
+                               basis=basis)
+        assert fold.thresholds == alone.thresholds
+        for key in ("support", "M", "basis_matrix", "F", "T"):
+            a, b = getattr(fold, key), getattr(alone, key)
+            assert (a is None and b is None) or np.array_equal(a, b), key
+        assert np.array_equal(fold.X, points[:, tr])
 
 
 def test_metric_distances_within_one_set_are_the_two_set_bits():

@@ -106,7 +106,7 @@ class TestLearnedQueries:
             for b in range(n):
                 d = learned_distance(model, X[:, a], X[:, b])
                 assert d == pytest.approx(pair_distance_kernel(km.K, a, b), abs=1e-8)
-                assert training_pair_distance(model, a, b) == pytest.approx(d, abs=1e-8)
+                assert training_pair_distance(model, X, a, b) == pytest.approx(d, abs=1e-8)
 
     def test_linear_kernel_matches_explicit_metric(self, rng):
         X, model, km = trained_model(rng, KernelSpec.linear())
@@ -289,24 +289,23 @@ def _reference_learned_self_products(model, Z):
     return base + np.sum(P * CP, axis=0)
 
 
-def reference_training_pair_distances(model, I, J):
-    """Training index pairs served as the stored points they name, pair by
-    pair: kappa(x_i, x_j) + p_i^T C p_j against the learned self products of
-    the pairs' distinct points, with kappa and the points' terms evaluated
-    over all pairs at once.  A precomputed model, whose points are the indices
-    of its table, reads them off the table, and a point's distance to itself
-    is 0."""
+def reference_training_pair_distances(model, points, I, J):
+    """Pairs of indices into the training points ``points`` served as the
+    stored points they name, pair by pair: kappa(x_i, x_j) + p_i^T C p_j
+    against the learned self products of the pairs' distinct points, with
+    kappa and the points' terms evaluated over all pairs at once.  A
+    precomputed model, whose points are the indices of its table, reads
+    kappa off the table, and a point's distance to itself is 0."""
     u = sorted(set(I) | set(J))
     col = {v: c for c, v in enumerate(u)}
+    P, CP = _reference_terms(model, _kernel_vectors(model, points[:, u]))
     if model.kernel_spec.kind == "precomputed":
         table = model.kernel_spec.table
-        P, CP = _reference_terms(model, table[:, u])
         g = table[u, u] + np.sum(P * CP, axis=0)
         kappa = table[I, J]
     else:
-        P, CP = _reference_terms(model, _kernel_vectors(model, model.X[:, u]))
-        g = _reference_learned_self_products(model, model.X[:, u])
-        kappa = np.diagonal(cross_gram(model.X[:, I], model.X[:, J], model.kernel_spec))
+        g = _reference_learned_self_products(model, points[:, u])
+        kappa = np.diagonal(cross_gram(points[:, I], points[:, J], model.kernel_spec))
     out = []
     for p, (i, j) in enumerate(zip(I, J)):
         a, b = col[i], col[j]
@@ -465,11 +464,11 @@ def test_training_pairs_are_bitwise_reference(kind, form):
     model = _training_pair_model(kind, form)
     # a self pair, both orders of one pair, a repeated pair and the last index
     I, J = [0, 3, 3, 0, 11, 7, 7, 5], [1, 3, 0, 3, 2, 9, 9, 11]
-    served = training_pair_distance(model, np.array(I), np.array(J))
-    assert np.array_equal(served, reference_training_pair_distances(model, I, J))
+    served = training_pair_distance(model, model.X, np.array(I), np.array(J))
+    assert np.array_equal(served, reference_training_pair_distances(model, model.X, I, J))
     assert served[1] == 0.0
     for p, (i, j) in enumerate(zip(I, J)):
-        one = training_pair_distance(model, i, j)
+        one = training_pair_distance(model, model.X, i, j)
         assert isinstance(one, float)
         assert one == pytest.approx(served[p], rel=1e-12, abs=1e-15)
 
@@ -483,7 +482,7 @@ def test_training_pairs_match_the_points_they_name(monkeypatch, block):
     for form in ("dense", "factored"):
         model = _training_pair_model("gaussian", form)
         I, J = np.triu_indices(12)
-        served = training_pair_distance(model, I, J)
+        served = training_pair_distance(model, model.X, I, J)
         ref = reference_learned_sq_distances(model, model.X, model.X)[I, J]
         ref[I == J] = 0.0
         assert np.max(np.abs(served - ref)) <= 1e-12 * np.median(ref)
@@ -507,4 +506,4 @@ def test_training_pairs_refuse_an_index_out_of_range(kind):
     model = _training_pair_model(kind, "factored")
     for I, J in (([0, 12], [1, 2]), (-1, 0)):
         with pytest.raises(InvalidArgumentError, match="training index out of range for n=12"):
-            training_pair_distance(model, I, J)
+            training_pair_distance(model, model.X, I, J)

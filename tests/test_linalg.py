@@ -88,7 +88,12 @@ class TestGram:
         spec = KernelSpec.precomputed(table)
         X = index_points(6)
         assert X.shape == (1, 6) and np.array_equal(X[0], np.arange(6))
-        assert np.array_equal(gram(X, spec), table)
+        # all of the index points, in order: the table itself, read and never copied
+        assert gram(X, spec) is spec.table
+        for cols in (slice(None, None, -1), slice(0, 4)):
+            sub = gram(X[:, cols], spec)
+            assert not np.shares_memory(sub, table)
+            assert np.array_equal(sub, table[cols, cols])
         a, b = X[:, [4, 1, 1]], X[:, [0, 5]]
         assert np.array_equal(cross_gram(a, b, spec), table[np.ix_([4, 1, 1], [0, 5])])
         assert np.array_equal(kernel_diagonal(a, spec), table[[4, 1, 1], [4, 1, 1]])

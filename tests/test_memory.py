@@ -8,15 +8,17 @@ whole-matrix code it replaced took, given after it in the comment.
 import tracemalloc
 
 import numpy as np
+import numpy.ma  # noqa: F401 - np.percentile imports it on its first call, not in a traced one
 import pytest
 
-from logdetml.constraints import compute_thresholds, euclidean_distance_pool, kernel_distance_pool
+from logdetml.constraints import (compute_thresholds, euclidean_distance_pool,
+                                  gaussian_distance_pool, kernel_distance_pool)
 from logdetml.clustering import kernel_kmeans
 from logdetml.evaluation import fit_labeled, label_constraints, median_pairwise_distance
 from logdetml.learned_kernel import learned_sq_distances
-from logdetml.linalg import KernelSpec, gram
+from logdetml.linalg import KernelSpec, gram, index_points
 from logdetml.lowrank import COEFFICIENT
-from logdetml.modelfile import ModelFile
+from logdetml.modelfile import ModelFile, save_model
 
 from conftest import make_blobs
 
@@ -60,7 +62,8 @@ def test_gaussian_thresholds_hold_no_pool_beside_K0(points):
     labels = np.arange(1000) % 3
 
     def thresholds_then_K0():
-        cs = label_constraints(labels, 100, 0, X=points, sigma=3.0)
+        cs = label_constraints(labels, 100, 0,
+                               gaussian_distance_pool(euclidean_distance_pool(points), 3.0))
         return cs, gram(points, KernelSpec.gaussian(3.0))
 
     beside = peak_in_n2(1000, thresholds_then_K0) - peak_in_n2(1000, gram, points,
@@ -106,3 +109,28 @@ def test_serving_against_the_training_points_holds_no_n2_buffer():
     assert all(v.size < n * n for v in held if isinstance(v, np.ndarray))
     Z = rng.standard_normal((20, 100))
     assert peak_in_n2(n, learned_sq_distances, model, Z, model.X) < 1.0  # was 2.2
+
+
+def test_a_dense_gaussian_fit_above_the_full_pool_builds_no_n2_array():
+    # n > FULL_POOL_MAX_N: the width and the thresholds read pools sampled off the
+    # points, and the fit the Gram of the 80 or fewer constrained points
+    n = 4000
+    X = np.asfortranarray(np.random.default_rng(3).standard_normal((4, n)))
+    assert peak_in_n2(n, fit_labeled, X, np.arange(n) % 2, 0, "kernel", None, 10, 1.0,
+                      5e-2, 2) <= 0.25  # was 5.3: K0, its copies, the fit's work and M
+
+
+def test_a_dense_precomputed_fit_and_save_hold_less_than_one_n2_array_beside_the_table(
+        tmp_path):
+    # the thresholds read the table itself, the fit the table's rows and columns of
+    # its constrained points, and the file holds the table as it is: the peak is
+    # the thresholds' pool, half of n^2
+    def fit_and_save(table):
+        n = len(table)
+        mf, _ = fit_labeled(index_points(n), np.arange(n) % 2, 0, "kernel",
+                            KernelSpec.precomputed(table), 5, 1.0, 5e-2, 2)
+        save_model(tmp_path / "model.txt", mf)
+
+    n = 500  # tracemalloc slows the file's formatting about tenfold: n = 1000 takes 4 s
+    table = gram(np.random.default_rng(0).standard_normal((20, n)), KernelSpec.gaussian(3.0))
+    assert peak_in_n2(n, fit_and_save, table) < 1.0  # was 7.0: Gram copies, K, M and a copy to save

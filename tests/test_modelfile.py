@@ -11,6 +11,7 @@ import pytest
 
 import logdetml
 from logdetml.cli import main
+from logdetml.constraints import kernel_distance_pool
 from logdetml.datasets import load_kernel_csv, load_points_csv
 from logdetml.errors import InvalidArgumentError
 from logdetml.linalg import KernelSpec, gram, index_points
@@ -186,7 +187,7 @@ def test_v1_model_loads_and_serves_like_v2(tmp_path, query_points):
     K0_v1 = np.loadtxt(lines[at + 1:at + 1 + int(lines[at].split()[2])], ndmin=2)
     assert load_model(V1_KERNEL_MODEL).K0 is None  # the points rebuild it
     resaved, _ = _resaved_serves_alike(V1_KERNEL_MODEL, tmp_path, query_points)
-    assert "K0" not in _matrix_names(resaved)
+    assert "K0" not in _matrix_names(resaved) and "S" not in _matrix_names(resaved)
     mf = load_model(resaved)
     assert np.array_equal(training_gram(mf.X, mf.kernel_spec), K0_v1)
 
@@ -236,10 +237,22 @@ def test_v1_model_serves_the_distances_it_always_served(tmp_path, query_points):
 
 
 @pytest.mark.parametrize("golden", PRECOMPUTED_MODELS, ids=["dense", "kmeans"])
-def test_a_precomputed_model_file_serves_and_resaves_its_bytes(tmp_path, golden):
-    # its K0 block is its kernel's table over the index points 0 .. 19
+def test_a_precomputed_model_file_serves_and_resaves_its_bytes(tmp_path, monkeypatch, golden):
+    # its K0 block is its kernel's table over the index points 0 .. 19, and a
+    # file with no S block has M on all of them
+    from logdetml import modelfile
+
     mf = load_model(golden)
     assert np.array_equal(mf.X, index_points(20)) and mf.kernel_spec.table.shape == (20, 20)
+    assert mf.support is None
+    # the table is written as it is held, not gathered into a Gram of its index points
+    written, write_block = {}, modelfile._write_block
+
+    def spy(write, name, A, symmetric):
+        written[name] = A
+        return write_block(write, name, A, symmetric)
+
+    monkeypatch.setattr(modelfile, "_write_block", spy)
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(PRECOMPUTED_PAIRS)
     out = tmp_path / "pairs_out.csv"
@@ -248,6 +261,7 @@ def test_a_precomputed_model_file_serves_and_resaves_its_bytes(tmp_path, golden)
     resaved = tmp_path / "resaved.model"
     save_model(resaved, mf)
     assert resaved.read_bytes() == golden.read_bytes()
+    assert written["K0"] is mf.kernel_spec.table
 
 
 @pytest.mark.parametrize("golden", PRECOMPUTED_MODELS, ids=["dense", "kmeans"])
@@ -362,6 +376,31 @@ def _malformed(text, case):
     if case == "no-points":
         broken = _drop_matrix(text, "X")
         return broken, len(broken.splitlines()), "no K0 block"
+    if case.startswith("support-"):  # the S block: one row of ascending point indices
+        lines = text.splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("matrix S "))) + 1
+        C = lines[at].split()
+        if case == "support-non-integer":
+            C[3] = "7.5"
+            fragment = "matrix S has a non-integer entry"
+        elif case == "support-out-of-range":
+            C[-1] = "59"
+            fragment = "matrix S names a point out of range for the 59 points"
+        elif case == "support-column":  # the indices as a column: one a row
+            lines[at - 1:at + 1] = [f"matrix S {len(C)} 1", *C]
+            return "\n".join(lines) + "\n", at, \
+                "matrix S must list the points of the support in one row"
+        elif case in ("support-repeated", "support-out-of-order"):
+            C[1] = C[0] if case == "support-repeated" else C[2]
+            fragment = "matrix S repeats an index or is out of order"
+        else:  # one point fewer than M has rows: the M-shape check names it
+            lines[at - 1] = f"matrix S 1 {len(C) - 1}"
+            del C[-1]
+            lines[at] = " ".join(C)
+            return "\n".join(lines) + "\n", len(lines), \
+                f"needs a {len(C)} x {len(C)} matrix M for the {len(C)} points of its support"
+        lines[at] = " ".join(C)
+        return "\n".join(lines) + "\n", at + 1, fragment
     if case == "precomputed-no-K0":
         broken, _ = _replace_line(text, "kernel", "kernel precomputed")
         return broken, len(broken.splitlines()), "no K0 block"
@@ -373,7 +412,9 @@ def _malformed(text, case):
                                   "unknown-kind", "identity-coeff", "no-points",
                                   "precomputed-no-K0", "version-4", "short-constraint-line",
                                   "one-threshold", "unexpected-line", "negative-size",
-                                  "truncated"])
+                                  "truncated", "support-non-integer", "support-out-of-range",
+                                  "support-repeated", "support-out-of-order",
+                                  "support-length", "support-column"])
 def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, capsys, case):
     text, line, fragment = _malformed(gaussian_model.read_text(), case)
     broken = tmp_path / "broken.model"
@@ -417,7 +458,7 @@ def _swap_matrix(text, name, A):
 @pytest.mark.parametrize("flags, edit, fragment", [
     (["--space", "linear"], lambda t: _swap_matrix(t, "W", np.ones((2, 3))), "square matrix W"),
     (["--kernel", "gaussian"], lambda t: _swap_matrix(t, "M", np.eye(3)),
-     "59 x 59 matrix M for its 59 points"),
+     "45 x 45 matrix M for the 45 points of its support"),
     (["--kernel", "gaussian", "--basis", "kmeans:8"], lambda t: _drop_matrix(t, "B"),
      "matrix B with 59 rows and 8 columns"),
     (["--kernel", "gaussian", "--basis", "kmeans:8"], lambda t: _drop_matrix(t, "F"),
@@ -619,6 +660,46 @@ def test_distance_pairs_serve_the_training_points_they_name(small_ionosphere, tm
     assert np.max(np.abs(by_pairs[:, 2] - ref)) <= 1e-12 * np.median(ref)
 
 
+def test_a_model_on_its_support_serves_as_the_model_of_the_whole_gram(
+        small_ionosphere, query_points, tmp_path):
+    # M is on the 45 constrained points; the 14 others, like held-out points, are
+    # served from their kernel vectors against those 45
+    from logdetml import evaluation, solver
+    from logdetml.learned_kernel import (LearnedKernelModel, compute_M, learned_sq_distances,
+                                         training_pair_distance)
+
+    path = tmp_path / "trained.model"
+    assert _train(small_ionosphere, path, "--kernel", "gaussian") == 0
+    mf = load_model(path)
+    X, labels = load_points_csv(small_ionosphere, label_col="last")
+    K0 = gram(X, mf.kernel_spec)
+    full = solver.fit_kernel(K0, evaluation.label_constraints(
+        labels, 10, 0, kernel_distance_pool(K0)),
+                             solver.SolverConfig(max_sweeps=5))
+    assert (full.sweeps_used, full.converged) == (mf.sweeps_used, mf.converged)
+    on_C = full.K[np.ix_(mf.support, mf.support)]
+    served = mf.to_learned_kernel()
+    assert np.max(np.abs(learned_sq_distances(served, served.X, served.X)
+                         - (np.diag(on_C)[:, None] + np.diag(on_C) - 2.0 * on_C))) <= 1e-12
+    whole = LearnedKernelModel(mf.kernel_spec, X, compute_M(full.K0, full.K)[0])
+    free = np.setdiff1d(np.arange(59), mf.support)
+    assert free.size == 14
+    I = np.concatenate([free, free[:7]])
+    J = np.concatenate([np.roll(free, 1), mf.support[:7]])
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(f"{i},{j}\n" for i, j in zip(I, J)))
+    Z, _ = load_points_csv(query_points)
+    upper = np.triu_indices(Z.shape[1])
+    for query, want in ((["--pairs", str(pairs)], training_pair_distance(whole, X, I, J)),
+                        (["--points", str(query_points)],
+                         learned_sq_distances(whole, Z, Z)[upper] * (upper[0] != upper[1]))):
+        out = tmp_path / "distances.csv"
+        assert main(["distance", str(path), *query, "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+        # round-off of two fits and two pseudo-inverses, and the CSV's 12 digits
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.median(want)  # 4e-13 seen
+
+
 def test_non_utf8_points_exit_2(gaussian_model, tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_bytes(b"\xff\xfe1,2\n")
@@ -638,11 +719,12 @@ def reference_distance_csv(model_path, query):
     from test_learned_kernel import (reference_learned_sq_distances,
                                      reference_training_pair_distances)
 
-    model = load_model(model_path).to_learned_kernel()
+    mf = load_model(model_path)
+    model = mf.to_learned_kernel()
     rows = []
     if query[0] == "--pairs":
         I, J = load_points_csv(query[1])[0].astype(int).tolist()
-        rows = list(zip(I, J, reference_training_pair_distances(model, I, J).tolist()))
+        rows = list(zip(I, J, reference_training_pair_distances(model, mf.X, I, J).tolist()))
     else:
         Z, _ = load_points_csv(query[1])
         D = reference_learned_sq_distances(model, Z, Z)
@@ -814,8 +896,9 @@ def test_loaded_model_serves_the_bits_of_the_fitted_model(small_ionosphere, quer
     args = cli.build_parser().parse_args(["train", "--data", str(small_ionosphere),
                                           "--out", "unused", *flags])
     space, spec = cli._resolve(args, X)
+    spec = spec or KernelSpec.gaussian(evaluation.median_pairwise_distance(X))
     K0 = gram(X, spec)
-    cs = evaluation.label_constraints(labels, 10, 0, X=X, K0=K0)
+    cs = evaluation.label_constraints(labels, 10, 0, kernel_distance_pool(K0))
     mf, _ = evaluation.fit_model(X, K0, cs, spec, space, SolverConfig(max_sweeps=5),
                                  args.basis, labels)
     save_model(tmp_path / "model.txt", mf)
@@ -989,6 +1072,10 @@ def test_every_field_survives_a_round_trip(small_ionosphere, tmp_path, case):
 
     mf = _fit_labeled(small_ionosphere, case)
     save_model(tmp_path / "model.txt", mf)
+    # a dense kernel fit's 40 constraints join 45 of the 59 points: M is on those
+    dense = case in ("gaussian", "precomputed")
+    assert ("S" in _matrix_names(tmp_path / "model.txt")) == dense
+    assert not dense or (mf.support.size == 45 and mf.M.shape == (45, 45))
     loaded = load_model(tmp_path / "model.txt")
     for f in dataclasses.fields(ModelFile):
         assert _same(getattr(loaded, f.name), getattr(mf, f.name)), f.name

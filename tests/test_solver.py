@@ -1048,12 +1048,14 @@ class TestStoppingRule:
 _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
-from logdetml import evaluation, solver
+from logdetml import constraints, evaluation, solver
 X, y, K0 = (np.load(path) for path in sys.argv[1:])
 cfg = solver.SolverConfig(max_sweeps=40)
 for fit, learned in [
-        (solver.fit_kernel(K0, evaluation.label_constraints(y, 40, 0, K0=K0), cfg), "K"),
-        (solver.fit_linear(X, evaluation.label_constraints(y, 100, 0, X=X), cfg), "W")]:
+        (solver.fit_kernel(K0, evaluation.label_constraints(
+            y, 40, 0, constraints.kernel_distance_pool(K0)), cfg), "K"),
+        (solver.fit_linear(X, evaluation.label_constraints(
+            y, 100, 0, constraints.euclidean_distance_pool(X)), cfg), "W")]:
     digest = hashlib.sha256(getattr(fit, learned).tobytes()).hexdigest()
     print(fit.sweeps_used, fit.converged, digest,
           [e.distance_change.hex() for e in fit.trace])
