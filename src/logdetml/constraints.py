@@ -5,11 +5,11 @@ up closer than an upper threshold ``u``, pairs straddling classes farther
 than a lower threshold ``l``.  Thresholds come from the 1st and 99th
 percentiles of baseline distances.
 
-A full Euclidean pool (and the gaussian pool mapped from it) is packed row
-by row into the n x n product X^T X it reads and returned as a view over
-it: it peaks at that one buffer, and holding the pool keeps all n^2 doubles
-alive.  The pool of a Gram matrix goes to a fresh array, since the caller's
-K must come back unchanged.
+A full Euclidean pool (and the gaussian pool mapped from it) or linear
+kernel pool is packed row by row into the n x n product X^T X it reads and
+returned as a view over it: it peaks at that one buffer, and holding the
+pool keeps all n^2 doubles alive.  The pool of a Gram matrix goes to a
+fresh array, since the caller's K must come back unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import gaussian_in_place, pair_distance_kernel
+from .linalg import KernelSpec, gaussian_in_place, gram, pair_distance_kernel
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -272,6 +272,25 @@ def euclidean_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
     i, j = _sampled_pairs(n, seed)
     diff = X[:, i] - X[:, j]
     return np.sum(diff * diff, axis=0)
+
+
+def linear_kernel_distance_pool(X: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Pool of linear-kernel distances between columns of X,
+    ``kernel_distance_pool(gram(X, KernelSpec.linear()), seed)`` bit for bit.
+
+    A full pool is packed into the product X^T X, the Gram that ``gram``
+    returns: the product is exactly symmetric, so gram's symmetrize changes
+    nothing, and the self products are its diagonal (which rounds otherwise
+    than the Euclidean pool's column sums).  A sampled pool reads the Gram.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[1]
+    if n < 2:
+        raise InvalidArgumentError("need at least 2 points for a distance pool")
+    if n > FULL_POOL_MAX_N:
+        return kernel_distance_pool(gram(X, KernelSpec.linear()), seed)
+    P = X.T @ X
+    return _upper_triangle_sq_dists(P.diagonal().copy(), P, P.reshape(-1))
 
 
 def gaussian_distance_pool(D: np.ndarray, sigma: float) -> np.ndarray:

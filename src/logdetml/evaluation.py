@@ -32,6 +32,7 @@ from .constraints import (
     generate_from_labels,
     generate_pairs_random,
     kernel_distance_pool,
+    linear_kernel_distance_pool,
 )
 from .errors import InvalidArgumentError
 from .learned_kernel import LearnedKernelModel, compute_M, learned_sq_distances
@@ -298,11 +299,14 @@ def fit_labeled(X, labels, seed: int, space: str, spec: KernelSpec | None,
     space it is the points' Euclidean pool.  A gaussian kernel maps that
     pool in place (``constraints.gaussian_distance_pool``: a full pool is
     the Gram's bit for bit), with no width given the very pool the width is
-    the median of (``median_width``), so a train forms one pool.  Any other
-    kernel reads the pool of K0 = ``gram(X, spec)``: for a precomputed
-    kernel the table itself when X is all of its points, and a training
-    fold's rows and columns of it when X is a fold's.  A gaussian basis fit
-    builds K0 only after that (``fit_model``), once the pool is dropped."""
+    the median of (``median_width``), so a train forms one pool.  A dense
+    fit with the linear kernel reads the Gram's pool packed into the one
+    product X^T X (``constraints.linear_kernel_distance_pool``) and hands
+    ``fit_model`` no K0.  Any other kernel reads the pool of
+    K0 = ``gram(X, spec)``: for a precomputed kernel the table itself when X
+    is all of its points, and a training fold's rows and columns of it when
+    X is a fold's.  A gaussian basis fit builds K0 only after that
+    (``fit_model``), once the pool is dropped."""
     if gamma == "cv":
         gamma = crossvalidate_gamma(X, labels, lambda g: logdet_learner(
             space, spec, per_class, g, tol, max_sweeps, k, basis), k=k, seed=seed)
@@ -312,7 +316,9 @@ def fit_labeled(X, labels, seed: int, space: str, spec: KernelSpec | None,
         spec = KernelSpec.gaussian(median_width(pool))
         if X.shape[1] > FULL_POOL_MAX_N:
             pool = None  # a sample drawn for seed 0: the thresholds draw this seed's
-    if space == "kernel" and spec.kind != "gaussian":
+    if space == "kernel" and spec.kind == "linear" and basis[0] is None:
+        pool = linear_kernel_distance_pool(X, seed=seed)
+    elif space == "kernel" and spec.kind != "gaussian":
         K0 = gram(X, spec)
         pool = kernel_distance_pool(K0, seed=seed)
     else:
@@ -321,6 +327,8 @@ def fit_labeled(X, labels, seed: int, space: str, spec: KernelSpec | None,
             pool = gaussian_distance_pool(pool, spec.sigma)
     cs = label_constraints(labels, per_class, seed, pool)
     del pool  # dropped before fit_model builds a Gram
+    if basis[0] is None:
+        K0 = None  # a full-rank fit reads only its support's Gram (fit_model)
     cfg = solver.SolverConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps, seed=seed)
     return fit_model(X, K0, cs, spec, space, cfg, basis, labels)
 

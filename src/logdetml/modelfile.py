@@ -1,23 +1,30 @@
 """Versioned plain-text model persistence.
 
-One canonical serialization: fixed key order, floats as %.17g decimal
-literals (lossless for float64), matrices row-major, written a block of rows
-per % and parsed with one ``np.loadtxt`` per matrix, byte for byte and bit
-for bit as one value at a time.  Files written from the same model are
-byte-identical, which makes reproducibility checks a straight byte comparison.
+One canonical serialization: fixed key order, an ASCII text header, and
+matrices row-major, one line per row.  Files written from the same model are
+byte-identical on any host, which makes reproducibility checks a straight
+byte comparison, and every matrix reads back bit for bit.
 
-Format version 3, in file order:
+Format version 4, in file order:
 
 * header: ``version``, ``kind``, ``kernel``, the ``SCALARS``,
   ``stop_reason`` (``rule`` or ``cap``, implied by ``converged``), the
   ``FACTS`` ``train`` logs about how the fit ended (each when known),
   ``identity_coeff``, ``thresholds``, ``constraints 0`` and, for a basis,
-  ``basis MODE k``;
+  ``basis MODE k``; floats as %.17g decimal literals (lossless for float64);
 * the ``BLOCKS`` that are set, in table order.  A block's row i is written
   from column 0, as ``matrix NAME rows cols``, or from column i, as
   ``symmetric NAME n``: a symmetric block holds its upper triangle, and
   ``load_model`` mirrors it; ``save_model`` refuses one that is not exactly
-  symmetric.
+  symmetric.  The table gives each block its encoding.  A packed block
+  (keyword ``packed-matrix`` or ``packed-symmetric``) writes each row as
+  the base64 of its little-endian float64 (``'<f8'``) bytes: about 10.7
+  bytes a value against about 20 for a decimal, formatted and parsed by
+  one C call a row.  A text block writes each row as %.17g decimals
+  separated by spaces, formatted a block of rows per % and parsed with one
+  ``np.loadtxt`` per matrix.  Every float block is packed but two: ``B``, whose
+  kmeans or subset J is almost all exact zeros (2 bytes each as text, 8
+  packed), and ``S``, which holds short integers.
 
 A file holds only what serving reads, whatever its kind:
 
@@ -39,13 +46,14 @@ evaluations.  A file written before this rule may hold more: ``load_model``
 checks its constraint lines and drops them, and ``ModelFile.__post_init__``
 drops the blocks serving does not read.
 
-Versions 1 and 2 still load.  They write every matrix in full, record a
-``jitter`` line in place of the fit facts, and store no T: a coefficient
-basis's T is derived once, when the ``ModelFile`` is made, from K0 built only
-for as long as that takes (``training_gram``).  Version 1 files always carry
-``K0``.  Saving a loaded model always writes version 3.  Every version
-carries an ``identity_coeff`` line, always ``1`` for a LogDet model;
-``load_model`` rejects any other value.
+Versions 1 to 3 still load; they hold text blocks only, and ``load_model``
+reads either encoding of any block in a version 4 file.  Versions 1 and 2
+write every matrix in full, record a ``jitter`` line in place of the fit
+facts, and store no T: a coefficient basis's T is derived once, when the
+``ModelFile`` is made, from K0 built only for as long as that takes
+(``training_gram``).  Version 1 files always carry ``K0``.  Saving a loaded
+model always writes version 4.  Every version carries an ``identity_coeff``
+line, always ``1`` for a LogDet model; ``load_model`` rejects any other value.
 
 ``load_model`` holds ``ModelFile.X`` column-major (Fortran order), the
 layout training holds it in (``datasets.load_points_csv``): BLAS sums the
@@ -55,6 +63,8 @@ file gives the bits of the same model served in memory.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import warnings
 from dataclasses import dataclass
@@ -67,20 +77,23 @@ from .learned_kernel import LearnedKernelModel
 from .linalg import KernelSpec, gram, index_points
 from .lowrank import COEFFICIENT, EXPLICIT, Basis, coefficient_T, expand
 
-VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, 4)
 
 KINDS = ("linear", "kernel", "iplr")
-BLOCK_VALUES = 8192  # matrix entries written per % formatting (bounds its temporaries)
+BLOCK_VALUES = 8192  # text entries written per % formatting (bounds its temporaries)
 # header entries after 'kernel': (key, ModelFile field, type); a bool is written 0 or 1
 SCALARS = (("gamma", "gamma", float), ("seed", "seed", int), ("converged", "converged", bool),
            ("sweeps", "sweeps_used", int))
-# what train logs about a fit, written after 'stop_reason' when known (version 3)
+# what train logs about a fit, written after 'stop_reason' when known (version 3 on)
 FACTS = (("distance_change", float), ("max_violation", float), ("dropped_rank", int),
          ("dropped", int))
-# payload blocks: (name in the file, ModelFile field, written as its upper triangle)
-BLOCKS = (("W", "W", True), ("X", "X", False), ("S", "support", False), ("K0", "K0", True),
-          ("M", "M", True), ("F", "F", True), ("T", "T", True), ("B", "basis_matrix", False))
+# payload blocks: (name in the file, ModelFile field, written as its upper triangle,
+# written packed, else as text); a symmetric block is packed
+BLOCKS = (("W", "W", True, True), ("X", "X", False, True), ("S", "support", False, False),
+          ("K0", "K0", True, True), ("M", "M", True, True), ("F", "F", True, True),
+          ("T", "T", True, True), ("B", "basis_matrix", False, False))
+PACKED = "packed-"  # the prefix of a packed block's keyword (version 4)
 
 
 def training_gram(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -170,24 +183,29 @@ class ModelFile:
         return Basis(self.basis_mode, self.basis_matrix, self.basis_matrix.shape[1], T=self.T)
 
 
-def _write_block(write, name: str, A: np.ndarray, symmetric: bool) -> None:
-    """Line i of the block holds row i of A from column i on for a symmetric
-    block (its upper triangle), from column 0 on for a matrix; one % formats
-    as many whole rows as fit in BLOCK_VALUES values, and at least one."""
+def _write_block(write, name: str, A: np.ndarray, symmetric: bool, packed: bool) -> None:
+    """Line i of the block holds row i of A, from column i on for a
+    symmetric block (its upper triangle, which is always packed).  A packed
+    row is the base64 of its little-endian float64 bytes; a text row is
+    %.17g decimals, one % formatting as many whole rows as fit in
+    BLOCK_VALUES values, and at least one."""
     rows, cols = A.shape
-    write(f"symmetric {name} {rows}\n" if symmetric else f"matrix {name} {rows} {cols}\n")
-    first = range(rows) if symmetric else [0] * rows  # each row's first column
-    full = " ".join(["%.17g"] * cols)  # a row's format is its tail from its first column on
-    a = 0
-    while a < rows:
-        b = min(rows, a + max(1, BLOCK_VALUES // max(cols - first[a], 1)))
-        values = np.concatenate([A[i, first[i]:] for i in range(a, b)]).tolist()
-        write("\n".join([full[6 * first[i]:] for i in range(a, b)]) % tuple(values) + "\n")
-        a = b
+    shape = f"symmetric {name} {rows}" if symmetric else f"matrix {name} {rows} {cols}"
+    write(f"{PACKED if packed else ''}{shape}\n")
+    if packed:
+        A = A.astype("<f8", copy=False)  # the same bytes on any host
+        for i in range(rows):
+            write(binascii.b2a_base64(A[i, i if symmetric else 0:].tobytes()).decode("ascii"))
+        return
+    step = max(1, BLOCK_VALUES // max(cols, 1))
+    row = " ".join(["%.17g"] * cols)
+    for a in range(0, rows, step):
+        part = A[a:a + step]
+        write("\n".join([row] * len(part)) % tuple(part.ravel().tolist()) + "\n")
 
 
 def save_model(path, mf: ModelFile) -> None:
-    """Write ``mf`` as a version 3 file.  Every symmetric block is checked
+    """Write ``mf`` as a version 4 file.  Every symmetric block is checked
     before the file is opened, so a refused save leaves nothing at ``path``;
     each block is then written as soon as it is formatted."""
     lines = [f"version {VERSION}", f"kind {mf.kind}"]
@@ -209,28 +227,28 @@ def save_model(path, mf: ModelFile) -> None:
     lines.append("constraints 0")
     if mf.basis_mode is not None:
         lines.append(f"basis {mf.basis_mode} {mf.basis_matrix.shape[1]}")
-    payload = {key: getattr(mf, key) for _, key, _ in BLOCKS}
+    payload = {key: getattr(mf, key) for _, key, _, _ in BLOCKS}
     spec = mf.kernel_spec
     if spec is not None and spec.kind == "precomputed":
         # the points are indices: the file holds their Gram, for all of them the
         # kernel's table as it is held (``gram``)
         payload["X"], payload["K0"] = None, gram(mf.X, spec)
-    blocks = [(name, np.atleast_2d(np.asarray(payload[key], dtype=float)), symmetric)
-              for name, key, symmetric in BLOCKS if payload[key] is not None]
-    for name, A, symmetric in blocks:
+    blocks = [(name, np.atleast_2d(np.asarray(payload[key], dtype=float)), symmetric, packed)
+              for name, key, symmetric, packed in BLOCKS if payload[key] is not None]
+    for name, A, symmetric, _ in blocks:
         # bit patterns, so that -0.0 and 0.0 differ: the file keeps one of each pair
         if symmetric and (A.shape[0] != A.shape[1] or
                           not np.array_equal(A.view(np.int64), A.T.view(np.int64))):
             raise InvalidArgumentError(f"matrix {name} is not exactly symmetric")
     with open(path, "w", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
-        for name, A, symmetric in blocks:
-            _write_block(fh.write, name, A, symmetric)
+        for block in blocks:
+            _write_block(fh.write, *block)
         fh.write("end\n")
 
 
 def load_model(path) -> ModelFile:
-    """Read a version 1, 2 or 3 model file.
+    """Read a model file of any version from 1 to 4.
 
     Malformed content raises ``InvalidArgumentError`` naming the file and
     the 1-based line.
@@ -326,24 +344,43 @@ def load_model(path) -> ModelFile:
         if parts[:1] == ["basis"] and len(parts) == 3:
             basis_mode, basis_k = parts[1], number(parts[2], int)
             continue
-        if parts[:1] == ["matrix"] and len(parts) == 4:
+        keyword = parts[0] if parts else ""
+        packed = version >= 4 and keyword.startswith(PACKED)
+        shape = keyword[len(PACKED):] if packed else keyword
+        if shape == "matrix" and len(parts) == 4:
             name, rows, cols = parts[1], number(parts[2], int), number(parts[3], int)
-        elif parts[:1] == ["symmetric"] and len(parts) == 3:
+        elif shape == "symmetric" and len(parts) == 3:
             name, rows = parts[1], number(parts[2], int)
             cols = rows
         else:
             fail(f"unexpected line {line!r}")
         if rows < 0 or cols < 0:
-            fail(f"{parts[0]} {name} has a negative size")
+            fail(f"{keyword} {name} has a negative size")
         if name == "S":
             support_line = pos + 1
+        if packed:  # each row decoded into its place: no other copy of the block is made
+            data = np.empty((rows, cols))
+            for r in range(rows):
+                width = cols if shape == "matrix" else rows - r
+                row = take()
+                try:
+                    raw = base64.b64decode(row, validate=True)
+                except ValueError:
+                    fail(f"{keyword} {name} row {r} is not base64")
+                if len(raw) != 8 * width:
+                    fail(f"{keyword} {name} row {r} has {len(raw)} bytes, not {8 * width}")
+                data[r, cols - width:] = np.frombuffer(raw, dtype="<f8")
+                if shape == "symmetric":
+                    data[r + 1:, r] = data[r, r + 1:]
+            matrices[name] = data
+            continue
         block = lines[pos:pos + rows]
         data = None
         with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
             warnings.simplefilter("error")  # loadtxt only warns on a block with no data
-            if parts[0] == "matrix" and rows and cols:
+            if shape == "matrix" and rows and cols:
                 data = np.loadtxt(block, dtype=float, comments=None, ndmin=2)
-            elif parts[0] == "symmetric" and rows and \
+            elif shape == "symmetric" and rows and \
                     [len(row.split()) for row in block] == list(range(rows, 0, -1)):
                 # the triangle's rows joined into one, parsed in one call and mirrored
                 data = _mirror(np.loadtxt([" ".join(block)], dtype=float, comments=None,
@@ -353,19 +390,19 @@ def load_model(path) -> ModelFile:
         else:  # row by row, to name the row that failed
             data = np.empty((rows, cols))
             for r in range(rows):
-                width = cols if parts[0] == "matrix" else rows - r
+                width = cols if shape == "matrix" else rows - r
                 vals = take().split()
                 if len(vals) != width:
-                    fail(f"{parts[0]} {name} row {r} has wrong width")
+                    fail(f"{keyword} {name} row {r} has wrong width")
                 try:
                     data[r, cols - width:] = [float(v) for v in vals]
                 except ValueError:
-                    fail(f"{parts[0]} {name} row {r} has a non-numeric entry")
-            if parts[0] == "symmetric":
+                    fail(f"{keyword} {name} row {r} has a non-numeric entry")
+            if shape == "symmetric":
                 data = _mirror(data[np.triu_indices(rows)], rows)
         matrices[name] = data
 
-    payload = {key: matrices.get(name) for name, key, _ in BLOCKS}
+    payload = {key: matrices.get(name) for name, key, _, _ in BLOCKS}
     if payload["X"] is not None:  # training's layout (see the module docstring)
         payload["X"] = np.asfortranarray(payload["X"])
     if spec is not None and spec.kind == "precomputed":

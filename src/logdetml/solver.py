@@ -24,9 +24,11 @@ A kernel fit delays its rank-one updates (the delayed-update idea of
 Schreiber & Van Loan's compact WY form, 1989).  The fit's kernel is held as
 A + U diag(beta) U^T with up to ``KERNEL_BLOCK`` pending terms, so each
 projection costs O(n t) for t pending terms instead of a full n x n pass:
-v = A[:, i] - A[:, j] + U^T (beta * (U[:, i] - U[:, j])) over U's t rows,
-and p and the scalars come from v as above.  The skip floor counts the
-pending terms, trace(A) + sum beta_s ||u_s||^2.  The block is added into A
+v = A[i] - A[j] + U^T (beta * (U[:, i] - U[:, j])) over U's t rows (the
+rows of A, its columns since A is exactly symmetric), and p and the scalars
+come from v as above.  The skip floor counts the pending terms,
+trace(A) + sum beta_s ||u_s||^2, with trace(A) summed once per flush.  The
+block is added into A
 when it is full and at the end of every sweep, before the distances the
 stopping rule reads, so every sweep ends on a flushed matrix:
 
@@ -38,7 +40,7 @@ stopping rule reads, so every sweep ends on a flushed matrix:
   ``test_same_stop_and_bits_on_one_and_two_blas_threads`` guards;
 * mirrored: the upper triangle is copied onto the lower one, because the
   entries (a, b) and (b, a) of the product round differently and the
-  projections read columns of an exactly symmetric K;
+  projections read rows of K as its columns;
 * a block of one term is added by the eager update A += beta v v^T, so with
   ``KERNEL_BLOCK = 1`` a kernel fit is the eager loop, bit for bit.
 
@@ -260,13 +262,16 @@ class _Pending:
         self.U, self.beta, self.t = np.empty((size, n)), np.empty(size), 0
         self.trace = 0.0  # sum beta_s ||u_s||^2: the pending part of trace(K)
         self.diag, self.work = A.diagonal(), work
+        self.diag_sum = float(np.add.reduce(self.diag))  # A changes only at a flush
 
     def floor(self) -> float:
-        return _p_min(self.diag, len(self.diag), self.trace)
+        """``_p_min`` of the fit's kernel: A's diagonal sum, refreshed at each flush."""
+        return P_MIN_RTOL * (self.diag_sum + self.trace) / len(self.diag)
 
     def image(self, A: np.ndarray, i: int, j: int) -> np.ndarray:
-        """K[:, i] - K[:, j] for the fit's kernel K."""
-        v = A[:, i] - A[:, j]
+        """K[:, i] - K[:, j] for the fit's kernel K, read as the rows
+        K[i] - K[j]: A is exactly symmetric."""
+        v = A[i] - A[j]
         if t := self.t:
             U = self.U[:t]
             v += (self.beta[:t] * (U[:, i] - U[:, j])) @ U
@@ -302,6 +307,7 @@ class _Pending:
                     A[r0:r1, :r0] = A[:r0, r0:r1].T
                     block = A[r0:r1, r0:r1]
                     np.copyto(block, block.T, where=lower[:r1 - r0, :r1 - r0])
+        self.diag_sum = float(np.add.reduce(self.diag))
 
 
 def project_constraint_kernel(

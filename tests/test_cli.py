@@ -81,7 +81,7 @@ def test_a_rank_one_basis_model_trains_and_serves(ionosphere_rows, tmp_path, cap
     model = tmp_path / "model.txt"
     assert main(["train", "--data", str(ionosphere_rows), "--label-col", "last", *space,
                  "--basis", f"{name}:1", "--per-class", "10", "--out", str(model)]) == 0
-    assert "symmetric F 1" in model.read_text().splitlines()
+    assert "packed-symmetric F 1" in model.read_text().splitlines()
     X, _ = load_points_csv(ionosphere_rows, label_col="last")
     points = tmp_path / "points.csv"
     points.write_text("".join(",".join(f"{v:.17g}" for v in x) + "\n" for x in X[:, :4].T))
@@ -96,7 +96,7 @@ def test_a_one_feature_linear_model_trains_and_serves(tmp_path, capsys):
     model = tmp_path / "model.txt"
     assert main(["train", "--data", str(data), "--label-col", "last", "--space", "linear",
                  "--per-class", "3", "--out", str(model)]) == 0
-    assert "symmetric W 1" in model.read_text().splitlines()
+    assert "packed-symmetric W 1" in model.read_text().splitlines()
     points = tmp_path / "points.csv"
     points.write_text("0\n3\n")
     capsys.readouterr()

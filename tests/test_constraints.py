@@ -14,6 +14,7 @@ from logdetml.constraints import (
     generate_from_labels,
     generate_pairs_random,
     kernel_distance_pool,
+    linear_kernel_distance_pool,
 )
 from logdetml.errors import InvalidArgumentError
 
@@ -243,6 +244,32 @@ def test_pools_are_bitwise_the_triu_expressions(n, order):
     if n >= 17:
         pool = gaussian_distance_pool(euclidean_distance_pool(crowded), 1.3)
         assert compute_thresholds(pool.copy()).u == 1e-3 * pool[pool > 0].min()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [2, 3, 17, 240])
+def test_the_linear_kernel_pool_is_the_pool_of_its_gram_bit_for_bit(n, order):
+    from logdetml.linalg import KernelSpec, gram
+
+    X = np.random.default_rng(n).standard_normal((5, n)) * 3.0
+    X[:, -1] = X[:, 0]  # a coincident pair
+    X = np.asfortranarray(X) if order == "F" else np.ascontiguousarray(X)
+    X_bits = X.tobytes()
+    pool = linear_kernel_distance_pool(X)
+    assert np.array_equal(pool.view(np.int64),
+                          kernel_distance_pool(gram(X, KernelSpec.linear())).view(np.int64))
+    assert X.tobytes() == X_bits
+    # the Euclidean pool's self products round otherwise: the same distances to round-off
+    np.testing.assert_allclose(pool, euclidean_distance_pool(X), rtol=1e-12, atol=1e-12)
+
+
+def test_a_sampled_linear_kernel_pool_reads_the_gram():
+    from logdetml.constraints import FULL_POOL_MAX_N
+    from logdetml.linalg import KernelSpec, gram
+
+    X = np.random.default_rng(2).standard_normal((3, FULL_POOL_MAX_N + 1))
+    assert np.array_equal(linear_kernel_distance_pool(X, seed=4),
+                          kernel_distance_pool(gram(X, KernelSpec.linear()), seed=4))
 
 
 @pytest.mark.filterwarnings("ignore::logdetml.lowrank.BasisWarning")

@@ -17,7 +17,9 @@ from logdetml.evaluation import (
     crossvalidate_gamma,
     euclidean_learner,
     fit_labeled,
+    fit_model,
     knn_classify,
+    label_constraints,
     logdet_kernel_learner,
     median_pairwise_distance,
     stratified_split,
@@ -290,6 +292,24 @@ def test_train_writes_the_model_fit_labeled_returns(tmp_path, flags, space, basi
     saved = tmp_path / "fit_labeled.model"
     save_model(saved, mf)
     assert saved.read_bytes() == trained.read_bytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_dense_linear_kernel_fit_is_the_fit_on_the_pool_of_its_gram(tmp_path, seed, order):
+    # the pool packed into X^T X, with no Gram held beside it, gives the file
+    # the fit with the Gram's pool gave
+    X, labels = load_points_csv(IONOSPHERE, label_col="last")
+    X = np.asfortranarray(X[:, ::3]) if order == "F" else np.ascontiguousarray(X[:, ::3])
+    labels, spec = labels[::3], KernelSpec.linear()
+    K0 = gram(X, spec)
+    cs = label_constraints(labels, 10, seed, kernel_distance_pool(K0, seed=seed))
+    files = [tmp_path / "gram_pool.model", tmp_path / "fit_labeled.model"]
+    save_model(files[0], fit_model(X, K0, cs, spec, "kernel",
+                                   SolverConfig(max_sweeps=3, seed=seed))[0])
+    save_model(files[1], fit_labeled(X, labels, seed, "kernel", spec, per_class=10,
+                                     max_sweeps=3)[0])
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 # -- one Gram pair distance -----------------------------------------------------------

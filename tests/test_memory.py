@@ -120,6 +120,16 @@ def test_a_dense_gaussian_fit_above_the_full_pool_builds_no_n2_array():
                       5e-2, 2) <= 0.25  # was 5.3: K0, its copies, the fit's work and M
 
 
+@pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.gaussian(3.0)],
+                         ids=["linear", "gaussian"])
+def test_a_dense_kernel_fit_holds_one_n2_buffer(points, spec):
+    # the thresholds' pool packed into the one product X^T X, dropped before the
+    # fit builds the Gram of its 80 or fewer constrained points
+    n = points.shape[1]
+    assert peak_in_n2(n, fit_labeled, points, np.arange(n) % 2, 0, "kernel", spec, 10, 1.0,
+                      5e-2, 2) <= 1.2  # linear was 1.5: the pool and the n x n Gram it read
+
+
 def test_a_dense_precomputed_fit_and_save_hold_less_than_one_n2_array_beside_the_table(
         tmp_path):
     # the thresholds read the table itself, the fit the table's rows and columns of

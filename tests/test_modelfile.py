@@ -1,3 +1,4 @@
+import base64
 import csv
 import io
 import os
@@ -63,14 +64,17 @@ V1_KERNEL_MODEL = Path(__file__).parent / "data" / "ionosphere_kernel_v1.model"
 #   logdetml train --data <every 18th ionosphere row> --label-col last
 #       --kernel gaussian --basis kmeans:4 --per-class 5 --max-sweeps 5
 V2_IPLR_MODEL = Path(__file__).parent / "data" / "ionosphere_iplr_v2.model"
-# Written when a precomputed-kernel model held K0 and no points, with
+# Written by the version-3 format (text blocks) when a precomputed-kernel model
+# held K0 and no points, with
 #   logdetml train --data <the width-3 Gaussian Gram of every 18th ionosphere row>
 #       --labels <its labels> --kernel precomputed --per-class 5 --max-sweeps 5
 #       [--basis kmeans:4]
-# and served, next to each, as MODEL_pairs.csv by
+# as FORM_v3.model, and served, next to each, as FORM_pairs.csv by
 #   logdetml distance MODEL --pairs <PRECOMPUTED_PAIRS>
+# FORM.model is that file saved as version 4.
+PRECOMPUTED_FORMS = ("dense", "kmeans")
 PRECOMPUTED_MODELS = [Path(__file__).parent / "data" / f"ionosphere_precomputed_{form}.model"
-                      for form in ("dense", "kmeans")]
+                      for form in PRECOMPUTED_FORMS]
 PRECOMPUTED_PAIRS = "0,1\n2,19\n5,5\n13,7\n"
 
 
@@ -81,7 +85,27 @@ def _train(data, out, *flags):
 
 def _matrix_names(path):
     return [line.split()[1] for line in path.read_text().splitlines()
-            if line.startswith(("matrix ", "symmetric "))]
+            if line.startswith(("matrix ", "symmetric ", "packed-"))]
+
+
+def _packed(row) -> str:
+    """A packed block's line for ``row``: the base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(row, dtype="<f8").tobytes()).decode()
+
+
+def _as_version_3(text):
+    """A version 4 file's text as version 3 wrote it: every packed row in %.17g decimals."""
+    lines, rows = text.splitlines(), 0
+    for at, line in enumerate(lines):
+        if rows:
+            lines[at] = " ".join(f"{v:.17g}" for v in np.frombuffer(base64.b64decode(line), "<f8"))
+            rows -= 1
+        elif line.startswith("packed-"):
+            lines[at] = line[len("packed-"):]
+            rows = int(line.split()[2])
+    assert lines[0] == "version 4"
+    lines[0] = "version 3"
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +137,7 @@ def gaussian_model(small_ionosphere, tmp_path_factory):
 def test_v2_drops_K0_and_rebuilds_it_bit_identically(small_ionosphere, tmp_path, flags):
     path = tmp_path / "trained.model"
     assert _train(small_ionosphere, path, *flags) == 0
-    assert path.read_text().startswith("version 3\n")
+    assert path.read_text().startswith("version 4\n")
     assert "K0" not in _matrix_names(path)
     mf = load_model(path)
     X_csv, _ = load_points_csv(small_ionosphere, label_col="last")
@@ -166,7 +190,7 @@ def _resaved_serves_alike(old, tmp_path, query_points):
     serve the same bytes.  Returns (resaved path, its --pairs output)."""
     resaved = tmp_path / "resaved.model"
     save_model(resaved, load_model(old))
-    assert resaved.read_text().startswith("version 3\n")
+    assert resaved.read_text().startswith("version 4\n")
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("0,1\n2,19\n5,11\n13,7\n")
     for query in (["--points", str(query_points)], ["--pairs", str(pairs)]):
@@ -248,20 +272,45 @@ def test_a_precomputed_model_file_serves_and_resaves_its_bytes(tmp_path, monkeyp
     # the table is written as it is held, not gathered into a Gram of its index points
     written, write_block = {}, modelfile._write_block
 
-    def spy(write, name, A, symmetric):
+    def spy(write, name, A, *layout):
         written[name] = A
-        return write_block(write, name, A, symmetric)
+        return write_block(write, name, A, *layout)
 
     monkeypatch.setattr(modelfile, "_write_block", spy)
-    pairs = tmp_path / "pairs.csv"
-    pairs.write_text(PRECOMPUTED_PAIRS)
-    out = tmp_path / "pairs_out.csv"
-    assert main(["distance", str(golden), "--pairs", str(pairs), "--out", str(out)]) == 0
-    assert out.read_bytes() == golden.with_name(f"{golden.stem}_pairs.csv").read_bytes()
+    assert golden.read_text().startswith("version 4\n")
+    assert _served_pairs(golden, tmp_path) == _golden_pairs(golden)
     resaved = tmp_path / "resaved.model"
     save_model(resaved, mf)
     assert resaved.read_bytes() == golden.read_bytes()
     assert written["K0"] is mf.kernel_spec.table
+
+
+def _served_pairs(model, tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(PRECOMPUTED_PAIRS)
+    out = tmp_path / "pairs_out.csv"
+    assert main(["distance", str(model), "--pairs", str(pairs), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _golden_pairs(golden):
+    return golden.with_name(f"{golden.stem}_pairs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("golden", PRECOMPUTED_MODELS, ids=PRECOMPUTED_FORMS)
+def test_a_version_3_text_file_serves_its_bytes_and_resaves_as_its_version_4_file(
+        tmp_path, golden):
+    old = golden.with_name(f"{golden.stem}_v3.model")
+    assert old.read_text().startswith("version 3\n")
+    assert not [line for line in old.read_text().splitlines() if line.startswith("packed-")]
+    assert _served_pairs(old, tmp_path) == _golden_pairs(golden)
+    mf, new = load_model(old), load_model(golden)
+    for name in ("M", "basis_matrix", "F", "T"):
+        assert _same(getattr(mf, name), getattr(new, name)), name
+    assert _same(mf.kernel_spec.table, new.kernel_spec.table)
+    resaved = tmp_path / "resaved.model"
+    save_model(resaved, mf)
+    assert resaved.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("golden", PRECOMPUTED_MODELS, ids=["dense", "kmeans"])
@@ -302,8 +351,8 @@ def _replace_line(text, prefix, new):
 
 def _drop_matrix(text, name):
     lines = text.splitlines()
-    at = lines.index(next(line for line in lines
-                          if line.startswith((f"matrix {name} ", f"symmetric {name} "))))
+    at = next(at for at, line in enumerate(lines)
+              if line.startswith(("matrix ", "symmetric ", "packed-")) and line.split()[1] == name)
     rows = int(lines[at].split()[2])
     del lines[at:at + 1 + rows]
     return "\n".join(lines) + "\n"
@@ -323,8 +372,8 @@ def _malformed(text, case):
     """(broken file text, 1-based line the error names, message fragment)."""
     if case == "missing-value":
         return _replace_line(text, "version", "version") + ("missing a value",)
-    if case == "version-4":
-        return _replace_line(text, "version", "version 4") + ("unsupported model version 4",)
+    if case == "version-5":
+        return _replace_line(text, "version", "version 5") + ("unsupported model version 5",)
     if case == "short-constraint-line":  # the second constraint has no xi
         short = OLD_CONSTRAINT_LINES.replace(" 1.2749999999999999", "")
         broken = _with_constraint_lines(text, short)
@@ -336,9 +385,41 @@ def _malformed(text, case):
     if case == "unexpected-line":
         broken, at = _replace_line(text, "constraints", "constraints 0\ncolumns 34")
         return broken, at + 1, "unexpected line 'columns 34'"
-    if case == "negative-size":
-        return _replace_line(text, "matrix X", "matrix X -1 59") + (
-            "matrix X has a negative size",)
+    if case in ("negative-size", "packed-negative-size"):
+        keyword = "packed-matrix" if case.startswith("packed-") else "matrix"
+        return _replace_line(text, f"{keyword} X", f"{keyword} X -1 59") + (
+            f"{keyword} X has a negative size",)
+    if case == "packed-in-version-3":  # version 3 knows no packed block
+        broken, _ = _replace_line(text, "version", "version 3")
+        return _replace_line(broken, "packed-matrix X", "packed-matrix X 34 59") + (
+            "unexpected line 'packed-matrix X 34 59'",)
+    if case == "packed-truncated":  # the file ends inside the packed M block
+        kept = text.splitlines()
+        kept = kept[:kept.index("packed-symmetric M 45") + 11]
+        return "\n".join(kept) + "\n", len(kept) + 1, "truncated model file"
+    if case.startswith("packed-"):  # one row of a packed block
+        lines = text.splitlines()
+        header = "packed-matrix X 34 59" if case == "packed-byte-count" else "packed-symmetric M 45"
+        at = lines.index(header) + 3
+        row = np.frombuffer(base64.b64decode(lines[at]), "<f8")
+        if case == "packed-bad-character":
+            lines[at] = lines[at][:4] + "*" + lines[at][5:]
+            fragment = "is not base64"
+        elif case == "packed-missing-padding":
+            assert lines[at].endswith("=")
+            lines[at] = lines[at].rstrip("=")
+            fragment = "is not base64"
+        else:  # a value short: a matrix row, or a row of a triangle
+            lines[at] = _packed(row[:-1])
+            fragment = f"has {8 * row.size - 8} bytes, not {8 * row.size}"
+        return "\n".join(lines) + "\n", at + 1, f"{' '.join(header.split()[:2])} row 2 {fragment}"
+    if case == "text-block-non-numeric-entry":  # the S block of a version 4 file is text
+        lines = text.splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("matrix S "))) + 1
+        vals = lines[at].split()
+        vals[3] = "abc"
+        lines[at] = " ".join(vals)
+        return "\n".join(lines) + "\n", at + 1, "matrix S row 0 has a non-numeric entry"
     if case == "truncated":
         kept = text.splitlines()
         kept = kept[:len(kept) // 2]
@@ -407,16 +488,27 @@ def _malformed(text, case):
     raise AssertionError(case)
 
 
+# cases on the text blocks every float block was written as before version 4,
+# run on the same model written as version 3
+TEXT_CASES = ("non-numeric-entry", "short-triangle-row", "non-numeric-triangle-entry",
+              "negative-size")
+
+
 @pytest.mark.parametrize("case", ["missing-value", "non-numeric-entry", "short-triangle-row",
                                   "non-numeric-triangle-entry", "non-integer", "stop-reason",
                                   "unknown-kind", "identity-coeff", "no-points",
-                                  "precomputed-no-K0", "version-4", "short-constraint-line",
+                                  "precomputed-no-K0", "version-5", "short-constraint-line",
                                   "one-threshold", "unexpected-line", "negative-size",
                                   "truncated", "support-non-integer", "support-out-of-range",
                                   "support-repeated", "support-out-of-order",
-                                  "support-length", "support-column"])
+                                  "support-length", "support-column", "packed-negative-size",
+                                  "packed-in-version-3", "packed-truncated",
+                                  "packed-bad-character", "packed-missing-padding",
+                                  "packed-byte-count", "packed-short-triangle-row",
+                                  "text-block-non-numeric-entry"])
 def test_malformed_model_file_exits_2(gaussian_model, query_points, tmp_path, capsys, case):
-    text, line, fragment = _malformed(gaussian_model.read_text(), case)
+    text = gaussian_model.read_text()
+    text, line, fragment = _malformed(_as_version_3(text) if case in TEXT_CASES else text, case)
     broken = tmp_path / "broken.model"
     broken.write_text(text)
     capsys.readouterr()
@@ -435,7 +527,7 @@ def test_a_file_with_constraint_lines_serves_alike_and_resaves_without_them(
         path = V1_KERNEL_MODEL
     else:  # a dense kernel file as written before the constraints were dropped
         path = tmp_path / "with_constraints.model"
-        path.write_text(_with_constraint_lines(gaussian_model.read_text()))
+        path.write_text(_with_constraint_lines(_as_version_3(gaussian_model.read_text())))
     assert "constraints 0" not in path.read_text().splitlines()
     resaved, _ = _resaved_serves_alike(path, tmp_path, query_points)
     lines = resaved.read_text().splitlines()
@@ -924,24 +1016,27 @@ def _linear_model(W, **matrices):
 
 
 def test_matrix_blocks_write_the_per_value_lines_and_read_back_bit_for_bit(tmp_path):
-    n = 150  # blocks of 54 rows (BLOCK_VALUES // n) and a remainder; W's triangle: 54, 85, 11
+    n = 150  # text blocks of 54 rows (BLOCK_VALUES // n) and a remainder
     assert n > BLOCK_VALUES // n and n % (BLOCK_VALUES // n)
     rng = np.random.default_rng(7)
     specials = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 2.0**53, 1e16, -1e308, 0.0]
-    W, X = (rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
-            for _ in range(2))
-    for A in (W, X):
+    W, X, B = (rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+               for _ in range(3))
+    for A in (W, X, B):
         A.flat[::5] = np.resize(specials, A.flat[::5].size)
     upper = np.triu_indices(n, 1)
     W.T[upper] = W[upper]  # exactly symmetric, -0.0 kept
-    B = rng.standard_normal((3, 5000))  # one row a block
+    S = rng.standard_normal((3, 5000))  # one row a text block; a linear model reads no S
     path = tmp_path / "model.txt"
-    save_model(path, _linear_model(W, X=X, basis_matrix=B))
+    save_model(path, _linear_model(W, X=X, basis_matrix=B, support=S))
     lines = path.read_text().splitlines()
-    at = lines.index(f"symmetric W {n}") + 1
-    assert lines[at:at + n] == [" ".join(f"{float(v):.17g}" for v in row[i:])
-                                for i, row in enumerate(W)]
-    for name, A in (("X", X), ("B", B)):
+    # W and X packed, a row a line: W's upper triangle, X in full
+    at = lines.index(f"packed-symmetric W {n}") + 1
+    assert lines[at:at + n] == [_packed(row[i:]) for i, row in enumerate(W)]
+    at = lines.index(f"packed-matrix X {n} {n}") + 1
+    assert lines[at:at + n] == [_packed(row) for row in X]
+    # B and S as text
+    for name, A in (("B", B), ("S", S)):
         at = lines.index(f"matrix {name} {A.shape[0]} {A.shape[1]}") + 1
         assert lines[at:at + len(A)] == [" ".join(f"{float(v):.17g}" for v in row) for row in A]
     mf = load_model(path)
@@ -949,23 +1044,59 @@ def test_matrix_blocks_write_the_per_value_lines_and_read_back_bit_for_bit(tmp_p
     assert mf.basis_matrix.tobytes() == B.tobytes()
 
 
+def test_a_packed_row_is_little_endian_float64_in_base64(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(path, _linear_model(np.array([[1.0]])))
+    lines = path.read_text().splitlines()
+    assert lines[lines.index("packed-symmetric W 1") + 1] == "AAAAAAAA8D8="
+    # and back: the bytes 00 .. 00 f0 3f, least significant first, are 1.0
+    path, _ = _with_W_block(tmp_path, 2, 2, ["AAAAAAAA8D8AAAAAAAAIwA==", "AAAAAAAAAEA="],
+                            "packed-symmetric", 4)
+    assert load_model(path).W.tolist() == [[1.0, -3.0], [-3.0, 2.0]]
+
+
+def test_packed_blocks_read_back_bit_for_bit(tmp_path):
+    # what a decimal loses: the sign and payload of a NaN; and what it keeps
+    payload_nan = np.array([0x7FF8_0000_0000_0123, 0xFFF0_0000_0000_0001],
+                           dtype=np.uint64).view(np.float64)
+    values = np.array([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 3.0, -7.0, 2.0**53, 1e16,
+                       0.0, *payload_nan, np.inf, -np.inf, 2.2250738585072014e-308])
+    n = values.size
+    W = np.empty((n, n))
+    W[np.triu_indices(n)] = np.resize(values, n * (n + 1) // 2)
+    W.T[np.triu_indices(n, 1)] = W[np.triu_indices(n, 1)]
+    X = np.asfortranarray(np.resize(values[::-1], (5, 2 * n)))
+    mf = _linear_model(W, X=X, F=np.array([[-0.0]]), T=np.full((2, 2), payload_nan[0]))
+    path = tmp_path / "model.txt"
+    save_model(path, mf)
+    loaded = load_model(path)
+    for name in ("W", "X", "F", "T"):
+        assert getattr(loaded, name).tobytes() == getattr(mf, name).tobytes(), name
+    assert loaded.X.flags.f_contiguous
+    resaved = tmp_path / "resaved.txt"
+    save_model(resaved, loaded)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 def test_a_one_value_symmetric_block_reads_back_bit_for_bit(tmp_path):
     W = np.array([[-2.5]])
     path = tmp_path / "model.txt"
     save_model(path, _linear_model(W))
-    assert "symmetric W 1" in path.read_text().splitlines()
+    assert "packed-symmetric W 1" in path.read_text().splitlines()
     assert load_model(path).W.tobytes() == W.tobytes()
 
 
-def _with_W_block(tmp_path, rows, cols, block, header="matrix"):
-    """A linear model file whose W block is ``matrix W rows cols`` (or
-    ``symmetric W rows``) and the given lines, and the 1-based line of the
-    block's first row."""
+def _with_W_block(tmp_path, rows, cols, block, header="matrix", version=3):
+    """A linear model file of this version whose W block is ``matrix W rows
+    cols`` (or ``symmetric W rows``, or either packed) and the given lines,
+    and the 1-based line of the block's first row.  Version 3 files have only
+    text blocks."""
     save_model(tmp_path / "base.model", _linear_model(np.eye(1)))
     lines = (tmp_path / "base.model").read_text().splitlines()
-    at = lines.index("symmetric W 1")
-    size = f"{rows} {cols}" if header == "matrix" else f"{rows}"
+    at = lines.index("packed-symmetric W 1")
+    size = f"{rows}" if header.endswith("symmetric") else f"{rows} {cols}"
     lines[at:at + 2] = [f"{header} W {size}", *block]
+    lines[0] = f"version {version}"
     path = tmp_path / "block.model"
     path.write_text("\n".join(lines) + "\n")
     return path, at + 2
@@ -1130,4 +1261,4 @@ def test_a_linear_space_file_has_the_same_bytes_on_one_and_two_blas_threads(tmp_
                         "--label-col", "last", "--space", "linear", "--seed", seed,
                         "--out", str(files[-1])], env=env, capture_output=True, check=True)
     assert files[0].read_bytes() == files[1].read_bytes()
-    assert files[0].read_text().startswith("version 3\nkind linear\n")
+    assert files[0].read_text().startswith("version 4\nkind linear\n")
